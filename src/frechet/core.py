@@ -29,6 +29,19 @@ Point = Any
 # symmetric minimizers are never dropped on large-magnitude objectives.
 DEFAULT_VALUE_TOLERANCE = 1e-9
 
+# Largest distance matrix (in entries) one step of the band sweep builds;
+# batched kernels bound their own temporaries by the same budget.
+SWEEP_BLOCK_ENTRIES = 2 ** 20
+
+
+def row_blocks(rows: int, entries_per_row: int) -> list[slice]:
+    """Consecutive row slices of at most SWEEP_BLOCK_ENTRIES entries each.
+
+    A single row wider than the budget still gets a block of its own.
+    """
+    step = max(1, SWEEP_BLOCK_ENTRIES // max(entries_per_row, 1))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
 
 class ConfigurationError(Exception):
     """Inputs are structurally valid but inconsistently configured."""
@@ -70,8 +83,13 @@ class Space:
     def pairwise_distances(self, xs: Sequence[Point], ys: Sequence[Point]) -> np.ndarray:
         """Distance matrix with shape (len(xs), len(ys)).
 
-        Generic double loop; subclasses with array points override this
-        with a vectorized path.
+        Generic double loop over ``distance``. Batched overrides:
+        Euclidean and l_q vectors (array arithmetic), Wasserstein1D
+        (quantile functions on one shared level set), Bures-Wasserstein
+        (stacked eigendecompositions) and products (their factors'
+        kernels). Spiders, quotients and regularized spaces still use this
+        loop. PersistenceDiagramSpace keeps it by design: every pair needs
+        its own assignment problem.
         """
         return np.array([[self.distance(x, y) for y in ys] for x in xs], dtype=float)
 
@@ -245,12 +263,21 @@ def moment(space: Space, mu: DiscreteMeasure, r: float, x: Point) -> float:
 
 def _band_values(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
                  candidates: Sequence[Point]) -> np.ndarray:
-    """Objective values of all candidates against the configured origin."""
+    """Objective values of all candidates against the configured origin.
+
+    Candidates are swept in row blocks (``row_blocks``), so memory grows
+    with block size times support size, never with the candidate count.
+    Each row is reduced on its own, so a value does not depend on where
+    the block boundaries fall.
+    """
     origin = config.origin if config.origin is not None else mu.support[0]
-    d = space.pairwise_distances(list(candidates), mu.support)
     ref = space.pairwise_distances([origin], mu.support)[0]
     shift = float(np.dot(mu.weights, ref ** config.p))
-    return d ** config.p @ mu.weights - shift
+    values = np.empty(len(candidates))
+    for block in row_blocks(len(candidates), len(mu.support)):
+        d = space.pairwise_distances(candidates[block], mu.support)
+        values[block] = np.sum(d ** config.p * mu.weights, axis=1) - shift
+    return values
 
 
 def frechet_variance(space: Space, mu: DiscreteMeasure, config: FrechetConfig,

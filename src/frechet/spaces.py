@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import ConfigurationError, DiscreteMeasure, Space
+from .core import ConfigurationError, DiscreteMeasure, Space, row_blocks
 
 __all__ = [
     "EuclideanSpace",
@@ -68,10 +68,16 @@ class EuclideanSpace(Space):
         return self.distance(x, y) <= tol
 
     def pairwise_distances(self, xs, ys) -> np.ndarray:
+        # Squared gaps are added one coordinate at a time into the
+        # (len(xs), len(ys)) result, so no (len(xs), len(ys), dim) tensor
+        # is built. Up to dim 2 the sum has the same bits in any order.
         a = np.asarray([np.asarray(x, dtype=float) for x in xs])
         b = np.asarray([np.asarray(y, dtype=float) for y in ys])
-        diff = a[:, None, :] - b[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=2))
+        sq = np.zeros((len(a), len(b)))
+        for k in range(self.dim):
+            diff = a[:, k, None] - b[None, :, k]
+            sq += diff * diff
+        return np.sqrt(sq)
 
     def candidates(self, mu: DiscreteMeasure, scheme: str = "support", *,
                    step: float | None = None, center=None, radius: float | None = None,
@@ -295,12 +301,23 @@ class Wasserstein1D(Space):
             raise ValueError("order q must be >= 1")
 
     def distance(self, x: Measure1D, y: Measure1D) -> float:
-        levels = np.union1d(x.cdf_breakpoints(), y.cdf_breakpoints())
-        levels = np.concatenate(([0.0], levels))
+        return float(self.pairwise_distances([x], [y])[0, 0])
+
+    def pairwise_distances(self, xs, ys) -> np.ndarray:
+        # Every quantile function is constant between consecutive levels of
+        # the union of all CDF breakpoints, so one shared level set makes
+        # the integral exact for every pair at once.
+        levels = np.unique(np.concatenate(
+            [[0.0]] + [m.cdf_breakpoints() for m in (*xs, *ys)]))
         widths = np.diff(levels)
         mids = (levels[:-1] + levels[1:]) / 2.0
-        gap = np.abs(x.quantile(mids) - y.quantile(mids))
-        return float(np.dot(widths, gap ** self.q) ** (1.0 / self.q))
+        qx = np.array([m.quantile(mids) for m in xs])
+        qy = np.array([m.quantile(mids) for m in ys])
+        out = np.empty((len(xs), len(ys)))
+        for block in row_blocks(len(xs), len(ys) * mids.size):
+            gap = np.abs(qx[block, None, :] - qy[None, :, :])
+            out[block] = (gap ** self.q) @ widths
+        return out ** (1.0 / self.q)
 
     def contains(self, x) -> bool:
         return isinstance(x, Measure1D)
@@ -366,23 +383,30 @@ def quantile_barycenter(space: Wasserstein1D, mu: DiscreteMeasure,
     return Measure1D(avg, np.full(levels, 1.0 / levels))
 
 
+def _symmetric_stack(space: "BuresWassersteinSpace", sigma) -> np.ndarray:
+    """``sigma`` as a float array of shape (..., dim, dim), checked symmetric."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape[-2:] != (space.dim, space.dim):
+        raise ValueError("matrix shape does not match the space dimension")
+    if not np.allclose(sigma, np.swapaxes(sigma, -1, -2), atol=1e-10):
+        raise ValueError("matrix must be symmetric")
+    return sigma
+
+
 def matrix_sqrt(space: "BuresWassersteinSpace", sigma: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via spectral decomposition.
 
-    Eigenvalues below 1e-12 times the largest one (including round-off
-    negatives) are clamped to zero before rooting; fixed-point iterations
-    routinely graze the PSD boundary.
+    Accepts one matrix or a stack of shape (..., dim, dim) and roots each
+    matrix separately. Eigenvalues below 1e-12 times a matrix's largest
+    one (including round-off negatives) are clamped to zero before
+    rooting; fixed-point iterations routinely graze the PSD boundary.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (space.dim, space.dim):
-        raise ValueError("matrix shape does not match the space dimension")
-    if not np.allclose(sigma, sigma.T, atol=1e-10):
-        raise ValueError("matrix must be symmetric")
-    lam, vec = np.linalg.eigh((sigma + sigma.T) / 2.0)
-    top = float(lam[-1])
-    cutoff = 1e-12 * top if top > 0 else 0.0
+    sigma = _symmetric_stack(space, sigma)
+    lam, vec = np.linalg.eigh((sigma + np.swapaxes(sigma, -1, -2)) / 2.0)
+    top = lam[..., -1:]
+    cutoff = np.where(top > 0, 1e-12 * top, 0.0)
     lam = np.where(lam > cutoff, lam, 0.0)
-    return (vec * np.sqrt(lam)) @ vec.T
+    return (vec * np.sqrt(lam)[..., None, :]) @ np.swapaxes(vec, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -401,16 +425,26 @@ class BuresWassersteinSpace(Space):
             raise ValueError("dimension must be positive")
 
     def distance(self, x, y) -> float:
-        a = np.asarray(x, dtype=float)
-        b = np.asarray(y, dtype=float)
-        if np.array_equal(a, b):
-            return 0.0  # the general formula would take sqrt of round-off noise
-        root = matrix_sqrt(self, a)
-        inner = root @ b @ root
-        lam = np.linalg.eigvalsh((inner + inner.T) / 2.0)
-        cross = float(np.sum(np.sqrt(np.clip(lam, 0.0, None))))
-        sq = float(np.trace(a) + np.trace(b)) - 2.0 * cross
-        return math.sqrt(max(sq, 0.0))
+        return float(self.pairwise_distances([x], [y])[0, 0])
+
+    def pairwise_distances(self, xs, ys) -> np.ndarray:
+        a = np.asarray(xs, dtype=float)
+        b = _symmetric_stack(self, ys)
+        roots = matrix_sqrt(self, a)
+        tr_a = np.trace(a, axis1=-2, axis2=-1)
+        tr_b = np.trace(b, axis1=-2, axis2=-1)
+        out = np.empty((len(a), len(b)))
+        for block in row_blocks(len(a), len(b) * self.dim * self.dim):
+            root = roots[block, None]
+            inner = root @ b[None] @ root
+            lam = np.linalg.eigvalsh((inner + np.swapaxes(inner, -1, -2)) / 2.0)
+            cross = np.sum(np.sqrt(np.clip(lam, 0.0, None)), axis=-1)
+            sq = tr_a[block, None] + tr_b[None, :] - 2.0 * cross
+            # On identical matrices the formula would take sqrt of
+            # round-off noise; the mask keeps their exact zero.
+            same = np.all(a[block, None] == b[None], axis=(-2, -1))
+            out[block] = np.where(same, 0.0, np.sqrt(np.maximum(sq, 0.0)))
+        return out
 
     def contains(self, x) -> bool:
         arr = np.asarray(x, dtype=float)

@@ -23,6 +23,7 @@ from scipy.stats import binom
 
 from .core import (
     ConfigurationError,
+    ConvergenceFailure,
     DiscreteMeasure,
     FrechetConfig,
     MeanSetApprox,
@@ -249,8 +250,9 @@ def slln_experiment(space: Space, sampler: SamplerSpec, p: float,
     For every n and replication the mean-set approximation of the
     empirical measure is computed and its one-sided Hausdorff distance
     into the declared target set recorded; the report keeps the worst
-    replication per n. Solver failures are recorded per cell rather than
-    aborting the sweep.
+    replication per n. A solver that does not converge
+    (``ConvergenceFailure``) is recorded per cell rather than aborting the
+    sweep; any other error propagates.
     """
     if not config.target_points:
         raise ConfigurationError("the experiment needs a target mean set")
@@ -265,11 +267,12 @@ def slln_experiment(space: Space, sampler: SamplerSpec, p: float,
             mu = sample_empirical(local, n, space)
             try:
                 band = _solve_mean_set(space, mu, p, config)
-                dvec_by_n.append(one_sided_hausdorff(space, band.points, target))
-                failures.append(0.0)
-            except Exception:
+            except ConvergenceFailure:
                 dvec_by_n.append(float("nan"))
                 failures.append(1.0)
+            else:
+                dvec_by_n.append(one_sided_hausdorff(space, band.points, target))
+                failures.append(0.0)
             moment_by_n.append(moment(space, mu, max(p - 1.0, 0.0), origin))
         return dvec_by_n, moment_by_n, failures
 

@@ -123,3 +123,29 @@ def wasserstein2_functional(space_distance, candidate, members, member_weights):
     """Order-2 objective of a candidate against member measures."""
     return sum(w * space_distance(candidate, m) ** 2
                for m, w in zip(members, member_weights))
+
+
+def wasserstein1d_pair(x, y, q):
+    """Order-q transport distance of two Measure1D points, one pair at a time.
+
+    Quantile gaps at the midpoints of the union of the two CDF breakpoint
+    sets only; the reference for the batched shared-level kernel.
+    """
+    levels = np.concatenate(([0.0], np.union1d(x.cdf_breakpoints(), y.cdf_breakpoints())))
+    mids = (levels[:-1] + levels[1:]) / 2.0
+    gap = np.abs(x.quantile(mids) - y.quantile(mids))
+    return float(np.dot(np.diff(levels), gap ** q) ** (1.0 / q))
+
+
+def bures_wasserstein_pair(a, b):
+    """Bures-Wasserstein distance of two PSD matrices, one pair at a time."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if np.array_equal(a, b):
+        return 0.0
+    lam, vec = np.linalg.eigh((a + a.T) / 2.0)
+    cutoff = 1e-12 * lam[-1] if lam[-1] > 0 else 0.0
+    root = (vec * np.sqrt(np.where(lam > cutoff, lam, 0.0))) @ vec.T
+    inner = root @ b @ root
+    cross = float(np.sum(np.sqrt(np.clip(np.linalg.eigvalsh((inner + inner.T) / 2.0),
+                                         0.0, None))))
+    return math.sqrt(max(float(np.trace(a) + np.trace(b)) - 2.0 * cross, 0.0))

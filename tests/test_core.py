@@ -15,7 +15,13 @@ from frechet import (
     moment,
     relaxed_mean_set,
 )
-from frechet.core import cocycle_gap, power_bound_slack, renorm_bound_slack
+from frechet.core import (
+    SWEEP_BLOCK_ENTRIES,
+    cocycle_gap,
+    power_bound_slack,
+    renorm_bound_slack,
+    value_tolerance,
+)
 
 from conftest import all_spaces, pt
 from oracles import scan_objective_1d
@@ -148,6 +154,38 @@ class TestRelaxedMeanSet:
         for x in band.points:
             val = frechet_functional(line, mu, x, mu.support[0], 1.5)
             assert val <= band.achieved_value + cfg.epsilon + 1e-8
+
+    def test_chunked_sweep_matches_one_sweep(self, plane, monkeypatch):
+        rng = np.random.default_rng(11)
+        mu = DiscreteMeasure.uniform(plane, list(rng.normal(size=(1024, 2))))
+        block = SWEEP_BLOCK_ENTRIES // len(mu.support)
+        cands = list(rng.normal(scale=0.3, size=(2 * block + 1, 2)))
+        cfg = FrechetConfig(p=1.5, epsilon=0.01)
+
+        d = plane.pairwise_distances(cands, mu.support)
+        ref = plane.pairwise_distances(mu.support[:1], mu.support)[0]
+        values = (np.sum(d ** cfg.p * mu.weights, axis=1)
+                  - float(np.dot(mu.weights, ref ** cfg.p)))
+        achieved = float(np.min(values))
+        cut = achieved + cfg.epsilon + value_tolerance(achieved)
+        expected = [c for c, v in zip(cands, values) if v <= cut]
+
+        sizes = []
+        kernel = EuclideanSpace.pairwise_distances
+
+        def recording(self, xs, ys):
+            sizes.append((len(xs), len(ys)))
+            return kernel(self, xs, ys)
+        monkeypatch.setattr(EuclideanSpace, "pairwise_distances", recording)
+        band = relaxed_mean_set(plane, mu, cfg, cands, resolution=0.1)
+
+        assert band.achieved_value == achieved
+        assert len(expected) > 1
+        assert len(band.points) == len(expected)
+        assert all(a is b for a, b in zip(band.points, expected))
+        assert max(n * m for n, m in sizes) <= SWEEP_BLOCK_ENTRIES
+        # Three blocks of candidates and the origin's row, each swept once.
+        assert sorted(n for n, _ in sizes) == [1, 1, block, block]
 
     def test_single_atom_short_circuit(self, line):
         mu = DiscreteMeasure.uniform(line, [pt(3.0), pt(3.0)])

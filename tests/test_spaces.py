@@ -23,9 +23,11 @@ from frechet.spaces import space_from_json, space_to_json
 
 from conftest import all_spaces, pt
 from oracles import (
+    bures_wasserstein_pair,
     diagram_matching_enumeration,
     quantile_function_values,
     transport_lp,
+    wasserstein1d_pair,
     wasserstein2_functional,
 )
 
@@ -222,6 +224,39 @@ class TestBuresWasserstein:
         with pytest.raises(ValueError):
             matrix_sqrt(bw, np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_stacked_matrix_sqrt_roots_each_matrix(self):
+        bw = BuresWassersteinSpace(dim=2)
+        rng = np.random.default_rng(4)
+        stack = np.array([bw.sample_point(rng) for _ in range(5)] + [np.diag([4.0, 0.0])])
+        roots = matrix_sqrt(bw, stack.reshape(2, 3, 2, 2)).reshape(6, 2, 2)
+        for sigma, root in zip(stack, roots):
+            assert np.allclose(root, matrix_sqrt(bw, sigma), rtol=0.0, atol=1e-14)
+
+    def test_stacked_clamp_is_relative_to_each_matrix(self):
+        bw = BuresWassersteinSpace(dim=2)
+        roots = matrix_sqrt(bw, np.array([np.diag([1e6, 1e-7]), np.diag([1.0, 1e-7]),
+                                          np.diag([1.0, -1e-13])]))
+        assert np.array_equal(np.diagonal(roots, axis1=1, axis2=2),
+                              [[1e3, 0.0], [1.0, math.sqrt(1e-7)], [1.0, 0.0]])
+
+    def test_stacked_inputs_are_checked(self):
+        bw = BuresWassersteinSpace(dim=2)
+        good = [np.eye(2), np.diag([2.0, 1.0])]
+        skew = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError):
+            matrix_sqrt(bw, np.stack([np.eye(2), skew]))
+        with pytest.raises(ValueError):
+            matrix_sqrt(bw, np.zeros((4, 3, 3)))
+        with pytest.raises(ValueError):
+            matrix_sqrt(bw, np.zeros(2))
+        for bad in ([np.eye(3)], [np.eye(2), skew], [np.zeros(4)]):
+            with pytest.raises(ValueError):
+                bw.pairwise_distances(bad, good)
+            with pytest.raises(ValueError):
+                bw.pairwise_distances(good, bad)
+        with pytest.raises(ValueError):
+            bw.distance(np.eye(3), np.eye(3))
+
     def test_commuting_closed_form(self):
         bw = BuresWassersteinSpace(dim=3)
         rng = np.random.default_rng(2)
@@ -241,6 +276,94 @@ class TestBuresWasserstein:
             s1, s2 = rng.uniform(0.01, 9.0, size=2)
             expected = abs(math.sqrt(s1) - math.sqrt(s2))
             assert bw.distance(np.array([[s1]]), np.array([[s2]])) == pytest.approx(expected)
+
+
+def _close(batched, reference):
+    return abs(batched - reference) <= 1e-12 * (1.0 + abs(reference))
+
+
+def _check_kernel(space, xs, ys, reference=None):
+    """Batched entries against per-pair distances; identical pairs give 0.0."""
+    dm = space.pairwise_distances(xs, ys)
+    assert dm.shape == (len(xs), len(ys))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            single = space.distance(x, y)
+            assert _close(dm[i, j], single), (i, j, dm[i, j], single)
+            if reference is not None:
+                assert _close(dm[i, j], reference(x, y)), (i, j)
+            if y is x:
+                assert dm[i, j] == 0.0 and single == 0.0
+    return dm
+
+
+_coord = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _vector_pairs(draw, dim):
+    vec = st.lists(_coord, min_size=dim, max_size=dim).map(lambda v: np.asarray(v))
+    xs = draw(st.lists(vec, min_size=1, max_size=5))
+    ys = draw(st.lists(vec, min_size=1, max_size=5))
+    return xs, ys + [xs[0]]
+
+
+@st.composite
+def _line_measure(draw):
+    k = draw(st.integers(1, 4))
+    atoms = draw(st.lists(st.floats(-10, 10), min_size=k, max_size=k))
+    w = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    w = w / w.sum()
+    w[-1] = 1.0 - float(w[:-1].sum())
+    return Measure1D(atoms, w)
+
+
+@st.composite
+def _psd_matrix(draw, dim):
+    # A dim x rank factor: rank < dim gives rank-deficient matrices.
+    rank = draw(st.integers(0, dim))
+    entries = draw(st.lists(st.floats(-3, 3), min_size=dim * rank, max_size=dim * rank))
+    factor = np.asarray(entries, dtype=float).reshape(dim, rank)
+    return factor @ factor.T
+
+
+class TestBatchedKernels:
+    """Every batched kernel against the per-pair distance it replaces."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_euclidean(self, dim, data):
+        xs, ys = data.draw(_vector_pairs(dim))
+        space = EuclideanSpace(dim=dim)
+        dm = _check_kernel(space, xs, ys)
+        if dim <= 2:
+            diff = np.asarray(xs)[:, None, :] - np.asarray(ys)[None, :, :]
+            assert np.array_equal(dm, np.sqrt(np.sum(diff * diff, axis=2)))
+
+    @pytest.mark.parametrize("q", [1.5, 3.0])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_lq(self, q, data):
+        xs, ys = data.draw(_vector_pairs(3))
+        _check_kernel(LqSequenceSpace(truncation=3, q=q), xs, ys)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+    @given(xs=st.lists(_line_measure(), min_size=1, max_size=5),
+           ys=st.lists(_line_measure(), min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_wasserstein1d(self, q, xs, ys):
+        _check_kernel(Wasserstein1D(q=q), xs, ys + [xs[0]],
+                      reference=lambda x, y: wasserstein1d_pair(x, y, q))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bures_wasserstein(self, dim, data):
+        xs = data.draw(st.lists(_psd_matrix(dim), min_size=1, max_size=5))
+        ys = data.draw(st.lists(_psd_matrix(dim), min_size=1, max_size=5))
+        _check_kernel(BuresWassersteinSpace(dim=dim), xs, ys + [xs[0]],
+                      reference=bures_wasserstein_pair)
 
 
 class TestCandidates:

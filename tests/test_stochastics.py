@@ -5,6 +5,7 @@ import pytest
 
 from frechet import (
     ConfigurationError,
+    ConvergenceFailure,
     DiscreteMeasure,
     EuclideanSpace,
     ExperimentConfig,
@@ -16,6 +17,7 @@ from frechet import (
     sample_empirical,
     slln_experiment,
 )
+from frechet import stochastics
 from frechet.stochastics import _is_irreducible
 
 from conftest import pt
@@ -122,6 +124,23 @@ class TestSllnExperiment:
         sampler = bernoulli_sampler(0.5)
         with pytest.raises(ConfigurationError):
             slln_experiment(line, sampler, 2.0, [10], 1, ExperimentConfig())
+
+    def test_solver_nonconvergence_is_counted(self, line, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ConvergenceFailure("budget exhausted")
+        monkeypatch.setattr(stochastics, "_solve_mean_set", fail)
+        config = ExperimentConfig(solver="subgradient", target_points=(pt(0.5),))
+        report = slln_experiment(line, bernoulli_sampler(0.5), 2.0, [10, 20], 3, config)
+        assert report.verdicts["solver_failures"] == 6
+        assert all(math.isnan(v) for v in report.dvec)
+
+    def test_program_errors_propagate(self, line, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("kernel returned the wrong shape")
+        monkeypatch.setattr(stochastics, "_solve_mean_set", broken)
+        config = ExperimentConfig(solver="subgradient", target_points=(pt(0.5),))
+        with pytest.raises(TypeError):
+            slln_experiment(line, bernoulli_sampler(0.5), 2.0, [10], 2, config)
 
 
 class TestErgodicExperiment:
