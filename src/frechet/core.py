@@ -84,8 +84,8 @@ class Space:
         """Distance matrix with shape (len(xs), len(ys)).
 
         Generic double loop over ``distance``. Batched overrides:
-        Euclidean and l_q vectors (array arithmetic), Wasserstein1D
-        (quantile functions on one shared level set), Bures-Wasserstein
+        Euclidean and l_q vectors (one coordinate at a time),
+        Wasserstein1D (each pair's merged CDF breakpoints), Bures-Wasserstein
         (stacked eigendecompositions) and products (their factors'
         kernels). Spiders, quotients and regularized spaces still use this
         loop. PersistenceDiagramSpace keeps it by design: every pair needs

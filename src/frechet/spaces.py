@@ -47,6 +47,21 @@ def _box_grid(lows: np.ndarray, highs: np.ndarray, step: float) -> list:
     return [np.array(pt, dtype=float) for pt in itertools.product(*axes)]
 
 
+def _coordinate_sums(xs, ys, dim: int, term) -> np.ndarray:
+    """sum_k term(x_k - y_k) for every pair of vectors, shape (len(xs), len(ys)).
+
+    Terms are added one coordinate at a time into the result, so no
+    (len(xs), len(ys), dim) tensor is built. ``term`` may overwrite the
+    gap array it is given.
+    """
+    a = np.asarray([np.asarray(x, dtype=float) for x in xs])
+    b = np.asarray([np.asarray(y, dtype=float) for y in ys])
+    total = np.zeros((len(a), len(b)))
+    for k in range(dim):
+        total += term(a[:, k, None] - b[None, :, k])
+    return total
+
+
 @dataclass(frozen=True)
 class EuclideanSpace(Space):
     """R^dim with the Euclidean distance. Points are float vectors."""
@@ -68,16 +83,7 @@ class EuclideanSpace(Space):
         return self.distance(x, y) <= tol
 
     def pairwise_distances(self, xs, ys) -> np.ndarray:
-        # Squared gaps are added one coordinate at a time into the
-        # (len(xs), len(ys)) result, so no (len(xs), len(ys), dim) tensor
-        # is built. Up to dim 2 the sum has the same bits in any order.
-        a = np.asarray([np.asarray(x, dtype=float) for x in xs])
-        b = np.asarray([np.asarray(y, dtype=float) for y in ys])
-        sq = np.zeros((len(a), len(b)))
-        for k in range(self.dim):
-            diff = a[:, k, None] - b[None, :, k]
-            sq += diff * diff
-        return np.sqrt(sq)
+        return np.sqrt(_coordinate_sums(xs, ys, self.dim, lambda d: np.square(d, out=d)))
 
     def candidates(self, mu: DiscreteMeasure, scheme: str = "support", *,
                    step: float | None = None, center=None, radius: float | None = None,
@@ -135,10 +141,9 @@ class LqSequenceSpace(Space):
         return arr.shape == (self.truncation,) and bool(np.all(np.isfinite(arr)))
 
     def pairwise_distances(self, xs, ys) -> np.ndarray:
-        a = np.asarray([np.asarray(x, dtype=float) for x in xs])
-        b = np.asarray([np.asarray(y, dtype=float) for y in ys])
-        diff = np.abs(a[:, None, :] - b[None, :, :])
-        return np.sum(diff ** self.q, axis=2) ** (1.0 / self.q)
+        sums = _coordinate_sums(xs, ys, self.truncation,
+                                lambda d: np.power(np.abs(d, out=d), self.q, out=d))
+        return sums ** (1.0 / self.q)
 
     def candidates(self, mu, scheme="support", *, step=None, center=None,
                    radius=None, pad: float = 0.0, **kwargs) -> list:
@@ -285,6 +290,63 @@ class Measure1D:
         return hash((tuple(np.round(self.atoms, 12)), tuple(np.round(self.weights, 12))))
 
 
+def _padded_quantiles(measures) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and CDF breakpoints of 1-D measures as two (n, k_max) arrays.
+
+    Shorter rows repeat their last atom and pad their breakpoints with
+    1.0, which only adds intervals of zero width.
+    """
+    k = max(m.atoms.size for m in measures)
+    atoms = np.empty((len(measures), k))
+    cum = np.ones((len(measures), k))
+    for row, m in enumerate(measures):
+        atoms[row] = m.atoms[-1]
+        atoms[row, :m.atoms.size] = m.atoms
+        cum[row, :m.atoms.size] = m.cdf_breakpoints()
+    return atoms, cum
+
+
+def _size_groups(measures) -> list:
+    """Indices of the measures and their padded quantiles, grouped by atom
+    count within a factor of two, so padding at most doubles a pair's cost."""
+    groups: dict[int, list[int]] = {}
+    for i, m in enumerate(measures):
+        groups.setdefault(m.atoms.size.bit_length(), []).append(i)
+    return [(index, *_padded_quantiles([measures[i] for i in index]))
+            for index in groups.values()]
+
+
+def _quantile_gap_integrals(atoms_x, cum_x, atoms_y, cum_y, q: float) -> np.ndarray:
+    """int_0^1 |Q_x(u) - Q_y(u)|**q du for every pair of padded measures.
+
+    For one pair both quantile functions are constant between consecutive
+    points of the merged breakpoint sets, so the integral is exact over
+    those k_x + k_y intervals. A stable sort of each pair's merged
+    breakpoints gives the intervals; the number of x's breakpoints sorted
+    before an interval is x's atom index on it (likewise for y). The terms
+    are added in level order, and padding only adds exact zeros to that
+    sum, so a pair's value does not depend on the rest of the batch.
+    """
+    kx, ky = cum_x.shape[1], cum_y.shape[1]
+    cols = np.arange(len(cum_y))[:, None]
+    span = np.arange(kx + ky)
+    out = np.empty((len(cum_x), len(cum_y)))
+    for block in row_blocks(len(cum_x), len(cum_y) * (kx + ky)):
+        rows = np.arange(len(cum_x))[block, None, None]
+        levels = np.empty((rows.shape[0], len(cum_y), kx + ky))
+        levels[..., :kx] = cum_x[block, None, :]
+        levels[..., kx:] = cum_y
+        from_x = levels.argsort(axis=-1, kind="stable") < kx
+        ix = from_x.cumsum(axis=-1) - from_x
+        gap = np.abs(atoms_x[rows, np.minimum(ix, kx - 1)]
+                     - atoms_y[cols, np.minimum(span - ix, ky - 1)])
+        levels.sort(axis=-1)
+        widths = levels - np.concatenate((np.zeros(levels.shape[:-1] + (1,)),
+                                          levels[..., :-1]), axis=-1)
+        out[block] = (gap ** q * widths).cumsum(axis=-1)[..., -1]
+    return out
+
+
 @dataclass(frozen=True)
 class Wasserstein1D(Space):
     """Discrete measures on the line with the order-q transport distance.
@@ -304,19 +366,14 @@ class Wasserstein1D(Space):
         return float(self.pairwise_distances([x], [y])[0, 0])
 
     def pairwise_distances(self, xs, ys) -> np.ndarray:
-        # Every quantile function is constant between consecutive levels of
-        # the union of all CDF breakpoints, so one shared level set makes
-        # the integral exact for every pair at once.
-        levels = np.unique(np.concatenate(
-            [[0.0]] + [m.cdf_breakpoints() for m in (*xs, *ys)]))
-        widths = np.diff(levels)
-        mids = (levels[:-1] + levels[1:]) / 2.0
-        qx = np.array([m.quantile(mids) for m in xs])
-        qy = np.array([m.quantile(mids) for m in ys])
         out = np.empty((len(xs), len(ys)))
-        for block in row_blocks(len(xs), len(ys) * mids.size):
-            gap = np.abs(qx[block, None, :] - qy[None, :, :])
-            out[block] = (gap ** self.q) @ widths
+        if not len(xs) or not len(ys):
+            return out
+        y_groups = _size_groups(ys)
+        for rows, atoms_x, cum_x in _size_groups(xs):
+            for cols, atoms_y, cum_y in y_groups:
+                out[np.ix_(rows, cols)] = _quantile_gap_integrals(
+                    atoms_x, cum_x, atoms_y, cum_y, self.q)
         return out ** (1.0 / self.q)
 
     def contains(self, x) -> bool:

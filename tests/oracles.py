@@ -129,7 +129,8 @@ def wasserstein1d_pair(x, y, q):
     """Order-q transport distance of two Measure1D points, one pair at a time.
 
     Quantile gaps at the midpoints of the union of the two CDF breakpoint
-    sets only; the reference for the batched shared-level kernel.
+    sets, found by searching each quantile function; the reference for the
+    batched kernel, which sorts the merged breakpoints instead.
     """
     levels = np.concatenate(([0.0], np.union1d(x.cdf_breakpoints(), y.cdf_breakpoints())))
     mids = (levels[:-1] + levels[1:]) / 2.0

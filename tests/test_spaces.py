@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,7 +311,7 @@ def _vector_pairs(draw, dim):
 
 @st.composite
 def _line_measure(draw):
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
     atoms = draw(st.lists(st.floats(-10, 10), min_size=k, max_size=k))
     w = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
     w = w / w.sum()
@@ -353,8 +354,34 @@ class TestBatchedKernels:
            ys=st.lists(_line_measure(), min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_wasserstein1d(self, q, xs, ys):
-        _check_kernel(Wasserstein1D(q=q), xs, ys + [xs[0]],
-                      reference=lambda x, y: wasserstein1d_pair(x, y, q))
+        space = Wasserstein1D(q=q)
+        ys = ys + [xs[0]]
+        dm = _check_kernel(space, xs, ys, reference=lambda x, y: wasserstein1d_pair(x, y, q))
+        # Padding to other measures' atom counts adds exact zeros only, so
+        # an entry does not depend on the rest of the batch.
+        assert np.array_equal(dm, [[space.distance(x, y) for y in ys] for x in xs])
+
+    def test_wasserstein1d_memory_is_per_pair(self):
+        # Random weights give every measure its own CDF levels. The kernel's
+        # temporaries must grow with each pair's k_x + k_y levels, not with
+        # the levels of the whole batch (here 500 x 10 of them).
+        rng = np.random.default_rng(8)
+        members = []
+        for _ in range(500):
+            w = rng.uniform(0.1, 1.0, size=10)
+            w /= w.sum()
+            w[-1] = 1.0 - float(w[:-1].sum())
+            members.append(Measure1D(rng.normal(size=10), w))
+        space = Wasserstein1D(q=2.0)
+        tracemalloc.start()
+        try:
+            row = space.pairwise_distances(members[:1], members)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * len(members) * 20 * 8
+        for j in (0, 1, 250, 499):
+            assert _close(row[j], wasserstein1d_pair(members[0], members[j], 2.0))
 
     @pytest.mark.parametrize("dim", [1, 2])
     @given(data=st.data())
