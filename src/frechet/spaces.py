@@ -341,8 +341,7 @@ def _quantile_gap_integrals(atoms_x, cum_x, atoms_y, cum_y, q: float) -> np.ndar
         gap = np.abs(atoms_x[rows, np.minimum(ix, kx - 1)]
                      - atoms_y[cols, np.minimum(span - ix, ky - 1)])
         levels.sort(axis=-1)
-        widths = levels - np.concatenate((np.zeros(levels.shape[:-1] + (1,)),
-                                          levels[..., :-1]), axis=-1)
+        widths = np.diff(levels, axis=-1, prepend=0.0)
         out[block] = (gap ** q * widths).cumsum(axis=-1)[..., -1]
     return out
 
@@ -367,8 +366,6 @@ class Wasserstein1D(Space):
 
     def pairwise_distances(self, xs, ys) -> np.ndarray:
         out = np.empty((len(xs), len(ys)))
-        if not len(xs) or not len(ys):
-            return out
         y_groups = _size_groups(ys)
         for rows, atoms_x, cum_x in _size_groups(xs):
             for cols, atoms_y, cum_y in y_groups:
