@@ -312,7 +312,7 @@ def _size_groups(measures) -> list:
     groups: dict[int, list[int]] = {}
     for i, m in enumerate(measures):
         groups.setdefault(m.atoms.size.bit_length(), []).append(i)
-    return [(index, *_padded_quantiles([measures[i] for i in index]))
+    return [(np.array(index), *_padded_quantiles([measures[i] for i in index]))
             for index in groups.values()]
 
 
@@ -341,7 +341,8 @@ def _quantile_gap_integrals(atoms_x, cum_x, atoms_y, cum_y, q: float) -> np.ndar
         gap = np.abs(atoms_x[rows, np.minimum(ix, kx - 1)]
                      - atoms_y[cols, np.minimum(span - ix, ky - 1)])
         levels.sort(axis=-1)
-        widths = np.diff(levels, axis=-1, prepend=0.0)
+        widths = levels.copy()
+        widths[..., 1:] -= levels[..., :-1]
         out[block] = (gap ** q * widths).cumsum(axis=-1)[..., -1]
     return out
 
@@ -369,7 +370,7 @@ class Wasserstein1D(Space):
         y_groups = _size_groups(ys)
         for rows, atoms_x, cum_x in _size_groups(xs):
             for cols, atoms_y, cum_y in y_groups:
-                out[np.ix_(rows, cols)] = _quantile_gap_integrals(
+                out[rows[:, None], cols] = _quantile_gap_integrals(
                     atoms_x, cum_x, atoms_y, cum_y, self.q)
         return out ** (1.0 / self.q)
 
