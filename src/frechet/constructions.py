@@ -118,6 +118,10 @@ class ProductSpace(Space):
         return (self.left.points_equal(x[0], y[0], tol)
                 and self.right.points_equal(x[1], y[1], tol))
 
+    def equal_mask(self, x, ys, tol: float = 1e-9) -> np.ndarray:
+        return (self.left.equal_mask(x[0], [y[0] for y in ys], tol)
+                & self.right.equal_mask(x[1], [y[1] for y in ys], tol))
+
     def pairwise_distances(self, xs, ys) -> np.ndarray:
         d1 = self.left.pairwise_distances([x[0] for x in xs], [y[0] for y in ys])
         d2 = self.right.pairwise_distances([x[1] for x in xs], [y[1] for y in ys])

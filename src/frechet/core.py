@@ -76,9 +76,24 @@ class Space:
     def contains(self, x: Point) -> bool:
         raise NotImplementedError
 
+    def contains_all(self, points: Sequence[Point]) -> bool:
+        """True when every point belongs to the space.
+
+        Loops over ``contains``; vector spaces override it with one
+        stacked check.
+        """
+        return all(self.contains(x) for x in points)
+
     def points_equal(self, x: Point, y: Point, tol: float = 1e-9) -> bool:
         """Point-equality predicate; d(x, y) = 0 must imply this holds."""
         return self.distance(x, y) <= tol
+
+    def equal_mask(self, x: Point, ys: Sequence[Point], tol: float = 1e-9) -> np.ndarray:
+        """``points_equal(x, y)`` for every y in ys, from one kernel row.
+
+        A space that overrides ``points_equal`` overrides this too.
+        """
+        return self.pairwise_distances([x], ys)[0] <= tol
 
     def pairwise_distances(self, xs: Sequence[Point], ys: Sequence[Point]) -> np.ndarray:
         """Distance matrix with shape (len(xs), len(ys)).
@@ -109,9 +124,10 @@ class Space:
             f"candidate scheme {scheme!r} is not supported by {type(self).__name__}")
 
     def dedup(self, points: Sequence[Point]) -> list:
+        """The points in order, without those equal to a point kept earlier."""
         out: list = []
         for x in points:
-            if not any(self.points_equal(x, y) for y in out):
+            if not out or not np.any(self.equal_mask(x, out)):
                 out.append(x)
         return out
 
@@ -152,9 +168,8 @@ class DiscreteMeasure:
             raise ValueError("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
-        for y in self.support:
-            if not self.space.contains(y):
-                raise ConfigurationError("support point does not belong to the space")
+        if not self.space.contains_all(self.support):
+            raise ConfigurationError("support point does not belong to the space")
 
     @classmethod
     def uniform(cls, space: Space, points: Sequence[Point]) -> "DiscreteMeasure":

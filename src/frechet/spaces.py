@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import ConfigurationError, DiscreteMeasure, Space, row_blocks
 
@@ -45,6 +44,21 @@ def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
 def _box_grid(lows: np.ndarray, highs: np.ndarray, step: float) -> list:
     axes = [_axis_grid(float(lo), float(hi), step) for lo, hi in zip(lows, highs)]
     return [np.array(pt, dtype=float) for pt in itertools.product(*axes)]
+
+
+def _finite_vectors(space: Space, points, length: int) -> bool:
+    """``contains_all`` for vector spaces: one stacked shape and isfinite check.
+
+    Ragged or non-numeric input, or a stack of another shape, goes through
+    the per-point loop, so it gets the same answer and the same errors.
+    """
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        return Space.contains_all(space, points)
+    if arr.shape != (len(points), length):
+        return Space.contains_all(space, points)
+    return bool(np.all(np.isfinite(arr)))
 
 
 def _coordinate_sums(xs, ys, dim: int, term) -> np.ndarray:
@@ -79,8 +93,8 @@ class EuclideanSpace(Space):
         arr = np.asarray(x, dtype=float)
         return arr.shape == (self.dim,) and bool(np.all(np.isfinite(arr)))
 
-    def points_equal(self, x, y, tol: float = 1e-9) -> bool:
-        return self.distance(x, y) <= tol
+    def contains_all(self, points) -> bool:
+        return _finite_vectors(self, points, self.dim)
 
     def pairwise_distances(self, xs, ys) -> np.ndarray:
         return np.sqrt(_coordinate_sums(xs, ys, self.dim, lambda d: np.square(d, out=d)))
@@ -139,6 +153,9 @@ class LqSequenceSpace(Space):
     def contains(self, x) -> bool:
         arr = np.asarray(x, dtype=float)
         return arr.shape == (self.truncation,) and bool(np.all(np.isfinite(arr)))
+
+    def contains_all(self, points) -> bool:
+        return _finite_vectors(self, points, self.truncation)
 
     def pairwise_distances(self, xs, ys) -> np.ndarray:
         sums = _coordinate_sums(xs, ys, self.truncation,
@@ -575,6 +592,8 @@ class PersistenceDiagramSpace(Space):
             raise ValueError("order q must lie strictly between 1 and infinity")
 
     def distance(self, x, y) -> float:
+        from scipy.optimize import linear_sum_assignment
+
         p1 = [tuple(map(float, pt)) for pt in x]
         p2 = [tuple(map(float, pt)) for pt in y]
         n, m = len(p1), len(p2)

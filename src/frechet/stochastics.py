@@ -10,6 +10,7 @@ merged output.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import time
@@ -18,10 +19,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import binom
 
 from .core import (
+    SWEEP_BLOCK_ENTRIES,
     ConfigurationError,
     ConvergenceFailure,
     DiscreteMeasure,
@@ -30,6 +30,8 @@ from .core import (
     Space,
     frechet_functional,
     moment,
+    row_blocks,
+    value_tolerance,
 )
 from .convergence import ConvergenceReport, one_sided_hausdorff
 from .solvers import (
@@ -64,8 +66,8 @@ class SamplerSpec:
 
     ``kind`` is "iid" with a named distribution or "markov-chain" with a
     row-stochastic kernel over finitely many states. ``embed`` maps raw
-    draws (reals, or state indices for chains) to space points; the
-    default wraps reals as 1-D vectors.
+    draws (reals, finite atoms or chain states) to space points; by
+    default the draws are the rows of one (n, 1) float array.
     """
 
     kind: str
@@ -121,15 +123,25 @@ class SamplerSpec:
     def with_seed(self, seed: int) -> "SamplerSpec":
         return replace(self, seed=seed)
 
-    def _embed(self, value):
+    def _points(self, values) -> list:
+        """Space points for an array of raw draws."""
         if self.embed is not None:
-            return self.embed(value)
-        return np.array([float(value)])
+            return [self.embed(v) for v in values]
+        return list(np.asarray(values, dtype=float).reshape(len(values), 1))
+
+    def _points_at(self, values: tuple, idx: np.ndarray) -> list:
+        """Space points for draws given as indices into ``values``."""
+        if self.embed is not None:
+            table = [self.embed(v) for v in values]
+            return [table[i] for i in idx]
+        return self._points(np.asarray(values, dtype=float)[idx])
 
     def _draw_iid(self, rng: np.random.Generator, n: int) -> list:
         u = rng.uniform(size=n)
         dist, p = self.distribution, self.params
         if dist == "normal":
+            from scipy.special import ndtri
+
             vals = p[0] + p[1] * ndtri(u)
         elif dist == "uniform":
             vals = p[0] + (p[1] - p[0]) * u
@@ -138,23 +150,18 @@ class SamplerSpec:
         elif dist == "cauchy":
             vals = p[0] + p[1] * np.tan(math.pi * (u - 0.5))
         else:  # finite
-            cum = np.cumsum(self.probs)
-            idx = np.searchsorted(cum, u, side="right")
-            idx = np.minimum(idx, len(self.atoms) - 1)
-            return [self._embed(self.atoms[i]) for i in idx]
-        return [self._embed(v) for v in vals]
+            return self._points_at(self.atoms, _finite_indices(self.probs, u))
+        return self._points(vals)
 
     def _draw_chain(self, rng: np.random.Generator, n: int) -> list:
-        kernel = np.asarray(self.kernel, dtype=float)
-        cum = np.cumsum(kernel, axis=1)
-        u = rng.uniform(size=n)
+        cum = np.cumsum(np.asarray(self.kernel, dtype=float), axis=1).tolist()
+        last = len(self.states) - 1
+        idx = np.empty(n, dtype=np.intp)
         state = self.initial_state
-        out = []
-        for i in range(n):
-            out.append(self._embed(self.states[state]))
-            state = int(np.searchsorted(cum[state], u[i], side="right"))
-            state = min(state, len(self.states) - 1)
-        return out
+        for i, u in enumerate(rng.uniform(size=n).tolist()):
+            idx[i] = state
+            state = min(bisect.bisect_right(cum[state], u), last)
+        return self._points_at(self.states, idx)
 
     def draw(self, n: int) -> list:
         """First n points of the stream; a prefix of any longer draw."""
@@ -176,6 +183,11 @@ class SamplerSpec:
         b = np.concatenate([np.zeros(m), [1.0]])
         pi, *_ = np.linalg.lstsq(a, b, rcond=None)
         return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
+
+
+def _finite_indices(probs, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF atom indices of uniforms ``u`` under ``probs``."""
+    return np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), len(probs) - 1)
 
 
 def _is_irreducible(kernel: np.ndarray) -> bool:
@@ -253,18 +265,26 @@ def slln_experiment(space: Space, sampler: SamplerSpec, p: float,
     replication per n. A solver that does not converge
     (``ConvergenceFailure``) is recorded per cell rather than aborting the
     sweep; any other error propagates.
+
+    Each replication draws its stream once, at the largest n, and every
+    n uses a prefix of it; streams are prefix-stable, so this equals a
+    fresh draw per n. The runtime of an n is the time its cells took,
+    summed over replications; the draw itself belongs to no cell.
     """
     if not config.target_points:
         raise ConfigurationError("the experiment needs a target mean set")
     target = list(config.target_points)
     n_grid = list(n_grid)
+    if any(n < 1 for n in n_grid):
+        raise ValueError("need at least one sample")
     origin = target[0]
 
-    def one_rep(rep: int) -> tuple[list[float], list[float], list[float]]:
-        local = sampler.with_seed(_derived_seed(sampler.seed, rep))
-        dvec_by_n, moment_by_n, failures = [], [], []
+    def one_rep(rep: int) -> tuple[list[float], list[float], list[float], list[float]]:
+        stream = sampler.with_seed(_derived_seed(sampler.seed, rep)).draw(max(n_grid, default=0))
+        dvec_by_n, moment_by_n, failures, seconds = [], [], [], []
         for n in n_grid:
-            mu = sample_empirical(local, n, space)
+            t0 = time.perf_counter()
+            mu = DiscreteMeasure.uniform(space, stream[:n])
             try:
                 band = _solve_mean_set(space, mu, p, config)
             except ConvergenceFailure:
@@ -274,25 +294,24 @@ def slln_experiment(space: Space, sampler: SamplerSpec, p: float,
                 dvec_by_n.append(one_sided_hausdorff(space, band.points, target))
                 failures.append(0.0)
             moment_by_n.append(moment(space, mu, max(p - 1.0, 0.0), origin))
-        return dvec_by_n, moment_by_n, failures
+            seconds.append(time.perf_counter() - t0)
+        return dvec_by_n, moment_by_n, failures, seconds
 
-    t0 = time.perf_counter()
     per_rep = _replication_map(one_rep, replications, config.max_workers)
-    elapsed = time.perf_counter() - t0
 
-    dvec_max, moment_mean, failure_count = [], [], 0
+    dvec_max, moment_mean, runtimes, failure_count = [], [], [], 0
     for j, n in enumerate(n_grid):
         cells = [rep[0][j] for rep in per_rep]
         failure_count += int(sum(rep[2][j] for rep in per_rep))
         finite = [v for v in cells if not math.isnan(v)]
         dvec_max.append(max(finite) if finite else float("nan"))
         moment_mean.append(float(np.mean([rep[1][j] for rep in per_rep])))
+        runtimes.append(sum(rep[3][j] for rep in per_rep))
 
     verdicts = {"solver_failures": failure_count}
     if config.threshold is not None:
         verdicts["final_below_threshold"] = bool(dvec_max[-1] < config.threshold)
-    return ConvergenceReport(n_grid, dvec_max, moment_mean,
-                             runtimes=[elapsed / max(len(n_grid), 1)] * len(n_grid),
+    return ConvergenceReport(n_grid, dvec_max, moment_mean, runtimes=runtimes,
                              verdicts=verdicts, seed=sampler.seed)
 
 
@@ -316,7 +335,7 @@ def ergodic_experiment(space: Space, markov: SamplerSpec, p: float,
     if config.target_points:
         target = list(config.target_points)
     elif p == 2.0 and isinstance(space, EuclideanSpace):
-        pts = [markov._embed(s) for s in markov.states]
+        pts = markov._points(markov.states)
         target = [sum(w * np.asarray(pt, dtype=float) for w, pt in zip(pi, pts))]
     else:
         raise ConfigurationError("supply target_points unless p = 2 on a Euclidean space")
@@ -374,27 +393,45 @@ def _aggregate(mu: DiscreteMeasure) -> tuple[list, list]:
     return pts, ws
 
 
-def _simplex_grid(k: int, step: float):
-    """Weight vectors on the k-simplex with coordinates on a step lattice."""
-    m = int(round(1.0 / step))
-    if abs(m * step - 1.0) > 1e-9:
-        raise ValueError("simplex step must divide 1")
-    for cuts in itertools.combinations(range(m + k - 1), k - 1):
-        prev = -1
-        counts = []
-        for c in cuts:
-            counts.append(c - prev - 1)
-            prev = c
-        counts.append(m + k - 2 - prev)
-        yield np.asarray(counts, dtype=float) / m
+def _simplex_lattice(k: int, m: int):
+    """Points of the k-simplex whose coordinates are multiples of 1/m,
+    times m: blocks of rows of nonnegative counts summing to m."""
+    cuts = itertools.combinations(range(m + k - 1), k - 1)
+    rows = max(1, SWEEP_BLOCK_ENTRIES // (k * k))
+    while block := list(itertools.islice(cuts, rows)):
+        cut = np.array(block, dtype=np.intp).reshape(len(block), k - 1)
+        yield np.diff(cut, axis=1, prepend=-1, append=m + k - 1) - 1
+
+
+def _support_bands(dp: np.ndarray, support: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Mean-set bands of many measures on k atoms, restricted to their atoms.
+
+    ``dp`` is the k x k matrix of atom distances raised to the power p.
+    Row r of ``support`` (R x c) lists the atoms of measure r and row r of
+    ``weights`` their weights. As in ``relaxed_mean_set`` on that support,
+    the atoms are the candidates and the first one is the origin, and the
+    terms are added in the same order, so the R x c result marks the same
+    band atoms.
+    """
+    band = np.empty(support.shape, dtype=bool)
+    for block in row_blocks(len(support), support.shape[1] ** 2):
+        s, w = support[block], weights[block]
+        d = dp[s[:, :, None], s[:, None, :]]
+        # relaxed_mean_set takes its shift as one BLAS dot per measure.
+        shift = np.array([np.dot(w_r, d_r) for w_r, d_r in zip(w, d[:, 0])])
+        values = np.sum(d * w[:, None, :], axis=-1) - shift[:, None]
+        achieved = values.min(axis=1, keepdims=True)
+        band[block] = values <= achieved + value_tolerance(achieved)
+    return band
 
 
 def _mean_set_on_support(space: Space, atoms: list, weights: np.ndarray,
                          p: float) -> list:
     """Exact argmin band of the mean objective restricted to the atoms."""
-    mu = DiscreteMeasure.from_weights(space, atoms, weights)
-    band = grid_oracle(space, mu, FrechetConfig(p=p), atoms, resolution=1e-12)
-    return list(band.points)
+    dp = space.pairwise_distances(atoms, atoms) ** p
+    band = _support_bands(dp, np.arange(len(atoms))[None],
+                          np.asarray(weights, dtype=float)[None])
+    return [a for a, keep in zip(atoms, band[0]) if keep]
 
 
 def ldp_rate_function(space: Space, mu: DiscreteMeasure, p: float, target_x,
@@ -405,29 +442,34 @@ def ldp_rate_function(space: Space, mu: DiscreteMeasure, p: float, target_x,
     Minimizes the relative entropy against ``mu`` over lattice measures on
     mu's support whose mean set (restricted to that support) is precisely
     ``{target_x}``. Returns ``math.inf`` when no lattice measure achieves
-    the target.
+    the target. The lattice is swept in blocks through one batched band
+    computation.
     """
     atoms, base_w = _aggregate(mu)
-    if len(atoms) > 4:
+    k = len(atoms)
+    if k > 4:
         raise ConfigurationError("rate-function enumeration is feasible for "
                                  "at most 4 support atoms")
-    base = np.asarray(base_w)
+    m = int(round(1.0 / simplex_step))
+    if abs(m * simplex_step - 1.0) > 1e-9:
+        raise ValueError("simplex step must divide 1")
+    dp = space.pairwise_distances(atoms, atoms) ** p
+    is_target = np.array([space.points_equal(a, target_x) for a in atoms])
+    # terms[i, c] = w log(w / b_i) at w = c / m; a coordinate where the base
+    # has no mass makes the entropy infinite.
+    terms = np.zeros((k, m + 1))
+    for i, b in enumerate(base_w):
+        for c in range(1, m + 1):
+            w = np.float64(c) / m
+            terms[i, c] = w * math.log(w / b) if b > 0.0 else math.inf
     best = math.inf
-    for w in _simplex_grid(len(atoms), simplex_step):
-        mean_set = _mean_set_on_support(space, atoms, w, p)
-        if len(mean_set) != 1 or not space.points_equal(mean_set[0], target_x):
-            continue
-        ent = 0.0
-        feasible = True
-        for wi, bi in zip(w, base):
-            if wi <= 0.0:
-                continue
-            if bi <= 0.0:
-                feasible = False
-                break
-            ent += wi * math.log(wi / bi)
-        if feasible:
-            best = min(best, max(ent, 0.0))
+    for counts in _simplex_lattice(k, m):
+        band = _support_bands(dp, np.broadcast_to(np.arange(k), counts.shape), counts / m)
+        keep = (band.sum(axis=1) == 1) & np.any(band & is_target, axis=1)
+        if keep.any():
+            # With k <= 4 terms, np.sum adds them one at a time in atom order.
+            ent = terms[np.arange(k), counts[keep]].sum(axis=1)
+            best = min(best, max(float(ent.min()), 0.0))
     return best
 
 
@@ -484,7 +526,9 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
 
     Modes: ``exact-binomial`` (two-atom measures only, exact tail sums) or
     ``monte-carlo`` (any finite support, frequency estimates; zero counts
-    are censored rather than mapped to an infinite rate).
+    are censored rather than mapped to an infinite rate). A Monte-Carlo
+    replication only counts the atoms it draws; the bands of all
+    replications at one n are decided by one batched sweep.
     """
     atoms, base_w = _aggregate(mu)
     event_points = list(event_points)
@@ -495,17 +539,15 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
         theoretical = min(theoretical,
                           ldp_rate_function(space, mu, p, target, simplex_step))
 
-    def in_event(points) -> bool:
-        return all(any(space.points_equal(pt, ev) for ev in event_points)
-                   for pt in points)
-
+    # A mean set is in the event when each of its atoms is an event point.
+    flags = [any(space.points_equal(a, ev) for ev in event_points) for a in atoms]
     probabilities, ties, censored = [], [], []
     if mode == "exact-binomial":
         if len(atoms) != 2:
             raise ConfigurationError("exact tail sums need a two-atom measure")
-        # Identify which atom (if any) constitutes the event.
-        flags = [any(space.points_equal(a, ev) for ev in event_points) for a in atoms]
         theta = base_w[1]  # success probability of drawing atoms[1]
+        from scipy.stats import binom
+
         for n in n_grid:
             tie = float(binom.pmf(n // 2, n, theta)) if n % 2 == 0 else 0.0
             if not any(flags):
@@ -521,22 +563,29 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
             ties.append(tie)
             censored.append(False)
     elif mode == "monte-carlo":
-        sampler = SamplerSpec(kind="iid", distribution="finite", seed=seed,
-                              atoms=tuple(range(len(atoms))),
-                              probs=tuple(float(v) for v in base_w),
-                              embed=lambda i: atoms[int(i)])
+        if any(n < 1 for n in n_grid):
+            raise ValueError("need at least one sample")
+        dp = space.pairwise_distances(atoms, atoms) ** p
+        event = np.array(flags)
         for j, n in enumerate(n_grid):
-            hits = 0
-            tie_hits = 0
+            # mass[c] is c samples of weight 1/n added one at a time.
+            mass = np.concatenate(([0.0], np.cumsum(np.full(n, 1.0 / n))))
+            # A replication's empirical measure lives on the atoms it drew,
+            # in the order first drawn; replications are grouped by how
+            # many atoms that is.
+            by_size: dict[int, list] = {}
             for rep in range(replications):
-                local = sampler.with_seed(_derived_seed(seed, rep * len(n_grid) + j))
-                emp = sample_empirical(local, n, space)
-                pts, ws = _aggregate(emp)
-                band = _mean_set_on_support(space, pts, np.asarray(ws), p)
-                if len(band) > 1:
-                    tie_hits += 1
-                if in_event(band):
-                    hits += 1
+                rng = np.random.default_rng(_derived_seed(seed, rep * len(n_grid) + j))
+                idx = _finite_indices(base_w, rng.uniform(size=n))
+                drawn, first = np.unique(idx, return_index=True)
+                order = drawn[np.argsort(first)]
+                by_size.setdefault(len(order), []).append((order, mass[np.bincount(idx)[order]]))
+            hits = tie_hits = 0
+            for group in by_size.values():
+                support, weights = (np.array(v) for v in zip(*group))
+                band = _support_bands(dp, support, weights)
+                hits += int(np.sum(np.all(event[support] | ~band, axis=1)))
+                tie_hits += int(np.sum(band.sum(axis=1) > 1))
             probabilities.append(hits / replications)
             ties.append(tie_hits / replications)
             censored.append(hits == 0)

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive (plain loops, LP formulations,
 exhaustive enumeration) and shares no code path with the package's own
-solvers or vectorized sweeps.
+solvers or vectorized sweeps. The exception is the section at the end:
+the per-point and per-replication loops that the package's array-native
+experiment drivers replaced, kept as references. Those call the package's
+generic band sweep (``grid_oracle``) on one measure at a time.
 """
 
 from __future__ import annotations
@@ -150,3 +153,156 @@ def bures_wasserstein_pair(a, b):
     cross = float(np.sum(np.sqrt(np.clip(np.linalg.eigvalsh((inner + inner.T) / 2.0),
                                          0.0, None))))
     return math.sqrt(max(float(np.trace(a) + np.trace(b)) - 2.0 * cross, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# Per-point and per-replication loops replaced by the array-native drivers.
+# ---------------------------------------------------------------------------
+
+def dedup_scalar(space, points):
+    """Points in order without those equal to a kept one, one pair at a time."""
+    out = []
+    for x in points:
+        if not any(space.points_equal(x, y) for y in out):
+            out.append(x)
+    return out
+
+
+def draw_per_point(sampler, n):
+    """A sampler's first n points, embedding one draw at a time."""
+    from scipy.special import ndtri
+
+    def embed(value):
+        return sampler.embed(value) if sampler.embed is not None else np.array([float(value)])
+
+    rng = np.random.default_rng(sampler.seed)
+    if sampler.kind == "markov-chain":
+        cum = np.cumsum(np.asarray(sampler.kernel, dtype=float), axis=1)
+        u = rng.uniform(size=n)
+        state, out = sampler.initial_state, []
+        for i in range(n):
+            out.append(embed(sampler.states[state]))
+            state = min(int(np.searchsorted(cum[state], u[i], side="right")),
+                        len(sampler.states) - 1)
+        return out
+    u = rng.uniform(size=n)
+    dist, p = sampler.distribution, sampler.params
+    if dist == "finite":
+        idx = np.minimum(np.searchsorted(np.cumsum(sampler.probs), u, side="right"),
+                         len(sampler.atoms) - 1)
+        return [embed(sampler.atoms[i]) for i in idx]
+    vals = {
+        "normal": lambda: p[0] + p[1] * ndtri(u),
+        "uniform": lambda: p[0] + (p[1] - p[0]) * u,
+        "pareto": lambda: p[1] * (1.0 - u) ** (-1.0 / p[0]),
+        "cauchy": lambda: p[0] + p[1] * np.tan(math.pi * (u - 0.5)),
+    }[dist]()
+    return [embed(v) for v in vals]
+
+
+def _derived_seed(seed, index):
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
+
+
+def slln_per_n_draws(space, sampler, p, n_grid, replications, config):
+    """(dvec, moments, verdicts) of the strong-law experiment, drawing each
+    replication's stream again for every n."""
+    from frechet.convergence import one_sided_hausdorff
+    from frechet.core import ConvergenceFailure, moment
+    from frechet.stochastics import _solve_mean_set, sample_empirical
+
+    target = list(config.target_points)
+    cells = []
+    for rep in range(replications):
+        local = sampler.with_seed(_derived_seed(sampler.seed, rep))
+        row = []
+        for n in n_grid:
+            mu = sample_empirical(local, n, space)
+            try:
+                band = _solve_mean_set(space, mu, p, config)
+                dvec = one_sided_hausdorff(space, band.points, target)
+            except ConvergenceFailure:
+                dvec = float("nan")
+            row.append((dvec, moment(space, mu, max(p - 1.0, 0.0), target[0])))
+        cells.append(row)
+    dvec, moments, failures = [], [], 0
+    for j in range(len(n_grid)):
+        values = [row[j][0] for row in cells]
+        finite = [v for v in values if not math.isnan(v)]
+        failures += len(values) - len(finite)
+        dvec.append(max(finite) if finite else float("nan"))
+        moments.append(float(np.mean([row[j][1] for row in cells])))
+    verdicts = {"solver_failures": failures}
+    if config.threshold is not None:
+        verdicts["final_below_threshold"] = bool(dvec[-1] < config.threshold)
+    return dvec, moments, verdicts
+
+
+def _aggregate(space, points, weights):
+    pts, ws = [], []
+    for pt, w in zip(points, weights):
+        for i, q in enumerate(pts):
+            if space.points_equal(pt, q):
+                ws[i] += float(w)
+                break
+        else:
+            pts.append(pt)
+            ws.append(float(w))
+    return pts, ws
+
+
+def _support_mean_set(space, atoms, weights, p):
+    from frechet.core import DiscreteMeasure, FrechetConfig
+    from frechet.solvers import grid_oracle
+
+    mu = DiscreteMeasure.from_weights(space, atoms, weights)
+    return list(grid_oracle(space, mu, FrechetConfig(p=p), atoms, resolution=1e-12).points)
+
+
+def ldp_monte_carlo_per_replication(space, mu, p, event_points, n_grid, replications, seed):
+    """(probabilities, tie probabilities, censored flags) of the Monte-Carlo
+    LDP estimate, building and aggregating each replication's measure."""
+    from frechet.core import DiscreteMeasure
+
+    atoms, base_w = _aggregate(space, mu.support, mu.weights)
+    cum = np.cumsum(base_w)
+    probabilities, ties, censored = [], [], []
+    for j, n in enumerate(n_grid):
+        hits = tie_hits = 0
+        for rep in range(replications):
+            rng = np.random.default_rng(_derived_seed(seed, rep * len(n_grid) + j))
+            idx = np.minimum(np.searchsorted(cum, rng.uniform(size=n), side="right"),
+                             len(atoms) - 1)
+            emp = DiscreteMeasure.uniform(space, [atoms[i] for i in idx])
+            band = _support_mean_set(space, *_aggregate(space, emp.support, emp.weights), p)
+            tie_hits += len(band) > 1
+            hits += all(any(space.points_equal(x, ev) for ev in event_points) for x in band)
+        probabilities.append(hits / replications)
+        ties.append(tie_hits / replications)
+        censored.append(hits == 0)
+    return probabilities, ties, censored
+
+
+def ldp_rate_lattice(space, mu, p, target_x, simplex_step):
+    """Entropy rate at a point by a loop over the simplex lattice, one band
+    sweep per lattice measure."""
+    atoms, base = _aggregate(space, mu.support, mu.weights)
+    k = len(atoms)
+    m = int(round(1.0 / simplex_step))
+    best = math.inf
+    for cuts in itertools.combinations(range(m + k - 1), k - 1):
+        counts = np.diff((-1,) + cuts + (m + k - 1,)) - 1
+        w = np.asarray(counts, dtype=float) / m
+        band = _support_mean_set(space, atoms, w, p)
+        if len(band) != 1 or not space.points_equal(band[0], target_x):
+            continue
+        ent = 0.0
+        for wi, bi in zip(w, base):
+            if wi <= 0.0:
+                continue
+            if bi <= 0.0:
+                break
+            ent += wi * math.log(wi / bi)
+        else:
+            best = min(best, max(ent, 0.0))
+    return best

@@ -1,11 +1,12 @@
 """The benchmark's correctness gate, run as a test.
 
-Generates the ``mean-grid`` workload's calls from ``bench/workloads.py``,
-checks their digest and reads the stored references as ``bench/run.py``
-does, runs each call through ``frechet.cli.main`` and checks every result
-with ``bench/check.py`` against the reference for that seed, so the
-suite fails on the same outputs the benchmark counts as failed. The
-benchmark's files are only read.
+Generates the ``mean-grid`` and ``experiments`` workloads' calls from
+``bench/workloads.py``, checks their digest and reads the stored
+references as ``bench/run.py`` does, runs each call through
+``frechet.cli.main`` and checks every result with ``bench/check.py``
+against the reference for that seed, so the suite fails on the same
+outputs the benchmark counts as failed. The benchmark's files are only
+read.
 """
 
 import importlib.util
@@ -47,13 +48,22 @@ def _load_runner():
 
 
 run = _load_runner()
-REFERENCES = run.load_references("mean-grid")
+REFERENCES = {name: run.load_references(name) for name in ("mean-grid", "experiments")}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_mean_grid_matches_references(seed, tmp_path):
-    calls = run.workloads.generate("mean-grid", seed)
-    reference = REFERENCES[str(seed)]
+    _check_workload("mean-grid", seed, tmp_path)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_experiments_matches_references(seed, tmp_path):
+    _check_workload("experiments", seed, tmp_path)
+
+
+def _check_workload(workload, seed, tmp_path):
+    calls = run.workloads.generate(workload, seed)
+    reference = REFERENCES[workload][str(seed)]
     assert run._config_sha(calls) == reference["config_sha"]
     for i, ((command, config), ref) in enumerate(zip(calls, reference["results"])):
         config_path = tmp_path / f"call{i}.config.json"

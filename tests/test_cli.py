@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import frechet
 from frechet.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, SCHEMA_VERSION, main
 
 
@@ -202,3 +207,14 @@ class TestErrorPaths:
         assert set(payload) == {"schema_version", "command", "config", "result",
                                 "metadata"}
         assert "timestamp" in payload["metadata"]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported where it is used, so starting the CLI does not pay
+    # for it.
+    src = str(Path(frechet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, frechet.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

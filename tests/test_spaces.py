@@ -19,12 +19,19 @@ from frechet import (
     matrix_sqrt,
     quantile_barycenter,
 )
+from frechet.constructions import (
+    ProductSpace,
+    QuotientSpace,
+    RegularizedSpace,
+    sign_flip_group,
+)
 from frechet.core import metric_axiom_violations
 from frechet.spaces import space_from_json, space_to_json
 
 from conftest import all_spaces, pt
 from oracles import (
     bures_wasserstein_pair,
+    dedup_scalar,
     diagram_matching_enumeration,
     quantile_function_values,
     transport_lp,
@@ -446,3 +453,88 @@ class TestSerialization:
     @pytest.mark.parametrize("space", all_spaces(), ids=lambda s: type(s).__name__)
     def test_space_round_trip(self, space):
         assert space_from_json(space_to_json(space)) == space
+
+
+def _outcome(fn):
+    """A call's value, or the type of the exception it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the type is the result
+        return type(exc)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+class TestContainsAll:
+    """The stacked membership check against the loop over ``contains``."""
+
+    @pytest.mark.parametrize("space", [EuclideanSpace(dim=2), LqSequenceSpace(truncation=2, q=3.0)],
+                             ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize("points", [
+        [pt(1.0, 2.0), pt(3.0, 4.0)],
+        [[1, 2], (3.0, 4.0)],
+        np.arange(6.0).reshape(3, 2),
+        [pt(1.0, 2.0, 3.0)],
+        [pt(1.0)],
+        [np.zeros((1, 2))],
+        [1.0, 2.0],
+        [pt(1.0, _NAN)],
+        [pt(0.0, 1.0), pt(_INF, 0.0)],
+        [pt(0.0, 1.0), pt(-_INF, 0.0)],
+        [pt(1.0, 2.0), pt(1.0, 2.0, 3.0)],
+        [pt(1.0, 2.0, 3.0), pt(1.0, 2.0)],
+        [pt(1.0, 2.0), "ab"],
+        [pt(1.0, 2.0, 3.0), "ab"],
+        ["12", "34"],
+        [["1", "2"]],
+        [[1.0, None]],
+        [[1.0, 2.0 + 1.0j]],
+        [],
+    ], ids=lambda p: repr(p)[:40])
+    def test_matches_contains_loop(self, space, points):
+        expected = _outcome(lambda: all(space.contains(x) for x in points))
+        assert _outcome(lambda: space.contains_all(points)) == expected
+
+    def test_measure_rejects_nonfinite_support(self, line):
+        with pytest.raises(ConfigurationError):
+            DiscreteMeasure.uniform(line, [pt(0.0), pt(_NAN)])
+        with pytest.raises(ConfigurationError):
+            DiscreteMeasure.uniform(line, [pt(0.0), pt(1.0, 2.0)])
+
+
+def _dedup_spaces():
+    flip = sign_flip_group(dim=1)
+    return all_spaces() + [
+        ProductSpace(EuclideanSpace(1), SpiderSpace(legs=2)),
+        QuotientSpace(EuclideanSpace(1), flip),
+        RegularizedSpace(EuclideanSpace(1), flip, lam=0.5),
+    ]
+
+
+class TestDedup:
+    """The batched ``dedup`` against the scalar ``points_equal`` loop."""
+
+    @pytest.mark.parametrize("space", _dedup_spaces(), ids=lambda s: type(s).__name__)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           picks=st.lists(st.integers(0, 6), min_size=1, max_size=12))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_scalar_loop(self, space, seed, picks):
+        rng = np.random.default_rng(seed)
+        pool = [space.sample_point(rng) for _ in range(4)]
+        if isinstance(space, QuotientSpace):
+            pool += [space.group.act(g, pool[0]) for g in space.group.elements]
+        pool += pool[:7 - len(pool)]
+        points = [pool[i] for i in picks]
+        kept = space.dedup(points)
+        expected = dedup_scalar(space, points)
+        assert len(kept) == len(expected)
+        assert all(a is b for a, b in zip(kept, expected))
+
+    def test_product_keeps_componentwise_rule(self):
+        # Each component moves by 0.9e-9, within the tolerance, while the
+        # product distance (1.27e-9) is not.
+        space = ProductSpace(EuclideanSpace(1), EuclideanSpace(1))
+        x, y = (pt(0.0), pt(0.0)), (pt(0.9e-9), pt(0.9e-9))
+        assert space.distance(x, y) > 1e-9
+        assert space.dedup([x, y]) == dedup_scalar(space, [x, y]) == [x]

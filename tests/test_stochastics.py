@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frechet import (
     ConfigurationError,
@@ -9,7 +12,9 @@ from frechet import (
     DiscreteMeasure,
     EuclideanSpace,
     ExperimentConfig,
+    MeanSetApprox,
     SamplerSpec,
+    SpiderSpace,
     ergodic_experiment,
     ldp_experiment,
     ldp_rate_function,
@@ -21,7 +26,14 @@ from frechet import stochastics
 from frechet.stochastics import _is_irreducible
 
 from conftest import pt
-from oracles import bernoulli_strict_majority_tail, kl_divergence
+from oracles import (
+    bernoulli_strict_majority_tail,
+    draw_per_point,
+    kl_divergence,
+    ldp_monte_carlo_per_replication,
+    ldp_rate_lattice,
+    slln_per_n_draws,
+)
 
 
 def bernoulli_sampler(theta, seed=0):
@@ -301,3 +313,154 @@ class TestLdpExperiment:
         band = _mean_set_on_support(line, pts, np.asarray(ws), 2.0)
         assert len(band) == 2
         assert not all(line.points_equal(x, pt(1.0)) for x in band)
+
+
+_SAMPLERS = [
+    SamplerSpec(kind="iid", distribution="normal", params=(0.5, 2.0), seed=31),
+    SamplerSpec(kind="iid", distribution="uniform", params=(-1, 3), seed=32),
+    SamplerSpec(kind="iid", distribution="pareto", params=(1.5, 1.0), seed=33),
+    SamplerSpec(kind="iid", distribution="cauchy", params=(0.0, 1.0), seed=34),
+    SamplerSpec(kind="iid", distribution="finite", atoms=(2, -1.5, 7.25),
+                probs=(0.2, 0.5, 0.3), seed=35),
+    SamplerSpec(kind="markov-chain", states=(0.0, 3.0, -2.5),
+                kernel=((0.1, 0.6, 0.3), (0.5, 0.5, 0.0), (0.2, 0.2, 0.6)), seed=36),
+]
+
+
+class TestArrayDraws:
+    @pytest.mark.parametrize("sampler", _SAMPLERS, ids=lambda s: s.distribution or s.kind)
+    def test_rows_equal_per_point_embed(self, sampler):
+        for n in (1, 9, 2000):
+            rows, points = sampler.draw(n), draw_per_point(sampler, n)
+            assert len(rows) == len(points) == n
+            assert all(a.shape == b.shape == (1,) and a.dtype == b.dtype
+                       and a.tobytes() == b.tobytes() for a, b in zip(rows, points))
+
+    @pytest.mark.parametrize("kind", ["finite", "markov-chain"])
+    def test_custom_embed_matches_per_point_embed(self, kind):
+        if kind == "finite":
+            sampler = SamplerSpec(kind="iid", distribution="finite", atoms=(0.5, 2.0),
+                                  probs=(0.3, 0.7), seed=37, embed=lambda v: (1, v))
+        else:
+            sampler = SamplerSpec(kind="markov-chain", states=(0.5, 2.0),
+                                  kernel=((0.3, 0.7), (0.6, 0.4)), seed=38,
+                                  embed=lambda v: (1, v))
+        assert sampler.draw(300) == draw_per_point(sampler, 300)
+
+
+class TestSllnSingleDraw:
+    @pytest.mark.parametrize("solver,sampler,p", [
+        ("grid", SamplerSpec(kind="iid", distribution="normal", params=(0.0, 1.0), seed=41), 2.0),
+        ("weiszfeld", SamplerSpec(kind="iid", distribution="cauchy", params=(0.0, 1.0), seed=42), 1.0),
+        ("subgradient", SamplerSpec(kind="iid", distribution="uniform", params=(-1.0, 1.0), seed=43), 1.5),
+        ("grid", SamplerSpec(kind="markov-chain", states=(-1.0, 1.0),
+                             kernel=((0.7, 0.3), (0.4, 0.6)), seed=44), 1.0),
+    ], ids=["grid-normal", "weiszfeld-cauchy", "subgradient-uniform", "grid-chain"])
+    def test_prefixes_match_a_draw_per_n(self, line, solver, sampler, p):
+        config = ExperimentConfig(solver=solver, grid_step=0.05, grid_pad=0.5,
+                                  target_points=(pt(0.0),), threshold=0.5)
+        report = slln_experiment(line, sampler, p, [3, 40, 400], 3, config)
+        assert (report.dvec, report.moments, report.verdicts) == \
+            slln_per_n_draws(line, sampler, p, [3, 40, 400], 3, config)
+
+    def test_runtimes_are_measured_per_n(self, line, monkeypatch):
+        # A stubbed clock that the stubbed solver advances by one tick per
+        # sample: the runtime of an n is n ticks per replication.
+        clock = [0.0]
+
+        def solve(space, mu, p, config):
+            clock[0] += len(mu.support)
+            return MeanSetApprox((pt(0.5),), 1e-12, 0.0)
+
+        monkeypatch.setattr(stochastics, "_solve_mean_set", solve)
+        monkeypatch.setattr(stochastics, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        config = ExperimentConfig(solver="subgradient", target_points=(pt(0.5),))
+        report = slln_experiment(line, bernoulli_sampler(0.5), 2.0, [10, 30], 3, config)
+        assert report.runtimes == [30.0, 90.0]
+
+    def test_empty_sample_rejected(self, line):
+        config = ExperimentConfig(solver="subgradient", target_points=(pt(0.5),))
+        with pytest.raises(ValueError):
+            slln_experiment(line, bernoulli_sampler(0.5), 2.0, [10, 0], 1, config)
+
+
+@st.composite
+def _ldp_case(draw):
+    """A 2-4 atom measure on a scaled quarter-step lattice, an event and a
+    seed. The lattice gives exact ties; at large scales the objective's
+    rounding error exceeds the tie tolerance, so a band depends on the
+    order in which terms are added."""
+    k = draw(st.integers(2, 4))
+    dim = draw(st.sampled_from([1, 2]))
+    coords = draw(st.lists(st.tuples(*[st.integers(-8, 8)] * dim), min_size=k, max_size=k,
+                           unique=True))
+    scale = draw(st.sampled_from([0.25, 250.0, 25000.0]))
+    atoms = [np.asarray(c, dtype=float) * scale for c in coords]
+    w = np.asarray(draw(st.lists(st.integers(1, 6), min_size=k, max_size=k)), dtype=float)
+    w = w / w.sum()
+    w[-1] = 1.0 - float(w[:-1].sum())
+    picks = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2, unique=True))
+    events = [atoms[i] for i in picks]
+    if draw(st.booleans()):
+        events.append(np.full(dim, 9.0 * scale))
+    return EuclideanSpace(dim=dim), atoms, w, events, draw(st.integers(0, 2 ** 31 - 1))
+
+
+class TestBatchedLdp:
+    """The batched LDP sweeps against the per-replication and per-lattice
+    point loops they replaced: exactly equal results."""
+
+    @given(case=_ldp_case(), p=st.sampled_from([1.0, 1.5, 2.0]))
+    @settings(max_examples=25, deadline=None)
+    def test_monte_carlo_matches_per_replication_loop(self, case, p):
+        space, atoms, w, events, seed = case
+        mu = DiscreteMeasure.from_weights(space, atoms, w)
+        result = ldp_experiment(space, mu, p, events, [1, 2, 4, 7], mode="monte-carlo",
+                                replications=30, seed=seed, simplex_step=0.25)
+        probabilities, ties, censored = ldp_monte_carlo_per_replication(
+            space, mu, p, events, [1, 2, 4, 7], 30, seed)
+        assert result.probabilities == probabilities
+        assert result.tie_probabilities == ties
+        assert result.censored == censored
+        assert result.theoretical_rate == min(
+            ldp_rate_lattice(space, mu, p, ev, 0.25) for ev in events)
+
+    @given(case=_ldp_case(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           step=st.sampled_from([0.5, 0.1, 0.05]))
+    @settings(max_examples=25, deadline=None)
+    def test_rate_matches_lattice_loop(self, case, p, step):
+        space, atoms, w, events, _ = case
+        mu = DiscreteMeasure.from_weights(space, atoms, w)
+        for target in atoms + events:
+            assert ldp_rate_function(space, mu, p, target, step) == \
+                ldp_rate_lattice(space, mu, p, target, step)
+
+    def test_large_scale_bands_match_per_replication_loop(self, line):
+        # At this scale the objective's rounding error exceeds the tie
+        # tolerance, so a band depends on which atom is the origin and on
+        # the order of the terms; both must follow the per-replication loop.
+        atoms = [pt(v) for v in (25000.0, 50000.0, -50000.0, -25000.0)]
+        mu = DiscreteMeasure.from_weights(line, atoms, [0.3125, 0.375, 0.0625, 0.25])
+        result = ldp_experiment(line, mu, 1.5, [atoms[0]], [2, 3, 4, 6], mode="monte-carlo",
+                                replications=60, seed=357, simplex_step=0.5)
+        expected = ldp_monte_carlo_per_replication(line, mu, 1.5, [atoms[0]], [2, 3, 4, 6],
+                                                   60, 357)
+        assert (result.probabilities, result.tie_probabilities, result.censored) == expected
+
+    def test_spider_monte_carlo_matches_per_replication_loop(self):
+        spider = SpiderSpace(legs=3)
+        mu = DiscreteMeasure.from_weights(spider, [(0, 1.0), (1, 0.5), (2, 2.0)],
+                                          [0.4, 0.35, 0.25])
+        result = ldp_experiment(spider, mu, 2.0, [(1, 0.5)], [2, 5, 9], mode="monte-carlo",
+                                replications=40, seed=7, simplex_step=0.1)
+        expected = ldp_monte_carlo_per_replication(spider, mu, 2.0, [(1, 0.5)], [2, 5, 9], 40, 7)
+        assert (result.probabilities, result.tie_probabilities, result.censored) == expected
+        assert result.theoretical_rate == ldp_rate_lattice(spider, mu, 2.0, (1, 0.5), 0.1)
+
+    def test_zero_weight_atoms_are_never_drawn(self, line):
+        mu = DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0), pt(2.0)], [0.5, 0.0, 0.5])
+        result = ldp_experiment(line, mu, 2.0, [pt(1.0)], [3, 6], mode="monte-carlo",
+                                replications=50, seed=3, simplex_step=0.1)
+        expected = ldp_monte_carlo_per_replication(line, mu, 2.0, [pt(1.0)], [3, 6], 50, 3)
+        assert (result.probabilities, result.tie_probabilities, result.censored) == expected
+        assert result.theoretical_rate == ldp_rate_lattice(line, mu, 2.0, pt(1.0), 0.1)
