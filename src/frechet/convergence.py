@@ -118,8 +118,8 @@ def tau_w_r_distance(space: Space, mu: DiscreteMeasure, nu: DiscreteMeasure,
     best = 0.0
     for _ in range(n_functions):
         z = pool[int(rng.integers(len(pool)))]
-        row_mu = space.pairwise_distances([z], mu.support)[0]
-        row_nu = space.pairwise_distances([z], nu.support)[0]
+        row_mu = space.pairwise_distances([z], mu.stacked)[0]
+        row_nu = space.pairwise_distances([z], nu.stacked)[0]
         a = float(rng.uniform(0.0, 1.0 + max(row_mu.max(), row_nu.max())))
         f_mu = np.clip(a - row_mu, -1.0, 1.0)
         f_nu = np.clip(a - row_nu, -1.0, 1.0)
@@ -142,7 +142,7 @@ def tail_mass_profile(space: Space, mu_sequence: Sequence[DiscreteMeasure], o,
     masses = np.zeros((len(mu_sequence), len(l_grid)))
     weighted = np.zeros_like(masses)
     for i, mu in enumerate(mu_sequence):
-        d = space.pairwise_distances([o], mu.support)[0]
+        d = space.pairwise_distances([o], mu.stacked)[0]
         for j, radius in enumerate(l_grid):
             outside = d >= radius
             masses[i, j] = float(mu.weights[outside].sum())

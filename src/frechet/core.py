@@ -18,7 +18,7 @@ candidates approximates the true compact minimizer set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -41,6 +41,12 @@ def row_blocks(rows: int, entries_per_row: int) -> list[slice]:
     """
     step = max(1, SWEEP_BLOCK_ENTRIES // max(entries_per_row, 1))
     return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def as_sequence(xs) -> Sequence:
+    """``xs`` itself when it has a length and indexing (a list, tuple or
+    array of points), otherwise a list of its items."""
+    return xs if hasattr(xs, "__len__") and hasattr(xs, "__getitem__") else list(xs)
 
 
 class ConfigurationError(Exception):
@@ -76,6 +82,11 @@ class Space:
     def contains(self, x: Point) -> bool:
         raise NotImplementedError
 
+    def stack(self, points: Sequence[Point]):
+        """The points as the kernels read them fastest: unchanged here, one
+        (n, dim) float array in the vector spaces."""
+        return points
+
     def contains_all(self, points: Sequence[Point]) -> bool:
         """True when every point belongs to the space.
 
@@ -98,7 +109,9 @@ class Space:
     def pairwise_distances(self, xs: Sequence[Point], ys: Sequence[Point]) -> np.ndarray:
         """Distance matrix with shape (len(xs), len(ys)).
 
-        Generic double loop over ``distance``. Batched overrides:
+        The result is a fresh, writable float array that the caller owns
+        and may overwrite; it shares no memory with xs, ys or an earlier
+        result. Generic double loop over ``distance``. Batched overrides:
         Euclidean and l_q vectors (one coordinate at a time),
         Wasserstein1D (each pair's merged CDF breakpoints), Bures-Wasserstein
         (stacked eigendecompositions) and products (their factors'
@@ -149,12 +162,13 @@ class DiscreteMeasure:
     This is the only measure representation: empirical measures and
     reference measures alike are finite lists of support points with
     nonnegative weights summing to one (within 1e-12). Support points may
-    repeat; weights then add.
+    repeat; weights then add. Kernels read ``stacked``, ``space.stack(support)``.
     """
 
     space: Space
     support: tuple
     weights: np.ndarray
+    stacked: Any = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -168,7 +182,8 @@ class DiscreteMeasure:
             raise ValueError("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
-        if not self.space.contains_all(self.support):
+        object.__setattr__(self, "stacked", self.space.stack(self.support))
+        if not self.space.contains_all(self.stacked):
             raise ConfigurationError("support point does not belong to the space")
 
     @classmethod
@@ -198,7 +213,7 @@ class DiscreteMeasure:
         """True when all support points coincide (a single atom)."""
         if len(self.support) == 1:
             return True
-        row = self.space.pairwise_distances(self.support[:1], self.support)
+        row = self.space.pairwise_distances(self.stacked[:1], self.stacked)
         return bool(np.max(row) <= tol)
 
 
@@ -263,7 +278,7 @@ def frechet_functional(space: Space, mu: DiscreteMeasure, x: Point, xref: Point,
     _check_pair(space, mu)
     if p < 1:
         raise ValueError("order p must be >= 1")
-    d = space.pairwise_distances([x, xref], mu.support)
+    d = space.pairwise_distances([x, xref], mu.stacked)
     return float(np.dot(mu.weights, d[0] ** p - d[1] ** p))
 
 
@@ -272,7 +287,7 @@ def moment(space: Space, mu: DiscreteMeasure, r: float, x: Point) -> float:
     _check_pair(space, mu)
     if r < 0:
         raise ValueError("moment order must be >= 0")
-    d = space.pairwise_distances([x], mu.support)[0]
+    d = space.pairwise_distances([x], mu.stacked)[0]
     return float(np.dot(mu.weights, d ** r))
 
 
@@ -283,15 +298,17 @@ def _band_values(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     Candidates are swept in row blocks (``row_blocks``), so memory grows
     with block size times support size, never with the candidate count.
     Each row is reduced on its own, so a value does not depend on where
-    the block boundaries fall.
+    the block boundaries fall. The kernel's fresh block is reduced in place.
     """
     origin = config.origin if config.origin is not None else mu.support[0]
-    ref = space.pairwise_distances([origin], mu.support)[0]
+    ref = space.pairwise_distances([origin], mu.stacked)[0]
     shift = float(np.dot(mu.weights, ref ** config.p))
     values = np.empty(len(candidates))
     for block in row_blocks(len(candidates), len(mu.support)):
-        d = space.pairwise_distances(candidates[block], mu.support)
-        values[block] = np.sum(d ** config.p * mu.weights, axis=1) - shift
+        d = space.pairwise_distances(candidates[block], mu.stacked)
+        d **= config.p
+        d *= mu.weights
+        values[block] = np.sum(d, axis=1) - shift
     return values
 
 
@@ -303,8 +320,8 @@ def frechet_variance(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     refines.
     """
     _check_pair(space, mu)
-    candidates = list(candidates)
-    if not candidates:
+    candidates = as_sequence(candidates)
+    if len(candidates) == 0:
         raise ValueError("candidates must be nonempty")
     return float(np.min(_band_values(space, mu, config, candidates)))
 
@@ -315,7 +332,7 @@ def estimate_resolution(space: Space, candidates: Sequence[Point]) -> float:
     Quadratic in the candidate count, so only small sets are accepted;
     grid-based callers should pass the grid step explicitly instead.
     """
-    candidates = list(candidates)
+    candidates = as_sequence(candidates)
     if len(candidates) == 1:
         return 1e-12
     if len(candidates) > 128:
@@ -335,10 +352,11 @@ def relaxed_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     objective shifts by a constant) and grows monotonically with epsilon.
     A measure concentrated on a single atom short-circuits to that atom
     when epsilon is zero; the exact minimizer needs no sweep there.
+    Candidates may be any sequence of points, such as one stacked array.
     """
     _check_pair(space, mu)
-    candidates = list(candidates)
-    if not candidates:
+    candidates = as_sequence(candidates)
+    if len(candidates) == 0:
         raise ValueError("candidates must be nonempty")
     if config.epsilon == 0.0 and mu.is_degenerate():
         atom = mu.support[0]
@@ -351,7 +369,7 @@ def relaxed_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     values = _band_values(space, mu, config, candidates)
     achieved = float(np.min(values))
     cut = achieved + config.epsilon + value_tolerance(achieved)
-    kept = tuple(c for c, v in zip(candidates, values) if v <= cut)
+    kept = tuple(candidates[i] for i in np.flatnonzero(values <= cut))
     if resolution is None:
         resolution = estimate_resolution(space, candidates)
     return MeanSetApprox(kept, resolution, achieved)
@@ -376,7 +394,7 @@ def renorm_bound_slack(space: Space, mu: DiscreteMeasure, x: Point, x1: Point,
                        p: float) -> float:
     """Bound minus |W(x, x1)|; nonnegative when the inequality holds."""
     w = abs(frechet_functional(space, mu, x, x1, p))
-    d = space.pairwise_distances([x, x1], mu.support)
+    d = space.pairwise_distances([x, x1], mu.stacked)
     bound = p * space.distance(x, x1) * float(
         np.dot(mu.weights, d[0] ** (p - 1) + d[1] ** (p - 1)))
     return bound - w

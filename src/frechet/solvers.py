@@ -21,6 +21,7 @@ from .core import (
     FrechetConfig,
     MeanSetApprox,
     Space,
+    as_sequence,
     estimate_resolution,
     frechet_functional,
     relaxed_mean_set,
@@ -63,16 +64,12 @@ def grid_oracle(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     delegates to them. Pass the grid step as ``resolution`` whenever it is
     known, otherwise a mesh estimate is attempted (small grids only).
     """
-    grid = list(grid)
-    if not grid:
+    grid = as_sequence(grid)
+    if len(grid) == 0:
         raise ValueError("grid must be nonempty")
     if resolution is None:
         resolution = estimate_resolution(space, grid)
     return relaxed_mean_set(space, mu, config, grid, resolution=resolution)
-
-
-def _as_array_support(mu: DiscreteMeasure) -> np.ndarray:
-    return np.asarray([np.asarray(y, dtype=float) for y in mu.support])
 
 
 def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,
@@ -90,7 +87,7 @@ def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,
     if not isinstance(space, EuclideanSpace):
         raise ConfigurationError("the median iteration runs on Euclidean spaces")
     config = config or SolverConfig()
-    ys = _as_array_support(mu)
+    ys = mu.stacked
     w = mu.weights
     if mu.is_degenerate():
         return ys[0].copy()
@@ -172,7 +169,7 @@ def euclidean_pmean(space: EuclideanSpace, mu: DiscreteMeasure, p: float,
     if p < 1:
         raise ValueError("order p must be >= 1")
     config = config or SolverConfig()
-    ys = _as_array_support(mu)
+    ys = mu.stacked
     w = mu.weights
     if mu.is_degenerate():
         return ys[0].copy()

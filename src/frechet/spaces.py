@@ -41,76 +41,61 @@ def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
-def _box_grid(lows: np.ndarray, highs: np.ndarray, step: float) -> list:
+def _box_grid(lows: np.ndarray, highs: np.ndarray, step: float) -> np.ndarray:
+    """All points of the axis grids' product as rows of one (N, dim) array,
+    in ``itertools.product`` order (the last axis varies fastest)."""
     axes = [_axis_grid(float(lo), float(hi), step) for lo, hi in zip(lows, highs)]
-    return [np.array(pt, dtype=float) for pt in itertools.product(*axes)]
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
 
 
-def _finite_vectors(space: Space, points, length: int) -> bool:
-    """``contains_all`` for vector spaces: one stacked shape and isfinite check.
-
-    Ragged or non-numeric input, or a stack of another shape, goes through
-    the per-point loop, so it gets the same answer and the same errors.
-    """
-    try:
-        arr = np.asarray(points, dtype=float)
-    except (TypeError, ValueError):
-        return Space.contains_all(space, points)
-    if arr.shape != (len(points), length):
-        return Space.contains_all(space, points)
-    return bool(np.all(np.isfinite(arr)))
-
-
-def _coordinate_sums(xs, ys, dim: int, term) -> np.ndarray:
-    """sum_k term(x_k - y_k) for every pair of vectors, shape (len(xs), len(ys)).
-
-    Terms are added one coordinate at a time into the result, so no
-    (len(xs), len(ys), dim) tensor is built. ``term`` may overwrite the
-    gap array it is given.
-    """
-    a = np.asarray([np.asarray(x, dtype=float) for x in xs])
-    b = np.asarray([np.asarray(y, dtype=float) for y in ys])
-    total = np.zeros((len(a), len(b)))
-    for k in range(dim):
-        total += term(a[:, k, None] - b[None, :, k])
-    return total
-
-
-@dataclass(frozen=True)
-class EuclideanSpace(Space):
-    """R^dim with the Euclidean distance. Points are float vectors."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
-
-    def distance(self, x, y) -> float:
-        return float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
+class _VectorSpace(Space):
+    """Float vectors of one length, ``_length``. The Euclidean and l_q
+    spaces share all of this and differ only in their metric."""
 
     def contains(self, x) -> bool:
         arr = np.asarray(x, dtype=float)
-        return arr.shape == (self.dim,) and bool(np.all(np.isfinite(arr)))
+        return arr.shape == (self._length,) and bool(np.all(np.isfinite(arr)))
+
+    def stack(self, points):
+        """The points as one (n, length) float array; unchanged when they
+        are ragged, non-numeric or stack to another shape."""
+        try:
+            arr = np.asarray(points, dtype=float)
+        except (TypeError, ValueError):
+            return points
+        return arr if arr.shape == (len(points), self._length) else points
 
     def contains_all(self, points) -> bool:
-        return _finite_vectors(self, points, self.dim)
+        """One isfinite check on the stack, or the per-point loop (same
+        answers, same errors) for points that do not stack."""
+        arr = self.stack(points)
+        if getattr(arr, "shape", None) != (len(points), self._length):
+            return Space.contains_all(self, points)
+        return bool(np.all(np.isfinite(arr)))
 
-    def pairwise_distances(self, xs, ys) -> np.ndarray:
-        return np.sqrt(_coordinate_sums(xs, ys, self.dim, lambda d: np.square(d, out=d)))
+    def _coordinate_sums(self, xs, ys, term) -> np.ndarray:
+        """sum_k term(x_k - y_k) for every pair of vectors, shape (len(xs), len(ys)).
 
-    def candidates(self, mu: DiscreteMeasure, scheme: str = "support", *,
-                   step: float | None = None, center=None, radius: float | None = None,
-                   pad: float = 0.0, **kwargs) -> list:
+        Terms are added one coordinate at a time into the result, so no
+        (len(xs), len(ys), length) tensor is built. ``term`` may overwrite
+        the gap array it is given. A stacked array is read without a copy.
+        """
+        a = np.asarray(xs, dtype=float)
+        b = np.asarray(ys, dtype=float)
+        total = np.zeros((len(a), len(b)))
+        for k in range(self._length):
+            total += term(a[:, k, None] - b[None, :, k])
+        return total
+
+    def candidates(self, mu: DiscreteMeasure, scheme: str = "support", *, step=None,
+                   center=None, radius=None, pad: float = 0.0, **kwargs):
+        """Vector candidates as the rows of one array."""
         if scheme == "support":
-            arr = np.asarray([np.asarray(y, dtype=float) for y in mu.support])
-            uniq = np.unique(np.round(arr, 12), axis=0)
-            return [row for row in uniq]
+            return np.unique(np.round(mu.stacked, 12), axis=0)
         if scheme == "grid":
             if step is None:
                 raise ValueError("grid scheme needs a step")
-            arr = np.asarray([np.asarray(y, dtype=float) for y in mu.support])
-            lows, highs = arr.min(axis=0) - pad, arr.max(axis=0) + pad
+            lows, highs = mu.stacked.min(axis=0) - pad, mu.stacked.max(axis=0) + pad
             return _box_grid(lows, highs, step)
         if scheme == "ball-grid":
             if step is None or center is None or radius is None:
@@ -120,7 +105,7 @@ class EuclideanSpace(Space):
         return super().candidates(mu, scheme)
 
     def sample_point(self, rng: np.random.Generator, scale: float = 1.0):
-        return rng.normal(scale=scale, size=self.dim)
+        return rng.normal(scale=scale, size=self._length)
 
     def point_to_json(self, x):
         return [float(v) for v in np.asarray(x, dtype=float)]
@@ -130,7 +115,25 @@ class EuclideanSpace(Space):
 
 
 @dataclass(frozen=True)
-class LqSequenceSpace(Space):
+class EuclideanSpace(_VectorSpace):
+    """R^dim with the Euclidean distance. Points are float vectors."""
+
+    dim: int
+    _length = property(lambda self: self.dim)
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dimension must be positive")
+
+    def distance(self, x, y) -> float:
+        return float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
+
+    def pairwise_distances(self, xs, ys) -> np.ndarray:
+        return np.sqrt(self._coordinate_sums(xs, ys, lambda d: np.square(d, out=d)))
+
+
+@dataclass(frozen=True)
+class LqSequenceSpace(_VectorSpace):
     """Truncated l_q space: vectors of length ``truncation``, q in (1, inf).
 
     A finite-dimensional stand-in for the uniformly convex sequence
@@ -139,6 +142,7 @@ class LqSequenceSpace(Space):
 
     truncation: int
     q: float
+    _length = property(lambda self: self.truncation)
 
     def __post_init__(self):
         if self.truncation < 1:
@@ -150,32 +154,10 @@ class LqSequenceSpace(Space):
         diff = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
         return float(np.sum(diff ** self.q) ** (1.0 / self.q))
 
-    def contains(self, x) -> bool:
-        arr = np.asarray(x, dtype=float)
-        return arr.shape == (self.truncation,) and bool(np.all(np.isfinite(arr)))
-
-    def contains_all(self, points) -> bool:
-        return _finite_vectors(self, points, self.truncation)
-
     def pairwise_distances(self, xs, ys) -> np.ndarray:
-        sums = _coordinate_sums(xs, ys, self.truncation,
-                                lambda d: np.power(np.abs(d, out=d), self.q, out=d))
+        sums = self._coordinate_sums(
+            xs, ys, lambda d: np.power(np.abs(d, out=d), self.q, out=d))
         return sums ** (1.0 / self.q)
-
-    def candidates(self, mu, scheme="support", *, step=None, center=None,
-                   radius=None, pad: float = 0.0, **kwargs) -> list:
-        # Vector points; the box-grid construction is metric-agnostic.
-        return EuclideanSpace.candidates(self, mu, scheme, step=step, center=center,
-                                         radius=radius, pad=pad, **kwargs)
-
-    def sample_point(self, rng, scale: float = 1.0):
-        return rng.normal(scale=scale, size=self.truncation)
-
-    def point_to_json(self, x):
-        return [float(v) for v in np.asarray(x, dtype=float)]
-
-    def point_from_json(self, obj):
-        return np.asarray(obj, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -542,20 +524,18 @@ class BuresWassersteinSpace(Space):
                 c = np.asarray(center, dtype=float)
                 lows, highs = c - radius, c + radius
             else:
-                arr = np.asarray([np.asarray(y, dtype=float) for y in mu.support])
+                arr = np.asarray(mu.stacked, dtype=float)
                 lows = arr.min(axis=0) - pad
                 highs = arr.max(axis=0) + pad
+            # A list, as callers concatenate it; a, then c, then |b| <= sqrt(ac) vary.
+            diag = [_axis_grid(max(float(lows[i, i]), 0.0), float(highs[i, i]), step)
+                    for i in range(self.dim)]
             if self.dim == 1:
-                lo = max(float(lows[0, 0]), 0.0)
-                return [np.array([[float(v)]]) for v in _axis_grid(lo, float(highs[0, 0]), step)]
-            out = []
-            for a in _axis_grid(max(float(lows[0, 0]), 0.0), float(highs[0, 0]), step):
-                for c2 in _axis_grid(max(float(lows[1, 1]), 0.0), float(highs[1, 1]), step):
-                    bmax = math.sqrt(max(a * c2, 0.0))
-                    for b in _axis_grid(float(lows[0, 1]), float(highs[0, 1]), step):
-                        if abs(b) <= bmax + 1e-12:
-                            out.append(np.array([[a, b], [b, c2]]))
-            return out
+                return list(diag[0].reshape(-1, 1, 1))
+            a, c2, b = np.meshgrid(*diag, _axis_grid(float(lows[0, 1]), float(highs[0, 1]), step),
+                                   indexing="ij")
+            keep = np.abs(b) <= np.sqrt(np.maximum(a * c2, 0.0)) + 1e-12
+            return list(np.stack([a, b, b, c2], axis=-1)[keep].reshape(-1, 2, 2))
         return super().candidates(mu, scheme)
 
     def sample_point(self, rng, scale: float = 1.0):

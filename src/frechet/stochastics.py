@@ -445,7 +445,13 @@ def ldp_rate_function(space: Space, mu: DiscreteMeasure, p: float, target_x,
     the target. The lattice is swept in blocks through one batched band
     computation.
     """
-    atoms, base_w = _aggregate(mu)
+    return _lattice_rate(space, *_aggregate(mu), p, [target_x], simplex_step)
+
+
+def _lattice_rate(space: Space, atoms: list, base_w: list, p: float, targets: list,
+                  simplex_step: float) -> float:
+    """``min(ldp_rate_function(..., t) for t in targets)`` from one lattice
+    sweep that keeps the measures whose band is one atom equal to a target."""
     k = len(atoms)
     if k > 4:
         raise ConfigurationError("rate-function enumeration is feasible for "
@@ -454,7 +460,7 @@ def ldp_rate_function(space: Space, mu: DiscreteMeasure, p: float, target_x,
     if abs(m * simplex_step - 1.0) > 1e-9:
         raise ValueError("simplex step must divide 1")
     dp = space.pairwise_distances(atoms, atoms) ** p
-    is_target = np.array([space.points_equal(a, target_x) for a in atoms])
+    is_target = np.array([any(space.points_equal(a, t) for t in targets) for a in atoms])
     # terms[i, c] = w log(w / b_i) at w = c / m; a coordinate where the base
     # has no mass makes the entropy infinite.
     terms = np.zeros((k, m + 1))
@@ -534,10 +540,8 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
     event_points = list(event_points)
     n_grid = list(n_grid)
 
-    theoretical = math.inf
-    for target in event_points:
-        theoretical = min(theoretical,
-                          ldp_rate_function(space, mu, p, target, simplex_step))
+    theoretical = (_lattice_rate(space, atoms, base_w, p, event_points, simplex_step)
+                   if event_points else math.inf)
 
     # A mean set is in the event when each of its atoms is an event point.
     flags = [any(space.points_equal(a, ev) for ev in event_points) for a in atoms]

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive (plain loops, LP formulations,
 exhaustive enumeration) and shares no code path with the package's own
-solvers or vectorized sweeps. The exception is the section at the end:
-the per-point and per-replication loops that the package's array-native
-experiment drivers replaced, kept as references. Those call the package's
-generic band sweep (``grid_oracle``) on one measure at a time.
+solvers or vectorized sweeps. The exception is the two sections at the
+end: the per-point and per-replication loops that the package's
+array-native experiment drivers replaced, which call the package's generic
+band sweep (``grid_oracle``) on one measure at a time, and the per-point
+grid and stacking code that the stacked vector points replaced.
 """
 
 from __future__ import annotations
@@ -306,3 +307,40 @@ def ldp_rate_lattice(space, mu, p, target_x, simplex_step):
         else:
             best = min(best, max(ent, 0.0))
     return best
+
+
+# ---------------------------------------------------------------------------
+# Per-point vector grids and stacking replaced by stacked arrays.
+# ---------------------------------------------------------------------------
+
+def box_grid_list(lows, highs, step):
+    """Box-grid points as a list of separate arrays, in itertools.product order."""
+    from frechet.spaces import _axis_grid
+
+    axes = [_axis_grid(float(lo), float(hi), step) for lo, hi in zip(lows, highs)]
+    return [np.array(pt, dtype=float) for pt in itertools.product(*axes)]
+
+
+def coordinate_sums_per_point(xs, ys, dim, term):
+    """sum_k term(x_k - y_k) for every pair, converting each point on its own
+    before stacking."""
+    a = np.asarray([np.asarray(x, dtype=float) for x in xs])
+    b = np.asarray([np.asarray(y, dtype=float) for y in ys])
+    total = np.zeros((len(a), len(b)))
+    for k in range(dim):
+        total += term(a[:, k, None] - b[None, :, k])
+    return total
+
+
+def band_values_out_of_place(space, mu, p, candidates, origin):
+    """Objective values of the candidates, each block reduced through new
+    arrays (``d ** p * w``) instead of in place."""
+    from frechet.core import row_blocks
+
+    ref = space.pairwise_distances([origin], mu.support)[0]
+    shift = float(np.dot(mu.weights, ref ** p))
+    values = np.empty(len(candidates))
+    for block in row_blocks(len(candidates), len(mu.support)):
+        d = space.pairwise_distances(candidates[block], mu.support)
+        values[block] = np.sum(d ** p * mu.weights, axis=1) - shift
+    return values

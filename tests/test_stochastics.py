@@ -435,6 +435,32 @@ class TestBatchedLdp:
             assert ldp_rate_function(space, mu, p, target, step) == \
                 ldp_rate_lattice(space, mu, p, target, step)
 
+    @given(case=_ldp_case(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           step=st.sampled_from([0.5, 0.1, 0.05]))
+    @settings(max_examples=25, deadline=None)
+    def test_event_rate_is_min_over_event_points(self, case, p, step):
+        space, atoms, w, events, seed = case
+        mu = DiscreteMeasure.from_weights(space, atoms, w)
+        expected = min(ldp_rate_function(space, mu, p, ev, step) for ev in events)
+        result = ldp_experiment(space, mu, p, events, [3], mode="monte-carlo",
+                                replications=2, seed=seed, simplex_step=step)
+        assert result.theoretical_rate == expected
+
+    def test_event_lattice_is_swept_once(self, line, monkeypatch):
+        sweeps = []
+        lattice = stochastics._simplex_lattice
+        monkeypatch.setattr(stochastics, "_simplex_lattice",
+                            lambda k, m: sweeps.append(m) or lattice(k, m))
+        mu = DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0), pt(3.0)], [0.5, 0.3, 0.2])
+        events = [pt(0.0), pt(1.0), pt(3.0)]
+        result = ldp_experiment(line, mu, 2.0, events, [4], mode="monte-carlo",
+                                replications=5, seed=1, simplex_step=0.01)
+        assert sweeps == [100]
+        assert result.theoretical_rate == 0.0
+        assert ldp_experiment(line, mu, 2.0, [], [4], mode="monte-carlo", replications=5,
+                              seed=1, simplex_step=0.01).theoretical_rate == math.inf
+        assert sweeps == [100]
+
     def test_large_scale_bands_match_per_replication_loop(self, line):
         # At this scale the objective's rounding error exceeds the tie
         # tolerance, so a band depends on which atom is the origin and on
