@@ -107,8 +107,7 @@ def _experiment_config(config: dict, space) -> ExperimentConfig:
 
 
 def _write_outputs(out: str, command: str, config: dict, result: dict,
-                   rows: list[dict] | None, runtime: float | None = None) -> list[str]:
-    written = []
+                   rows: list[dict] | None, runtime: float | None = None) -> None:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -118,13 +117,10 @@ def _write_outputs(out: str, command: str, config: dict, result: dict,
                      "runtime_seconds": runtime,
                      "version": __version__},
     }
-    json_path = out + ".json"
-    with open(json_path, "w") as fh:
+    with open(out + ".json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-    written.append(json_path)
     if rows:
-        csv_path = out + ".csv"
-        with open(csv_path, "w", newline="") as fh:
+        with open(out + ".csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             for row in rows:
@@ -132,8 +128,6 @@ def _write_outputs(out: str, command: str, config: dict, result: dict,
                 # live in the JSON metadata sidecar instead.
                 writer.writerow({k: ("" if k == "runtime" else v)
                                  for k, v in row.items()})
-        written.append(csv_path)
-    return written
 
 
 def _cmd_dist(config: dict) -> tuple[dict, list[dict] | None, str]:
@@ -166,28 +160,20 @@ def _cmd_mean(config: dict) -> tuple[dict, list[dict] | None, str]:
     return result, None, f"mean_set_size={len(band.points)} value={band.achieved_value:.6g}"
 
 
-def _cmd_slln(config: dict) -> tuple[dict, list[dict] | None, str]:
+def _cmd_prefix(config: dict, command: str) -> tuple[dict, list[dict] | None, str]:
+    """``slln`` and ``ergodic``: the same config keys and report; only
+    the source of the streams differs (``replications`` applies to slln)."""
     _require(config, "space", "sampler", "p", "n_grid")
     space = space_from_json(config["space"])
     sampler = sampler_from_json(config["sampler"])
     if "seed" in config:
         sampler = sampler.with_seed(int(config["seed"]))
+    args = (space, sampler, float(config["p"]), [int(n) for n in config["n_grid"]])
     exp = _experiment_config(config, space)
-    report = slln_experiment(space, sampler, float(config["p"]),
-                             [int(n) for n in config["n_grid"]],
-                             int(config.get("replications", 1)), exp)
-    return report.to_json_dict(), report.rows(), f"final_dvec={report.dvec[-1]:.6g}"
-
-
-def _cmd_ergodic(config: dict) -> tuple[dict, list[dict] | None, str]:
-    _require(config, "space", "sampler", "p", "n_grid")
-    space = space_from_json(config["space"])
-    sampler = sampler_from_json(config["sampler"])
-    if "seed" in config:
-        sampler = sampler.with_seed(int(config["seed"]))
-    exp = _experiment_config(config, space)
-    report = ergodic_experiment(space, sampler, float(config["p"]),
-                                [int(n) for n in config["n_grid"]], exp)
+    if command == "slln":
+        report = slln_experiment(*args, int(config.get("replications", 1)), exp)
+    else:
+        report = ergodic_experiment(*args, exp)
     return report.to_json_dict(), report.rows(), f"final_dvec={report.dvec[-1]:.6g}"
 
 
@@ -260,8 +246,8 @@ def _cmd_diag(config: dict) -> tuple[dict, list[dict] | None, str]:
 _COMMANDS = {
     "dist": _cmd_dist,
     "mean": _cmd_mean,
-    "slln": _cmd_slln,
-    "ergodic": _cmd_ergodic,
+    "slln": lambda config: _cmd_prefix(config, "slln"),
+    "ergodic": lambda config: _cmd_prefix(config, "ergodic"),
     "ldp": _cmd_ldp,
     "gamma": _cmd_gamma,
     "diag": _cmd_diag,
@@ -289,10 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config, args.overrides)
         if args.seed is not None:
             config["seed"] = args.seed
-    except (OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}))
-        return EXIT_CONFIG
-    except ConfigurationError as exc:
+    except (OSError, json.JSONDecodeError, ConfigurationError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}))
         return EXIT_CONFIG
 

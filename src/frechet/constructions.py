@@ -114,10 +114,6 @@ class ProductSpace(Space):
             return False
         return self.left.contains(a) and self.right.contains(b)
 
-    def points_equal(self, x, y, tol: float = 1e-9) -> bool:
-        return (self.left.points_equal(x[0], y[0], tol)
-                and self.right.points_equal(x[1], y[1], tol))
-
     def equal_mask(self, x, ys, tol: float = 1e-9) -> np.ndarray:
         return (self.left.equal_mask(x[0], [y[0] for y in ys], tol)
                 & self.right.equal_mask(x[1], [y[1] for y in ys], tol))

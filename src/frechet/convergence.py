@@ -8,8 +8,6 @@ sequences of measures whose mean sets should converge.
 
 from __future__ import annotations
 
-import csv
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -34,7 +32,8 @@ class ConvergenceReport:
     """Per-step convergence records plus overall verdicts.
 
     All sequences are aligned with ``sample_sizes``; a report is fully
-    determined by its seed and the generating configuration.
+    determined by its seed and the generating configuration. It writes no
+    files: the CLI writes ``rows()`` as CSV and ``to_json_dict()`` as JSON.
     """
 
     sample_sizes: list[int]
@@ -59,13 +58,6 @@ class ConvergenceReport:
             for n, d, b, m, r in zip(self.sample_sizes, self.dvec, bl, self.moments, rt)
         ]
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["n", "dvec", "bl", "moment_gap", "runtime"])
-            writer.writeheader()
-            for row in self.rows():
-                writer.writerow(row)
-
     def to_json_dict(self) -> dict:
         return {
             "sample_sizes": list(self.sample_sizes),
@@ -76,10 +68,6 @@ class ConvergenceReport:
             "verdicts": dict(self.verdicts),
             "seed": int(self.seed),
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
 
 
 def one_sided_hausdorff(space: Space, s: Sequence, s_prime: Sequence) -> float:

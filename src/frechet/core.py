@@ -96,13 +96,14 @@ class Space:
         return all(self.contains(x) for x in points)
 
     def points_equal(self, x: Point, y: Point, tol: float = 1e-9) -> bool:
-        """Point-equality predicate; d(x, y) = 0 must imply this holds."""
-        return self.distance(x, y) <= tol
+        """Point-equality predicate; d(x, y) = 0 must imply this holds.
+        The one-pair case of ``equal_mask``."""
+        return bool(self.equal_mask(x, [y], tol)[0])
 
     def equal_mask(self, x: Point, ys: Sequence[Point], tol: float = 1e-9) -> np.ndarray:
         """``points_equal(x, y)`` for every y in ys, from one kernel row.
 
-        A space that overrides ``points_equal`` overrides this too.
+        The space's equality rule: a space with another rule overrides this.
         """
         return self.pairwise_distances([x], ys)[0] <= tol
 
@@ -136,13 +137,26 @@ class Space:
         raise ConfigurationError(
             f"candidate scheme {scheme!r} is not supported by {type(self).__name__}")
 
+    def first_equal(self, points: Sequence[Point]) -> list[int]:
+        """For each point, the index of the first earlier kept point it
+        equals, or its own index when it equals none and is kept. One
+        ``equal_mask`` row per point against the points kept so far."""
+        owner: list[int] = []
+        kept: list = []
+        kept_at: list[int] = []
+        for i, x in enumerate(points):
+            hit = np.flatnonzero(self.equal_mask(x, kept)) if kept else ()
+            if len(hit):
+                owner.append(kept_at[hit[0]])
+            else:
+                owner.append(i)
+                kept.append(x)
+                kept_at.append(i)
+        return owner
+
     def dedup(self, points: Sequence[Point]) -> list:
         """The points in order, without those equal to a point kept earlier."""
-        out: list = []
-        for x in points:
-            if not out or not np.any(self.equal_mask(x, out)):
-                out.append(x)
-        return out
+        return [x for i, (x, o) in enumerate(zip(points, self.first_equal(points))) if o == i]
 
     def sample_point(self, rng: np.random.Generator, scale: float = 1.0) -> Point:
         """Random point, used by the randomized axiom and algebra checks."""

@@ -23,7 +23,6 @@ from .core import (
     Space,
     as_sequence,
     estimate_resolution,
-    frechet_functional,
     relaxed_mean_set,
 )
 from .spaces import BuresWassersteinSpace, EuclideanSpace, matrix_sqrt
@@ -47,7 +46,6 @@ class SolverConfig:
     max_iterations: int = 500
     step_tolerance: float = 1e-10
     value_tolerance: float = 1e-9
-    init: str = "mean"
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -217,8 +215,7 @@ def euclidean_pmean(space: EuclideanSpace, mu: DiscreteMeasure, p: float,
                              last_point=x, iterations=config.max_iterations, value=f)
 
 
-def _clamped_root_pair(space: BuresWassersteinSpace, sigma: np.ndarray,
-                       floor_ratio: float = 1e-12):
+def _clamped_root_pair(sigma: np.ndarray, floor_ratio: float = 1e-12):
     """Square root and inverse square root with a strict positivity clamp."""
     lam, vec = np.linalg.eigh((sigma + sigma.T) / 2.0)
     top = float(lam[-1]) if float(lam[-1]) > 0 else 1.0
@@ -256,7 +253,7 @@ def bw_barycenter(space: BuresWassersteinSpace, mu: DiscreteMeasure,
         callback(current.copy())
     scale = 1.0 + float(np.trace(current))
     for _ in range(config.max_iterations):
-        root, inv_root = _clamped_root_pair(space, current)
+        root, inv_root = _clamped_root_pair(current)
         mixed = np.zeros_like(current)
         for wi, m in zip(w, mats):
             inner = root @ m @ root

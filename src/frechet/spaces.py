@@ -188,8 +188,6 @@ class SpiderSpace(Space):
 
     def candidates(self, mu, scheme="support", *, step=None, center=None,
                    radius=None, pad: float = 0.0, **kwargs) -> list:
-        if scheme == "support":
-            return self.dedup(mu.support)
         if scheme == "grid":
             if step is None:
                 raise ValueError("grid scheme needs a step")
@@ -380,8 +378,6 @@ class Wasserstein1D(Space):
                    step: float | None = None, center=None, radius=None,
                    pad: float = 0.0, atom_count: int = 2, levels: int = 256,
                    **kwargs) -> list:
-        if scheme == "support":
-            return self.dedup(mu.support)
         if scheme == "grid":
             # Equal-weight candidate measures with atoms drawn from a shared
             # 1-D grid spanning the member supports.
@@ -511,8 +507,6 @@ class BuresWassersteinSpace(Space):
 
     def candidates(self, mu, scheme="support", *, step=None, center=None,
                    radius=None, pad: float = 0.0, **kwargs) -> list:
-        if scheme == "support":
-            return self.dedup(mu.support)
         if scheme in ("grid", "ball-grid"):
             if self.dim > 2:
                 raise ConfigurationError("matrix grids are only feasible for dim <= 2")
@@ -597,11 +591,6 @@ class PersistenceDiagramSpace(Space):
         except (TypeError, ValueError):
             return False
         return all(b < d and math.isfinite(b) and math.isfinite(d) for b, d in pts)
-
-    def candidates(self, mu, scheme="support", **kwargs) -> list:
-        if scheme == "support":
-            return self.dedup(mu.support)
-        return super().candidates(mu, scheme)
 
     def sample_point(self, rng, scale: float = 1.0):
         k = int(rng.integers(0, 5))

@@ -16,7 +16,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "SamplerSpec",
     "ExperimentConfig",
     "LdpResult",
-    "ExperimentReport",
     "sample_empirical",
     "slln_experiment",
     "ergodic_experiment",
@@ -217,7 +216,6 @@ class ExperimentConfig:
     grid_step: float = 0.01
     grid_pad: float = 1.0
     target_points: tuple = ()
-    target_resolution: float = 0.0
     threshold: float | None = None
     max_workers: int = 1
     solver_config: SolverConfig = field(default_factory=SolverConfig)
@@ -254,6 +252,30 @@ def _replication_map(fn: Callable, count: int, max_workers: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
+def _prefix_experiment(space: Space, stream: Sequence, n_grid: list[int], p: float,
+                       config: ExperimentConfig, target: list) -> tuple[list, list, list, list]:
+    """Cell n solves the uniform measure on the first n stream points and
+    records, in four lists aligned with n_grid: the one-sided Hausdorff
+    distance of its mean set into ``target`` (nan when the solver fails),
+    its moment of order p - 1 at ``target[0]``, the ``ConvergenceFailure``
+    caught (or None) and the cell's seconds."""
+    dvecs, moments_, failures, seconds = [], [], [], []
+    for n in n_grid:
+        t0 = time.perf_counter()
+        mu = DiscreteMeasure.uniform(space, stream[:n])
+        try:
+            band = _solve_mean_set(space, mu, p, config)
+        except ConvergenceFailure as exc:
+            dvecs.append(float("nan"))
+            failures.append(exc)
+        else:
+            dvecs.append(one_sided_hausdorff(space, band.points, target))
+            failures.append(None)
+        moments_.append(moment(space, mu, max(p - 1.0, 0.0), target[0]))
+        seconds.append(time.perf_counter() - t0)
+    return dvecs, moments_, failures, seconds
+
+
 def slln_experiment(space: Space, sampler: SamplerSpec, p: float,
                     n_grid: Sequence[int], replications: int,
                     config: ExperimentConfig) -> ConvergenceReport:
@@ -277,33 +299,17 @@ def slln_experiment(space: Space, sampler: SamplerSpec, p: float,
     n_grid = list(n_grid)
     if any(n < 1 for n in n_grid):
         raise ValueError("need at least one sample")
-    origin = target[0]
 
-    def one_rep(rep: int) -> tuple[list[float], list[float], list[float], list[float]]:
+    def one_rep(rep: int) -> tuple[list, list, list, list]:
         stream = sampler.with_seed(_derived_seed(sampler.seed, rep)).draw(max(n_grid, default=0))
-        dvec_by_n, moment_by_n, failures, seconds = [], [], [], []
-        for n in n_grid:
-            t0 = time.perf_counter()
-            mu = DiscreteMeasure.uniform(space, stream[:n])
-            try:
-                band = _solve_mean_set(space, mu, p, config)
-            except ConvergenceFailure:
-                dvec_by_n.append(float("nan"))
-                failures.append(1.0)
-            else:
-                dvec_by_n.append(one_sided_hausdorff(space, band.points, target))
-                failures.append(0.0)
-            moment_by_n.append(moment(space, mu, max(p - 1.0, 0.0), origin))
-            seconds.append(time.perf_counter() - t0)
-        return dvec_by_n, moment_by_n, failures, seconds
+        return _prefix_experiment(space, stream, n_grid, p, config, target)
 
     per_rep = _replication_map(one_rep, replications, config.max_workers)
 
     dvec_max, moment_mean, runtimes, failure_count = [], [], [], 0
-    for j, n in enumerate(n_grid):
-        cells = [rep[0][j] for rep in per_rep]
-        failure_count += int(sum(rep[2][j] for rep in per_rep))
-        finite = [v for v in cells if not math.isnan(v)]
+    for j in range(len(n_grid)):
+        finite = [rep[0][j] for rep in per_rep if not math.isnan(rep[0][j])]
+        failure_count += sum(rep[2][j] is not None for rep in per_rep)
         dvec_max.append(max(finite) if finite else float("nan"))
         moment_mean.append(float(np.mean([rep[1][j] for rep in per_rep])))
         runtimes.append(sum(rep[3][j] for rep in per_rep))
@@ -328,6 +334,9 @@ def ergodic_experiment(space: Space, markov: SamplerSpec, p: float,
     for an irreducible chain the distance must vanish. The target defaults
     to the stationary average of the embedded states when p = 2 on a
     Euclidean space, otherwise it must be supplied.
+
+    The cells are those of ``slln_experiment`` on one trajectory, drawn at
+    the sampler's seed; the first ``ConvergenceFailure`` is raised again.
     """
     if markov.kind != "markov-chain":
         raise ConfigurationError("the ergodic experiment needs a markov-chain sampler")
@@ -341,16 +350,10 @@ def ergodic_experiment(space: Space, markov: SamplerSpec, p: float,
         raise ConfigurationError("supply target_points unless p = 2 on a Euclidean space")
 
     n_grid = list(n_grid)
-    trajectory = markov.draw(max(n_grid))
-    dvecs, moments_, runtimes = [], [], []
-    origin = target[0]
-    for n in n_grid:
-        t0 = time.perf_counter()
-        mu = DiscreteMeasure.uniform(space, trajectory[:n])
-        band = _solve_mean_set(space, mu, p, config)
-        dvecs.append(one_sided_hausdorff(space, band.points, target))
-        moments_.append(moment(space, mu, max(p - 1.0, 0.0), origin))
-        runtimes.append(time.perf_counter() - t0)
+    dvecs, moments_, failures, runtimes = _prefix_experiment(
+        space, markov.draw(max(n_grid)), n_grid, p, config, target)
+    if any(failures):
+        raise next(exc for exc in failures if exc is not None)
     verdicts = {}
     if config.threshold is not None:
         verdicts["final_below_threshold"] = bool(dvecs[-1] < config.threshold)
@@ -362,35 +365,43 @@ def relative_entropy(nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
     """sum nu_i log(nu_i / mu_i), with 0 log 0 = 0.
 
     Returns ``math.inf`` when nu places mass where mu has none; infinity
-    is a value here, not an error.
+    is a value here, not an error. One equality scan over mu's support
+    followed by nu's groups the atoms of both: an atom of nu is matched
+    to the first distinct atom of mu that it equals.
     """
-    space = nu.space
-    mu_pts, mu_w = _aggregate(mu)
+    m = len(mu.support)
+    owner = mu.space.first_equal(mu.support + nu.support)
+    mu_w = _sum_by_owner(owner[:m], mu.weights)
     total = 0.0
-    for pt, w in zip(*_aggregate(nu)):
+    for key, w in _sum_by_owner(owner[m:], nu.weights).items():
         if w <= 0.0:
             continue
-        match = next((mw for mp, mw in zip(mu_pts, mu_w)
-                      if space.points_equal(pt, mp)), 0.0)
+        match = mu_w.get(key, 0.0)
         if match <= 0.0:
             return math.inf
         total += w * math.log(w / match)
     return max(total, 0.0)
 
 
+def _sum_by_owner(owner: list[int], weights) -> dict[int, float]:
+    """Weights summed per owner, in order of first appearance; each sum
+    adds the weights in support order."""
+    sums: dict[int, float] = {}
+    for key, w in zip(owner, weights):
+        sums[key] = sums[key] + float(w) if key in sums else float(w)
+    return sums
+
+
 def _aggregate(mu: DiscreteMeasure) -> tuple[list, list]:
     """Distinct support points with summed weights."""
-    pts: list = []
-    ws: list = []
-    for pt, w in zip(mu.support, mu.weights):
-        for i, q in enumerate(pts):
-            if mu.space.points_equal(pt, q):
-                ws[i] += float(w)
-                break
-        else:
-            pts.append(pt)
-            ws.append(float(w))
-    return pts, ws
+    sums = _sum_by_owner(mu.space.first_equal(mu.support), mu.weights)
+    return [mu.support[i] for i in sums], list(sums.values())
+
+
+def _equals_any(space: Space, points: list, events: list) -> np.ndarray:
+    """Whether each point equals an event point, from one equality scan
+    over the events followed by the points."""
+    return np.array(space.first_equal(events + points)[len(events):], dtype=np.intp) < len(events)
 
 
 def _simplex_lattice(k: int, m: int):
@@ -425,15 +436,6 @@ def _support_bands(dp: np.ndarray, support: np.ndarray, weights: np.ndarray) -> 
     return band
 
 
-def _mean_set_on_support(space: Space, atoms: list, weights: np.ndarray,
-                         p: float) -> list:
-    """Exact argmin band of the mean objective restricted to the atoms."""
-    dp = space.pairwise_distances(atoms, atoms) ** p
-    band = _support_bands(dp, np.arange(len(atoms))[None],
-                          np.asarray(weights, dtype=float)[None])
-    return [a for a, keep in zip(atoms, band[0]) if keep]
-
-
 def ldp_rate_function(space: Space, mu: DiscreteMeasure, p: float, target_x,
                       simplex_step: float = 1e-3) -> float:
     """Entropy projection rate at a point: the cheapest reweighting of the
@@ -445,22 +447,24 @@ def ldp_rate_function(space: Space, mu: DiscreteMeasure, p: float, target_x,
     the target. The lattice is swept in blocks through one batched band
     computation.
     """
-    return _lattice_rate(space, *_aggregate(mu), p, [target_x], simplex_step)
+    atoms, base_w = _aggregate(mu)
+    return _lattice_rate(space.pairwise_distances(atoms, atoms) ** p, base_w,
+                         _equals_any(space, atoms, [target_x]), simplex_step)
 
 
-def _lattice_rate(space: Space, atoms: list, base_w: list, p: float, targets: list,
+def _lattice_rate(dp: np.ndarray, base_w: list, is_target: np.ndarray,
                   simplex_step: float) -> float:
     """``min(ldp_rate_function(..., t) for t in targets)`` from one lattice
-    sweep that keeps the measures whose band is one atom equal to a target."""
-    k = len(atoms)
+    sweep that keeps the measures whose band is one atom equal to a target.
+    ``dp`` holds the atom distances to the power p and ``is_target`` marks
+    the target atoms."""
+    k = len(base_w)
     if k > 4:
         raise ConfigurationError("rate-function enumeration is feasible for "
                                  "at most 4 support atoms")
     m = int(round(1.0 / simplex_step))
     if abs(m * simplex_step - 1.0) > 1e-9:
         raise ValueError("simplex step must divide 1")
-    dp = space.pairwise_distances(atoms, atoms) ** p
-    is_target = np.array([any(space.points_equal(a, t) for t in targets) for a in atoms])
     # terms[i, c] = w log(w / b_i) at w = c / m; a coordinate where the base
     # has no mass makes the entropy infinite.
     terms = np.zeros((k, m + 1))
@@ -540,11 +544,11 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
     event_points = list(event_points)
     n_grid = list(n_grid)
 
-    theoretical = (_lattice_rate(space, atoms, base_w, p, event_points, simplex_step)
-                   if event_points else math.inf)
-
     # A mean set is in the event when each of its atoms is an event point.
-    flags = [any(space.points_equal(a, ev) for ev in event_points) for a in atoms]
+    event = _equals_any(space, atoms, event_points)
+    dp = space.pairwise_distances(atoms, atoms) ** p
+    theoretical = _lattice_rate(dp, base_w, event, simplex_step) if event_points else math.inf
+
     probabilities, ties, censored = [], [], []
     if mode == "exact-binomial":
         if len(atoms) != 2:
@@ -554,23 +558,17 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
 
         for n in n_grid:
             tie = float(binom.pmf(n // 2, n, theta)) if n % 2 == 0 else 0.0
-            if not any(flags):
-                prob = 0.0
-            elif all(flags):
-                prob = 1.0
+            if event.all() or not event.any():
+                prob = float(event.all())
             else:
                 # Strict majority of the event atom.
-                k = n // 2
-                prob = float(binom.sf(k, n, theta)) if flags[1] \
-                    else float(binom.sf(k, n, 1.0 - theta))
+                prob = float(binom.sf(n // 2, n, theta if event[1] else 1.0 - theta))
             probabilities.append(prob)
             ties.append(tie)
             censored.append(False)
     elif mode == "monte-carlo":
         if any(n < 1 for n in n_grid):
             raise ValueError("need at least one sample")
-        dp = space.pairwise_distances(atoms, atoms) ** p
-        event = np.array(flags)
         for j, n in enumerate(n_grid):
             # mass[c] is c samples of weight 1/n added one at a time.
             mass = np.concatenate(([0.0], np.cumsum(np.full(n, 1.0 / n))))
@@ -607,8 +605,6 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
     return LdpResult(n_grid, probabilities, rates, theoretical,
                      tie_probabilities=ties, censored=censored, mode=mode, seed=seed)
 
-
-ExperimentReport = Union[ConvergenceReport, LdpResult]
 
 
 def sampler_from_json(spec: dict) -> SamplerSpec:

@@ -4,9 +4,10 @@ Everything here is deliberately naive (plain loops, LP formulations,
 exhaustive enumeration) and shares no code path with the package's own
 solvers or vectorized sweeps. The exception is the two sections at the
 end: the per-point and per-replication loops that the package's
-array-native experiment drivers replaced, which call the package's generic
-band sweep (``grid_oracle``) on one measure at a time, and the per-point
-grid and stacking code that the stacked vector points replaced.
+array-native experiment drivers, shared prefix engine and equality scan
+replaced, which call the package's generic band sweep (``grid_oracle``)
+and solver dispatch on one measure at a time, and the per-point grid and
+stacking code that the stacked vector points replaced.
 """
 
 from __future__ import annotations
@@ -157,7 +158,8 @@ def bures_wasserstein_pair(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Per-point and per-replication loops replaced by the array-native drivers.
+# Per-point, per-replication and per-driver loops replaced by the array-native
+# drivers, the shared prefix engine and the shared equality scan.
 # ---------------------------------------------------------------------------
 
 def dedup_scalar(space, points):
@@ -239,7 +241,37 @@ def slln_per_n_draws(space, sampler, p, n_grid, replications, config):
     return dvec, moments, verdicts
 
 
+def ergodic_prefix_loop(space, markov, p, n_grid, config):
+    """(dvec, moments, verdicts) of the ergodic experiment by its own loop
+    over the prefixes of one trajectory; a solver failure propagates."""
+    from frechet.convergence import one_sided_hausdorff
+    from frechet.core import DiscreteMeasure, moment
+    from frechet.spaces import EuclideanSpace
+    from frechet.stochastics import _solve_mean_set
+
+    pi = markov.stationary_law()
+    if config.target_points:
+        target = list(config.target_points)
+    elif p == 2.0 and isinstance(space, EuclideanSpace):
+        pts = markov._points(markov.states)
+        target = [sum(w * np.asarray(pt, dtype=float) for w, pt in zip(pi, pts))]
+    else:
+        raise ValueError("no target")
+    trajectory = markov.draw(max(n_grid))
+    dvecs, moments = [], []
+    for n in n_grid:
+        mu = DiscreteMeasure.uniform(space, trajectory[:n])
+        band = _solve_mean_set(space, mu, p, config)
+        dvecs.append(one_sided_hausdorff(space, band.points, target))
+        moments.append(moment(space, mu, max(p - 1.0, 0.0), target[0]))
+    verdicts = {}
+    if config.threshold is not None:
+        verdicts["final_below_threshold"] = bool(dvecs[-1] < config.threshold)
+    return dvecs, moments, verdicts
+
+
 def _aggregate(space, points, weights):
+    """Distinct points with summed weights, one pair at a time."""
     pts, ws = [], []
     for pt, w in zip(points, weights):
         for i, q in enumerate(pts):
@@ -250,6 +282,28 @@ def _aggregate(space, points, weights):
             pts.append(pt)
             ws.append(float(w))
     return pts, ws
+
+
+def relative_entropy_scalar(nu, mu):
+    """sum nu_i log(nu_i / mu_i) after aggregating both measures, matching
+    each atom of nu to the first atom of mu it equals, one pair at a time."""
+    space = nu.space
+    mu_pts, mu_w = _aggregate(space, mu.support, mu.weights)
+    total = 0.0
+    for pt, w in zip(*_aggregate(space, nu.support, nu.weights)):
+        if w <= 0.0:
+            continue
+        match = next((mw for mp, mw in zip(mu_pts, mu_w)
+                      if space.points_equal(pt, mp)), 0.0)
+        if match <= 0.0:
+            return math.inf
+        total += w * math.log(w / match)
+    return max(total, 0.0)
+
+
+def event_flags_scalar(space, atoms, events):
+    """Whether each atom equals some event point, one pair at a time."""
+    return [any(space.points_equal(a, ev) for ev in events) for a in atoms]
 
 
 def _support_mean_set(space, atoms, weights, p):

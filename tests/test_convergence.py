@@ -168,19 +168,6 @@ class TestGammaProbe:
                                          grid_pad=1.0)
         assert report.verdicts["final_below_combined_resolution"]
 
-    def test_report_round_trip(self, line, tmp_path):
-        mu = DiscreteMeasure.uniform(line, finite_set([0.0, 1.0]))
-        report = gamma_convergence_probe(line, [mu] * 3, mu, 2.0, [0.1, 0.05, 0.0],
-                                         grid_step=0.02, grid_pad=0.5)
-        csv_path = tmp_path / "probe.csv"
-        json_path = tmp_path / "probe.json"
-        report.write_csv(csv_path)
-        report.write_json(json_path)
-        assert csv_path.read_text().splitlines()[0] == "n,dvec,bl,moment_gap,runtime"
-        import json
-        parsed = json.loads(json_path.read_text())
-        assert parsed["dvec"] == report.dvec
-
 
 class TestBallBasis:
     def test_intersection_contains_a_ball(self, plane):

@@ -1,0 +1,78 @@
+"""CLI CSV bodies pinned as golden files.
+
+Each config below is one of the experiment configs of ``test_cli.py``. The
+CSV that ``frechet.cli.main`` writes for it must equal, byte for byte, the
+file recorded under ``tests/golden/``. Runtimes never reach the CSV, so the
+bodies are a pure function of the seed and the config.
+
+To record the files again, run ``python tests/test_golden.py`` with
+``src`` on ``PYTHONPATH``; do so only when a change is meant to alter
+results, and say so in the change log.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from frechet.cli import EXIT_OK, SCHEMA_VERSION, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CONFIGS = {
+    "slln": {
+        "space": {"type": "euclidean", "dim": 1},
+        "sampler": {"kind": "iid", "distribution": "normal",
+                    "params": [0.0, 1.0], "seed": 1},
+        "p": 2.0, "n_grid": [50, 500], "replications": 3,
+        "solver": "subgradient", "target_points": [[0.0]],
+        "threshold": 0.5},
+    "ergodic": {
+        "space": {"type": "euclidean", "dim": 1},
+        "sampler": {"kind": "markov-chain", "states": [0.0, 3.0],
+                    "kernel": [[0.6, 0.4], [0.4, 0.6]], "seed": 3},
+        "p": 2.0, "n_grid": [100, 2000], "solver": "subgradient",
+        "threshold": 0.3},
+    "ldp": {
+        "space": {"type": "euclidean", "dim": 1},
+        "measure": {"support": [[0.0], [1.0]], "weights": [0.7, 0.3]},
+        "p": 2.0, "n_grid": [20, 40], "event_points": [[1.0]],
+        "mode": "exact-binomial", "simplex_step": 0.001},
+    "gamma": {
+        "space": {"type": "euclidean", "dim": 1},
+        "measures": [{"support": [[0.0], [1.5]]}, {"support": [[0.0], [1.25]]},
+                     {"support": [[0.0], [1.125]]}],
+        "limit": {"support": [[0.0], [1.0]]},
+        "p": 2.0, "grid_step": 0.01, "eps_sequence": [0.0, 0.0, 0.0]},
+    "diag": {"space": {"type": "spider", "legs": 3}, "trials": 200, "seed": 4},
+}
+
+
+def render_csv(command: str, workdir: Path) -> bytes:
+    """The CSV bytes the CLI writes for ``CONFIGS[command]``."""
+    config = workdir / f"{command}.json"
+    config.write_text(json.dumps({"schema_version": SCHEMA_VERSION, **CONFIGS[command]}))
+    out = workdir / command
+    code = main([command, "--config", str(config), "--out", str(out)])
+    assert code == EXIT_OK
+    return (workdir / f"{command}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_csv_body_matches_golden(command, tmp_path, monkeypatch):
+    monkeypatch.setenv("FRECHET_THREADS", "1")
+    assert render_csv(command, tmp_path) == (GOLDEN / f"{command}.csv").read_bytes()
+
+
+if __name__ == "__main__":
+    os.environ["FRECHET_THREADS"] = "1"
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CONFIGS):
+            (GOLDEN / f"{name}.csv").write_bytes(render_csv(name, Path(tmp)))
+            print(f"wrote {GOLDEN / name}.csv", file=sys.stderr)

@@ -307,10 +307,12 @@ class TestLdpExperiment:
     def test_tied_sample_has_two_point_mean_set(self, line):
         # An exact 50/50 split minimizes at both atoms; the strict-majority
         # event excludes the tie, matching the exact-count convention.
-        from frechet.stochastics import _aggregate, _mean_set_on_support
+        from frechet.stochastics import _aggregate, _support_bands
         emp = DiscreteMeasure.uniform(line, [pt(0.0), pt(1.0), pt(0.0), pt(1.0)])
         pts, ws = _aggregate(emp)
-        band = _mean_set_on_support(line, pts, np.asarray(ws), 2.0)
+        dp = line.pairwise_distances(pts, pts) ** 2.0
+        keep = _support_bands(dp, np.arange(len(pts))[None], np.asarray(ws)[None])[0]
+        band = [x for x, k in zip(pts, keep) if k]
         assert len(band) == 2
         assert not all(line.points_equal(x, pt(1.0)) for x in band)
 
