@@ -42,6 +42,7 @@ from .solvers import (
     SolverConfig,
     bw_barycenter,
     euclidean_pmean,
+    grid_mean_set,
     grid_oracle,
     refine_mean_set,
     weiszfeld_median,
@@ -95,6 +96,7 @@ __all__ = [
     "SolverConfig",
     "bw_barycenter",
     "euclidean_pmean",
+    "grid_mean_set",
     "grid_oracle",
     "refine_mean_set",
     "weiszfeld_median",

@@ -31,7 +31,7 @@ from .core import (
     renorm_bound_slack,
 )
 from .convergence import gamma_convergence_probe
-from .solvers import SolverConfig, grid_oracle
+from .solvers import SolverConfig, grid_mean_set, grid_oracle
 from .spaces import space_from_json
 from .stochastics import (
     ExperimentConfig,
@@ -150,8 +150,11 @@ def _cmd_mean(config: dict) -> tuple[dict, list[dict] | None, str]:
     if scheme in ("grid", "ball-grid"):
         kwargs["step"] = float(config.get("grid_step", 0.01))
         kwargs["pad"] = float(config.get("grid_pad", 1.0))
-    grid = space.candidates(mu, scheme, **kwargs)
-    band = grid_oracle(space, mu, fc, grid, resolution=kwargs.get("step"))
+    if scheme == "grid":
+        band = grid_mean_set(space, mu, fc, kwargs["step"], kwargs["pad"])
+    else:
+        grid = space.candidates(mu, scheme, **kwargs)
+        band = grid_oracle(space, mu, fc, grid, resolution=kwargs.get("step"))
     result = {
         "mean_set": [space.point_to_json(pt) for pt in band.points],
         "resolution": band.resolution,

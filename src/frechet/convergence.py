@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DiscreteMeasure, FrechetConfig, MeanSetApprox, Space, moment
-from .solvers import grid_oracle
+from .solvers import grid_mean_set, grid_oracle
 
 __all__ = [
     "ConvergenceReport",
@@ -162,11 +162,9 @@ def gamma_convergence_probe(space: Space, mu_sequence: Sequence[DiscreteMeasure]
 
     def band_for(mu: DiscreteMeasure, eps: float) -> MeanSetApprox:
         cfg = FrechetConfig(p=p, epsilon=eps)
-        if candidate_fn is not None:
-            cands = candidate_fn(mu)
-        else:
-            cands = space.candidates(mu, "grid", step=grid_step, pad=grid_pad)
-        return grid_oracle(space, mu, cfg, cands, resolution=grid_step)
+        if candidate_fn is None:
+            return grid_mean_set(space, mu, cfg, grid_step, grid_pad)
+        return grid_oracle(space, mu, cfg, candidate_fn(mu), resolution=grid_step)
 
     if limit_candidates is not None:
         limit_band = grid_oracle(space, mu_limit, FrechetConfig(p=p),

@@ -13,7 +13,10 @@ changes, so the minimizer set does not depend on the reference.
 Mean sets are represented by finite candidate enumeration: a candidate
 scheme (grid, support-derived, or solver-seeded) produces a finite point
 list with a known covering radius, and the epsilon-band of near-minimal
-candidates approximates the true compact minimizer set.
+candidates approximates the true compact minimizer set. The band sweep
+here (``relaxed_mean_set``) evaluates every candidate; on the box grids
+of the vector spaces, ``solvers.grid_mean_set`` reaches the same band
+while skipping the cells that a Lipschitz bound rules out.
 """
 
 from __future__ import annotations
@@ -140,12 +143,17 @@ class Space:
     def first_equal(self, points: Sequence[Point]) -> list[int]:
         """For each point, the index of the first earlier kept point it
         equals, or its own index when it equals none and is kept. One
-        ``equal_mask`` row per point against the points kept so far."""
+        ``equal_mask`` row per point against the points kept so far; where
+        the points stack into one array, the kept ones are its rows taken
+        by index, so no point is converted again."""
+        rows = self.stack(points)
+        stacked = isinstance(rows, np.ndarray)
         owner: list[int] = []
         kept: list = []
         kept_at: list[int] = []
         for i, x in enumerate(points):
-            hit = np.flatnonzero(self.equal_mask(x, kept)) if kept else ()
+            hit = (np.flatnonzero(self.equal_mask(x, rows[kept_at] if stacked else kept))
+                   if kept_at else ())
             if len(hit):
                 owner.append(kept_at[hit[0]])
             else:
@@ -176,7 +184,10 @@ class DiscreteMeasure:
     This is the only measure representation: empirical measures and
     reference measures alike are finite lists of support points with
     nonnegative weights summing to one (within 1e-12). Support points may
-    repeat; weights then add. Kernels read ``stacked``, ``space.stack(support)``.
+    repeat; weights then add. Kernels read ``stacked``, ``space.stack(support)``;
+    a support given as one array that stacks as it is (a slice of a drawn
+    stream, say) is kept as ``stacked`` without a copy, so that array must
+    not be written to afterwards.
     """
 
     space: Space
@@ -187,6 +198,7 @@ class DiscreteMeasure:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
+        rows = self.support if isinstance(self.support, np.ndarray) else None
         object.__setattr__(self, "support", tuple(self.support))
         if len(self.support) == 0:
             raise ValueError("measure needs at least one support point")
@@ -196,17 +208,18 @@ class DiscreteMeasure:
             raise ValueError("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
-        object.__setattr__(self, "stacked", self.space.stack(self.support))
+        object.__setattr__(self, "stacked", self.space.stack(
+            self.support if rows is None else rows))
         if not self.space.contains_all(self.stacked):
             raise ConfigurationError("support point does not belong to the space")
 
     @classmethod
     def uniform(cls, space: Space, points: Sequence[Point]) -> "DiscreteMeasure":
-        points = list(points)
+        points = as_sequence(points)
         n = len(points)
         if n == 0:
             raise ValueError("measure needs at least one support point")
-        return cls(space, tuple(points), np.full(n, 1.0 / n))
+        return cls(space, points, np.full(n, 1.0 / n))
 
     @classmethod
     def dirac(cls, space: Space, point: Point) -> "DiscreteMeasure":
@@ -221,7 +234,7 @@ class DiscreteMeasure:
             if total <= 0:
                 raise ValueError("weights must have positive total mass")
             w = w / total
-        return cls(space, tuple(points), w)
+        return cls(space, as_sequence(points), w)
 
     def is_degenerate(self, tol: float = 1e-12) -> bool:
         """True when all support points coincide (a single atom)."""
@@ -281,6 +294,12 @@ def value_tolerance(achieved: float) -> float:
     return DEFAULT_VALUE_TOLERANCE * (1.0 + abs(achieved))
 
 
+def band_cut(achieved: float, epsilon: float) -> float:
+    """Largest value in the epsilon-band of a sweep whose best value is
+    ``achieved``: epsilon plus the tie tolerance above it."""
+    return achieved + epsilon + value_tolerance(achieved)
+
+
 def frechet_functional(space: Space, mu: DiscreteMeasure, x: Point, xref: Point,
                        p: float) -> float:
     """Renormalized cost sum_i w_i * (d(x, y_i)**p - d(xref, y_i)**p).
@@ -305,6 +324,14 @@ def moment(space: Space, mu: DiscreteMeasure, r: float, x: Point) -> float:
     return float(np.dot(mu.weights, d ** r))
 
 
+def origin_shift(space: Space, mu: DiscreteMeasure, config: FrechetConfig) -> float:
+    """sum_i w_i d(origin, y_i)**p, the constant the band sweep subtracts;
+    the origin defaults to the first support atom."""
+    origin = config.origin if config.origin is not None else mu.support[0]
+    ref = space.pairwise_distances([origin], mu.stacked)[0]
+    return float(np.dot(mu.weights, ref ** config.p))
+
+
 def _band_values(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
                  candidates: Sequence[Point]) -> np.ndarray:
     """Objective values of all candidates against the configured origin.
@@ -312,11 +339,10 @@ def _band_values(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     Candidates are swept in row blocks (``row_blocks``), so memory grows
     with block size times support size, never with the candidate count.
     Each row is reduced on its own, so a value does not depend on where
-    the block boundaries fall. The kernel's fresh block is reduced in place.
+    the block boundaries fall, nor on which other candidates are swept
+    with it. The kernel's fresh block is reduced in place.
     """
-    origin = config.origin if config.origin is not None else mu.support[0]
-    ref = space.pairwise_distances([origin], mu.stacked)[0]
-    shift = float(np.dot(mu.weights, ref ** config.p))
+    shift = origin_shift(space, mu, config)
     values = np.empty(len(candidates))
     for block in row_blocks(len(candidates), len(mu.support)):
         d = space.pairwise_distances(candidates[block], mu.stacked)
@@ -357,6 +383,18 @@ def estimate_resolution(space: Space, candidates: Sequence[Point]) -> float:
     return float(max(np.max(np.min(dm, axis=1)), 1e-12))
 
 
+def degenerate_band(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
+                    resolution: float | None) -> MeanSetApprox | None:
+    """The band of a measure concentrated on a single atom when epsilon is
+    zero: that atom, whose minimality needs no sweep. None otherwise."""
+    if config.epsilon != 0.0 or not mu.is_degenerate():
+        return None
+    atom = mu.support[0]
+    achieved = frechet_functional(
+        space, mu, atom, config.origin if config.origin is not None else atom, config.p)
+    return MeanSetApprox((atom,), resolution if resolution is not None else 1e-12, achieved)
+
+
 def relaxed_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
                      candidates: Sequence[Point],
                      resolution: float | None = None) -> MeanSetApprox:
@@ -365,25 +403,23 @@ def relaxed_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     The output point set is independent of the configured origin (the
     objective shifts by a constant) and grows monotonically with epsilon.
     A measure concentrated on a single atom short-circuits to that atom
-    when epsilon is zero; the exact minimizer needs no sweep there.
-    Candidates may be any sequence of points, such as one stacked array.
+    when epsilon is zero (``degenerate_band``). Candidates may be any
+    sequence of points, such as one stacked array; every candidate is
+    evaluated. ``solvers.grid_mean_set`` reaches the same band over a box
+    grid while evaluating only the candidates it cannot rule out.
     """
     _check_pair(space, mu)
     candidates = as_sequence(candidates)
     if len(candidates) == 0:
         raise ValueError("candidates must be nonempty")
-    if config.epsilon == 0.0 and mu.is_degenerate():
-        atom = mu.support[0]
-        achieved = frechet_functional(
-            space, mu, atom,
-            config.origin if config.origin is not None else atom, config.p)
-        res = resolution if resolution is not None else 1e-12
-        return MeanSetApprox((atom,), res, achieved)
+    short = degenerate_band(space, mu, config, resolution)
+    if short is not None:
+        return short
 
     values = _band_values(space, mu, config, candidates)
     achieved = float(np.min(values))
-    cut = achieved + config.epsilon + value_tolerance(achieved)
-    kept = tuple(candidates[i] for i in np.flatnonzero(values <= cut))
+    kept = tuple(candidates[i] for i in
+                 np.flatnonzero(values <= band_cut(achieved, config.epsilon)))
     if resolution is None:
         resolution = estimate_resolution(space, candidates)
     return MeanSetApprox(kept, resolution, achieved)

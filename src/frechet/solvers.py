@@ -3,7 +3,10 @@
 Every solver here is validated against ``grid_oracle``, the brute-force
 candidate sweep that serves as ground truth: a solver's achieved objective
 value must never exceed the oracle band minimum by more than the value
-tolerance.
+tolerance. ``grid_mean_set`` returns the oracle's band over the ``grid``
+scheme; on the box grids of the vector spaces it gets there coarse to
+fine, evaluating only the grid points that a Lipschitz bound cannot rule
+out.
 """
 
 from __future__ import annotations
@@ -21,15 +24,21 @@ from .core import (
     FrechetConfig,
     MeanSetApprox,
     Space,
+    _band_values,
+    _check_pair,
     as_sequence,
+    band_cut,
+    degenerate_band,
     estimate_resolution,
+    origin_shift,
     relaxed_mean_set,
 )
-from .spaces import BuresWassersteinSpace, EuclideanSpace, matrix_sqrt
+from .spaces import BuresWassersteinSpace, EuclideanSpace, _VectorSpace, matrix_sqrt
 
 __all__ = [
     "SolverConfig",
     "grid_oracle",
+    "grid_mean_set",
     "weiszfeld_median",
     "euclidean_pmean",
     "bw_barycenter",
@@ -68,6 +77,116 @@ def grid_oracle(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     if resolution is None:
         resolution = estimate_resolution(space, grid)
     return relaxed_mean_set(space, mu, config, grid, resolution=resolution)
+
+
+def grid_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
+                  step: float, pad: float = 0.0) -> MeanSetApprox:
+    """The band of the ``grid`` candidate scheme at spacing ``step``.
+
+    The result is ``grid_oracle`` over ``space.candidates(mu, "grid",
+    step=step, pad=pad)`` with ``resolution=step``: the same points in the
+    same order, the same achieved value bit for bit. On the box grids of
+    the Euclidean and l_q spaces the grid is never built; it is searched
+    coarse to fine (``_pruned_box_band``). Every other space sweeps the
+    whole grid.
+    """
+    if not isinstance(space, _VectorSpace):
+        grid = space.candidates(mu, "grid", step=step, pad=pad)
+        return grid_oracle(space, mu, config, grid, resolution=step)
+    _check_pair(space, mu)
+    short = degenerate_band(space, mu, config, step)
+    if short is not None:
+        return short
+    return _pruned_box_band(space, mu, config, *space.grid_box(mu, step, pad), step)
+
+
+def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetConfig,
+                     lows: np.ndarray, sizes: list[int], step: float) -> MeanSetApprox:
+    """The epsilon-band over the box grid of ``_VectorSpace.grid_box``, by
+    bisection; grid points are computed from their indices when needed.
+
+    A cell is a box of index ranges [lo, hi) over the axis grids. Its
+    representative c is its middle grid point and its radius r is the
+    distance from c to its farthest corner, so every grid point x of the
+    cell has d(x, c) <= r. Writing S(x) = sum_i w_i d(x, y_i)**p,
+
+        |S(x) - S(c)| <= p r sum_i w_i (d(c, y_i) + r)**(p - 1)
+                      <= p r (S(c)**(1/p) + r)**(p - 1)
+
+    (the mean value theorem, then Jensen and Minkowski for weights summing
+    to one), so the second form needs only c's value. Each level evaluates
+    the representatives with ``_band_values``, drops every cell whose
+    lower bound exceeds the cut of the best value seen so far, and bisects
+    the rest along every axis longer than one point. The best value seen
+    is never below the grid minimum and ``band_cut`` increases with it, so
+    that cut is at least the final one and no band point is ever dropped.
+    Single points are final: their values, ordered by flat index
+    (``itertools.product`` order), give the band with the cut of
+    ``relaxed_mean_set``. Values do not depend on which rows are swept
+    together, so both equal the full sweep's bit for bit.
+    """
+    p, eps, n, dim = config.p, config.epsilon, len(mu.support), len(sizes)
+    shift = abs(origin_shift(space, mu, config))
+    # Rounding margin. With u = 2**-53, a kernel distance carries a relative
+    # error below (dim + 3) u, a term w_i d_i**p below (p (dim + 3) + 2) u,
+    # and the sum of n terms adds at most (n - 1) u times the sum of the
+    # terms, in any summation order; subtracting the shift adds u |v|. So a
+    # computed value v is within kappa u S + u |v| of its exact value. With
+    # size = |v(c)| + |shift| and L the bound above, S <= size + L and
+    # |v| <= 2 size + L over the cell, so the errors at c and at x add up
+    # to less than (2 kappa + 3) u (size + L). The margin,
+    # 4 kappa u (size + L + |threshold| + 1), also covers the rounding of L
+    # and of the threshold, each a few u of its own size.
+    ulp = 2.0 ** -53
+    kappa = p * (dim + 3) + n + 3
+    # Weights sum to one within 1e-12; the Jensen and Minkowski steps then
+    # lose at most this factor.
+    weight_slack = (1.0 + 2e-12) ** p
+    lo = np.zeros((1, dim), dtype=np.intp)
+    hi = np.array([sizes], dtype=np.intp)
+    best = math.inf
+    found_at, found_values = [], []
+
+    def grid_points(index):
+        # The floats of ``_box_grid``: lows[k] + step * index.
+        return np.column_stack([float(a) + step * index[:, k] for k, a in enumerate(lows)])
+
+    while len(lo):
+        rep = (lo + hi - 1) // 2
+        c = grid_points(rep)
+        values = _band_values(space, mu, config, c)
+        best = min(best, float(values.min()))
+        threshold = band_cut(best, eps)
+        single = np.all(hi - lo == 1, axis=1)
+        found_at.append(rep[single])
+        found_values.append(values[single])
+        lo, hi, c, values = lo[~single], hi[~single], c[~single], values[~single]
+        if not len(lo):
+            break
+        # The farthest corner's offset from c along each axis.
+        corner = np.maximum(c - grid_points(lo), grid_points(hi - 1) - c)
+        r = space.pairwise_distances(corner, np.zeros((1, dim)))[:, 0]
+        size = np.abs(values) + shift
+        # An upper bound of S(c).
+        s_up = np.maximum(values + shift, 0.0) + 2.0 * kappa * ulp * size
+        lipschitz = p * r * (s_up ** (1.0 / p) + r) ** (p - 1.0) * weight_slack
+        margin = 4.0 * kappa * ulp * (size + lipschitz + abs(threshold) + 1.0)
+        keep = values - lipschitz - margin <= threshold
+        lo, hi = lo[keep], hi[keep]
+        for k in range(dim):
+            split = hi[:, k] - lo[:, k] > 1
+            upper_lo, upper_hi = lo[split], hi[split]
+            upper_lo[:, k] = (upper_lo[:, k] + upper_hi[:, k]) // 2
+            hi[split, k] = upper_lo[:, k]
+            lo, hi = np.concatenate([lo, upper_lo]), np.concatenate([hi, upper_hi])
+
+    at = np.concatenate(found_at)
+    values = np.concatenate(found_values)
+    order = np.lexsort(at.T[::-1])  # flat-index order, first axis slowest
+    at, values = at[order], values[order]
+    achieved = float(values.min())
+    kept = np.flatnonzero(values <= band_cut(achieved, eps))
+    return MeanSetApprox(tuple(grid_points(at[kept])), step, achieved)
 
 
 def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,

@@ -33,18 +33,28 @@ __all__ = [
 ]
 
 
-def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """Inclusive grid lo, lo+step, ..., covering hi."""
+def _axis_size(lo: float, hi: float, step: float) -> int:
+    """Number of points of the inclusive grid lo, lo+step, ..., covering hi."""
     if step <= 0:
         raise ValueError("grid step must be positive")
-    n = max(int(math.ceil((hi - lo) / step - 1e-12)), 0)
-    return lo + step * np.arange(n + 1)
+    return max(int(math.ceil((hi - lo) / step - 1e-12)), 0) + 1
 
 
-def _box_grid(lows: np.ndarray, highs: np.ndarray, step: float) -> np.ndarray:
-    """All points of the axis grids' product as rows of one (N, dim) array,
-    in ``itertools.product`` order (the last axis varies fastest)."""
-    axes = [_axis_grid(float(lo), float(hi), step) for lo, hi in zip(lows, highs)]
+def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """Inclusive grid lo, lo+step, ..., covering hi: point k is lo + step * k."""
+    return lo + step * np.arange(_axis_size(lo, hi, step))
+
+
+def _box_sizes(lows: np.ndarray, highs: np.ndarray, step: float) -> list[int]:
+    """``_axis_size`` of every coordinate of the box [lows, highs]."""
+    return [_axis_size(float(lo), float(hi), step) for lo, hi in zip(lows, highs)]
+
+
+def _box_grid(lows: np.ndarray, sizes: list[int], step: float) -> np.ndarray:
+    """All points lows + step * k, 0 <= k < sizes, as rows of one (N, dim)
+    array in ``itertools.product`` order (the last axis varies fastest);
+    along each axis the same floats as ``_axis_grid``."""
+    axes = [float(lo) + step * np.arange(n) for lo, n in zip(lows, sizes)]
     return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
 
 
@@ -95,14 +105,21 @@ class _VectorSpace(Space):
         if scheme == "grid":
             if step is None:
                 raise ValueError("grid scheme needs a step")
-            lows, highs = mu.stacked.min(axis=0) - pad, mu.stacked.max(axis=0) + pad
-            return _box_grid(lows, highs, step)
+            return _box_grid(*self.grid_box(mu, step, pad), step)
         if scheme == "ball-grid":
             if step is None or center is None or radius is None:
                 raise ValueError("ball-grid scheme needs center, radius and step")
             c = np.asarray(center, dtype=float)
-            return _box_grid(c - radius, c + radius, step)
+            return _box_grid(c - radius, _box_sizes(c - radius, c + radius, step), step)
         return super().candidates(mu, scheme)
+
+    def grid_box(self, mu: DiscreteMeasure, step: float,
+                 pad: float = 0.0) -> tuple[np.ndarray, list[int]]:
+        """The ``grid`` scheme without its points: the lowest corner of the
+        support's bounding box widened by ``pad``, and the number of grid
+        points along each axis. Point k of axis j is lows[j] + step * k."""
+        lows, highs = mu.stacked.min(axis=0) - pad, mu.stacked.max(axis=0) + pad
+        return lows, _box_sizes(lows, highs, step)
 
     def sample_point(self, rng: np.random.Generator, scale: float = 1.0):
         return rng.normal(scale=scale, size=self._length)

@@ -38,7 +38,7 @@ from .solvers import (
     SolverConfig,
     bw_barycenter,
     euclidean_pmean,
-    grid_oracle,
+    grid_mean_set,
     weiszfeld_median,
 )
 from .spaces import EuclideanSpace, quantile_barycenter
@@ -122,20 +122,21 @@ class SamplerSpec:
     def with_seed(self, seed: int) -> "SamplerSpec":
         return replace(self, seed=seed)
 
-    def _points(self, values) -> list:
-        """Space points for an array of raw draws."""
+    def _points(self, values):
+        """Space points for an array of raw draws: a list of embedded
+        points, or by default the rows of one (n, 1) float array."""
         if self.embed is not None:
             return [self.embed(v) for v in values]
-        return list(np.asarray(values, dtype=float).reshape(len(values), 1))
+        return np.asarray(values, dtype=float).reshape(len(values), 1)
 
-    def _points_at(self, values: tuple, idx: np.ndarray) -> list:
+    def _points_at(self, values: tuple, idx: np.ndarray):
         """Space points for draws given as indices into ``values``."""
         if self.embed is not None:
             table = [self.embed(v) for v in values]
             return [table[i] for i in idx]
         return self._points(np.asarray(values, dtype=float)[idx])
 
-    def _draw_iid(self, rng: np.random.Generator, n: int) -> list:
+    def _draw_iid(self, rng: np.random.Generator, n: int):
         u = rng.uniform(size=n)
         dist, p = self.distribution, self.params
         if dist == "normal":
@@ -152,7 +153,7 @@ class SamplerSpec:
             return self._points_at(self.atoms, _finite_indices(self.probs, u))
         return self._points(vals)
 
-    def _draw_chain(self, rng: np.random.Generator, n: int) -> list:
+    def _draw_chain(self, rng: np.random.Generator, n: int):
         cum = np.cumsum(np.asarray(self.kernel, dtype=float), axis=1).tolist()
         last = len(self.states) - 1
         idx = np.empty(n, dtype=np.intp)
@@ -162,8 +163,10 @@ class SamplerSpec:
             state = min(bisect.bisect_right(cum[state], u), last)
         return self._points_at(self.states, idx)
 
-    def draw(self, n: int) -> list:
-        """First n points of the stream; a prefix of any longer draw."""
+    def draw(self, n: int):
+        """First n points of the stream; a prefix of any longer draw. With
+        the default embedding they are the rows of one (n, 1) array, and a
+        measure on a slice of it keeps that slice as its stacked support."""
         rng = np.random.default_rng(self.seed)
         if self.kind == "iid":
             return self._draw_iid(rng, n)
@@ -223,12 +226,19 @@ class ExperimentConfig:
 
 def _solve_mean_set(space: Space, mu: DiscreteMeasure, p: float,
                     config: ExperimentConfig) -> MeanSetApprox:
-    """Dispatch a mean-set computation to the configured solver."""
-    fc = FrechetConfig(p=p, epsilon=config.epsilon)
+    """Dispatch a mean-set computation to the configured solver.
+
+    Only the grid returns an epsilon-band; a point solver returns one
+    minimizer, so it rejects epsilon > 0.
+    """
     name = config.solver
     if name == "grid":
-        grid = space.candidates(mu, "grid", step=config.grid_step, pad=config.grid_pad)
-        return grid_oracle(space, mu, fc, grid, resolution=config.grid_step)
+        return grid_mean_set(space, mu, FrechetConfig(p=p, epsilon=config.epsilon),
+                             config.grid_step, config.grid_pad)
+    if config.epsilon > 0:
+        raise ConfigurationError(
+            f"solver {name!r} returns one point, not an epsilon-band; "
+            "epsilon > 0 needs solver 'grid'")
     if name == "weiszfeld":
         pt = weiszfeld_median(space, mu, config.solver_config)
     elif name == "subgradient":

@@ -6,8 +6,9 @@ solvers or vectorized sweeps. The exception is the two sections at the
 end: the per-point and per-replication loops that the package's
 array-native experiment drivers, shared prefix engine and equality scan
 replaced, which call the package's generic band sweep (``grid_oracle``)
-and solver dispatch on one measure at a time, and the per-point grid and
-stacking code that the stacked vector points replaced.
+and solver dispatch on one measure at a time, the per-point grid and
+stacking code that the stacked vector points replaced, and the full grid
+sweep that the pruned grid search replaced.
 """
 
 from __future__ import annotations
@@ -49,8 +50,13 @@ def transport_lp(atoms_a, weights_a, atoms_b, weights_b, q):
         row[j::m] = 1.0
         a_eq.append(row)
         b_eq.append(weights_b[j])
+    # HiGHS's default feasibility tolerances (1e-7) accept a vertex whose
+    # cost is 1.6e-8 above the optimum (atoms [0, 1, 1] against
+    # [0, 1, 2.4e-8]); the comparisons against this oracle are at 1e-8.
     res = linprog(cost, A_eq=np.array(a_eq), b_eq=np.array(b_eq),
-                  bounds=[(0, None)] * (n * m), method="highs")
+                  bounds=[(0, None)] * (n * m), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert res.success, res.message
     return float(res.fun) ** (1.0 / q)
 
@@ -398,3 +404,16 @@ def band_values_out_of_place(space, mu, p, candidates, origin):
         d = space.pairwise_distances(candidates[block], mu.support)
         values[block] = np.sum(d ** p * mu.weights, axis=1) - shift
     return values
+
+
+# ---------------------------------------------------------------------------
+# The full grid sweep replaced by the pruned grid search.
+# ---------------------------------------------------------------------------
+
+def grid_band_full_sweep(space, mu, config, step, pad):
+    """The band of the ``grid`` scheme from every grid point: the whole grid
+    built as one array and swept by ``grid_oracle``."""
+    from frechet import grid_oracle
+
+    grid = space.candidates(mu, "grid", step=step, pad=pad)
+    return grid_oracle(space, mu, config, grid, resolution=step)

@@ -170,6 +170,19 @@ class TestExperimentCommands:
 
 
 class TestErrorPaths:
+    def test_epsilon_with_a_point_solver(self, tmp_path, capsys):
+        # A point solver returns one minimizer, never an epsilon-band.
+        cfg = write_config(tmp_path, "s.json", {
+            "space": {"type": "euclidean", "dim": 1},
+            "sampler": {"kind": "iid", "distribution": "cauchy",
+                        "params": [0.0, 1.0], "seed": 1},
+            "p": 1.0, "n_grid": [20], "solver": "weiszfeld", "epsilon": 0.1,
+            "target_points": [[0.0]]})
+        code, _ = run(tmp_path, "slln", cfg)
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config" and "epsilon" in err["message"]
+
     def test_bad_schema_version(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema_version": 99}))

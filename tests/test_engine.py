@@ -22,6 +22,7 @@ from frechet import (
     ergodic_experiment,
     relative_entropy,
 )
+from frechet import spaces
 from frechet.cli import EXIT_SOLVER, SCHEMA_VERSION, main
 from frechet.constructions import sign_flip_group
 from frechet.stochastics import _aggregate, _equals_any
@@ -95,6 +96,22 @@ class TestEqualityScan:
         pts = [np.array([v]) for v in (2.0, 1.0, 2.0, 3.0, 1.0, 2.0)]
         assert line.first_equal(pts) == [0, 1, 0, 3, 1, 0]
         assert line.first_equal([]) == []
+
+    def test_first_equal_converts_the_kept_points_once(self, monkeypatch):
+        # 300 distinct points: one conversion of the whole list, then one of
+        # each row's own point; the kept points are rows of that stack.
+        copies = [0]
+        original = np.asarray
+
+        def counted(a, *args, **kwargs):
+            out = original(a, *args, **kwargs)
+            copies[0] += out is not a
+            return out
+
+        monkeypatch.setattr(spaces.np, "asarray", counted)
+        pts = [np.array([float(v)]) for v in range(300)]
+        assert EuclideanSpace(1).first_equal(pts) == list(range(300))
+        assert copies[0] <= 300
 
 
 class TestRelativeEntropy:

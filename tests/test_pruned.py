@@ -1,0 +1,175 @@
+"""The pruned grid search (``grid_mean_set``) against the full grid sweep it
+replaced (``oracles.grid_band_full_sweep``): the same band point for point
+with a bit-equal achieved value, on a small share of the evaluations."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frechet import (
+    DiscreteMeasure,
+    EuclideanSpace,
+    ExperimentConfig,
+    FrechetConfig,
+    LqSequenceSpace,
+    SamplerSpec,
+    SpiderSpace,
+    grid_mean_set,
+    slln_experiment,
+)
+from frechet import solvers
+
+from oracles import grid_band_full_sweep
+
+_SPACES = [EuclideanSpace(1), EuclideanSpace(2), EuclideanSpace(3),
+           LqSequenceSpace(truncation=1, q=3.0), LqSequenceSpace(truncation=2, q=1.5),
+           LqSequenceSpace(truncation=2, q=3.0)]
+
+
+def _length(space):
+    return space.dim if isinstance(space, EuclideanSpace) else space.truncation
+
+
+def _assert_same_band(got, want):
+    assert got.resolution == want.resolution
+    assert np.float64(got.achieved_value).tobytes() == np.float64(want.achieved_value).tobytes()
+    assert len(got.points) == len(want.points)
+    assert np.asarray(got.points).tobytes() == np.asarray(want.points).tobytes()
+
+
+class _CountedSweep:
+    """Wraps the band sweep the pruned search calls and counts the grid
+    points it evaluates."""
+
+    def __init__(self, monkeypatch):
+        self.rows = 0
+        original = solvers._band_values
+
+        def counted(space, mu, config, candidates):
+            self.rows += len(candidates)
+            return original(space, mu, config, candidates)
+
+        monkeypatch.setattr(solvers, "_band_values", counted)
+
+
+class TestSameBandAsFullSweep:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_instances(self, data):
+        space = data.draw(st.sampled_from(_SPACES), label="space")
+        dim = _length(space)
+        n = data.draw(st.integers(1, 8), label="n")
+        shape = data.draw(st.sampled_from(["integer", "real", "degenerate"]), label="atoms")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        if shape == "integer":  # ties: whole intervals of minimizers at p = 1
+            atoms = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        else:
+            atoms = rng.standard_t(2, size=(n, dim))
+            atoms = atoms / max(1.0, float(np.abs(atoms).max()) / 2.0)
+            if shape == "degenerate":
+                atoms = np.repeat(atoms[:1], n, axis=0)
+        p = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]), label="p")
+        eps = data.draw(st.sampled_from([0.0, 0.0, 1e-3, 0.1, 0.4]), label="epsilon")
+        step = {1: 0.05, 2: 0.1}.get(dim, 0.25)
+        pad = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="pad")
+        if data.draw(st.booleans(), label="uniform"):
+            mu = DiscreteMeasure.uniform(space, list(atoms))
+        else:
+            w = rng.uniform(0.2, 1.0, size=n)
+            mu = DiscreteMeasure.from_weights(space, list(atoms), w, normalize=True)
+        config = FrechetConfig(p=p, epsilon=eps)
+        _assert_same_band(grid_mean_set(space, mu, config, step, pad),
+                          grid_band_full_sweep(space, mu, config, step, pad))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_even_sample_interval_at_p1(self, p):
+        # Four atoms at p = 1: every grid point between the middle two is a
+        # minimizer, 301 of them.
+        line = EuclideanSpace(1)
+        mu = DiscreteMeasure.uniform(line, [np.array([v]) for v in (-4.0, -1.5, 1.5, 3.0)])
+        config = FrechetConfig(p=p)
+        band = grid_mean_set(line, mu, config, 0.01, 1.0)
+        _assert_same_band(band, grid_band_full_sweep(line, mu, config, 0.01, 1.0))
+        if p == 1.0:
+            assert len(band.points) == 301
+
+    def test_origin_does_not_matter(self):
+        plane = EuclideanSpace(2)
+        rng = np.random.default_rng(5)
+        mu = DiscreteMeasure.uniform(plane, list(rng.normal(size=(30, 2))))
+        for origin in (None, np.array([40.0, -3.0])):
+            config = FrechetConfig(p=1.5, epsilon=0.01, origin=origin)
+            _assert_same_band(grid_mean_set(plane, mu, config, 0.05, 0.5),
+                              grid_band_full_sweep(plane, mu, config, 0.05, 0.5))
+
+    def test_degenerate_measure_short_circuits(self):
+        plane = EuclideanSpace(2)
+        mu = DiscreteMeasure.uniform(plane, [np.array([0.3, 0.7])] * 3)
+        band = grid_mean_set(plane, mu, FrechetConfig(p=2.0), 0.1, 1.0)
+        assert len(band.points) == 1 and np.array_equal(band.points[0], [0.3, 0.7])
+        _assert_same_band(band, grid_band_full_sweep(plane, mu, FrechetConfig(p=2.0), 0.1, 1.0))
+
+    def test_other_spaces_sweep_the_whole_grid(self, monkeypatch):
+        spider = SpiderSpace(legs=3)
+        mu = DiscreteMeasure.uniform(spider, [(0, 1.0), (1, 0.5), (2, 2.0)])
+        config = FrechetConfig(p=2.0)
+        sweep = _CountedSweep(monkeypatch)
+        band = grid_mean_set(spider, mu, config, 0.1, 0.5)
+        assert sweep.rows == 0  # the full sweep goes through relaxed_mean_set
+        want = grid_band_full_sweep(spider, mu, config, 0.1, 0.5)
+        assert band.points == want.points and band.achieved_value == want.achieved_value
+
+
+class TestWork:
+    def test_mean_grid_instance_evaluates_under_one_percent(self, monkeypatch):
+        # The shape of the benchmark's Euclidean call: 200 heavy-tailed atoms
+        # rescaled onto [-1, 1]^2, p = 1, step 0.02, pad 1: 40,401 candidates.
+        rng = np.random.default_rng(11)
+        atoms = rng.standard_t(df=3, size=(200, 2))
+        lo, hi = atoms.min(axis=0), atoms.max(axis=0)
+        atoms = -1.0 + 2.0 * (atoms - lo) / (hi - lo)
+        plane = EuclideanSpace(2)
+        mu = DiscreteMeasure.uniform(plane, list(atoms))
+        config = FrechetConfig(p=1.0)
+        sweep = _CountedSweep(monkeypatch)
+        band = grid_mean_set(plane, mu, config, 0.02, 1.0)
+        assert sweep.rows < 0.01 * 201 * 201
+        _assert_same_band(band, grid_band_full_sweep(plane, mu, config, 0.02, 1.0))
+
+    def test_cauchy_slln_on_the_grid_at_n_1e4(self):
+        # Cauchy samples spread the hull: at n = 1e4 and step 0.01 the grid
+        # has over 5e5 points, and the full sweep would make about 6e9
+        # distance evaluations.
+        sampler = SamplerSpec(kind="iid", distribution="cauchy", params=(0.0, 1.0), seed=7)
+        config = ExperimentConfig(solver="grid", grid_step=0.01, grid_pad=1.0,
+                                  target_points=(np.array([0.0]),), threshold=0.5)
+        line = EuclideanSpace(1)
+        mu = DiscreteMeasure.uniform(line, sampler.draw(10000))
+        assert line.grid_box(mu, 0.01, 1.0)[1][0] > 500_000
+        tracemalloc.start()
+        try:
+            report = slln_experiment(line, sampler, 1.0, [10000], 1, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdicts == {"solver_failures": 0, "final_below_threshold": True}
+        assert peak < 30e6
+
+    def test_wide_hull_grid_is_never_built(self):
+        # 1e8 grid points: their coordinates alone would take 800 MB.
+        line = EuclideanSpace(1)
+        mu = DiscreteMeasure.uniform(line, [np.array([v]) for v in (-5e5, 0.0, 1.0, 5e5)])
+        assert line.grid_box(mu, 0.01, 1.0)[1][0] > 1e8
+        tracemalloc.start()
+        try:
+            band = grid_mean_set(line, mu, FrechetConfig(p=1.0), 0.01, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        points = np.concatenate(band.points)
+        assert 99 <= len(points) <= 103 and points.min() > -0.02 and points.max() < 1.02
+        assert peak < 10e6

@@ -64,6 +64,16 @@ class TestStackedMeasure:
         space.pairwise_distances(mu.stacked[:7], mu.stacked)
         assert counting.copies == 1
 
+    @pytest.mark.parametrize("space", VECTOR_SPACES, ids=repr)
+    def test_array_support_is_kept_without_a_copy(self, space, monkeypatch):
+        stream = np.random.default_rng(5).normal(size=(500, _length(space)))
+        counting = _CountingNumpy()
+        monkeypatch.setattr(spaces, "np", counting)
+        mu = DiscreteMeasure.uniform(space, stream[:300])
+        assert counting.copies == 0
+        assert mu.stacked.base is stream and mu.stacked.shape == (300, _length(space))
+        assert isinstance(mu.support, tuple) and np.array_equal(mu.support[-1], stream[299])
+
     @pytest.mark.parametrize("space", _dedup_spaces()[2:], ids=lambda s: type(s).__name__)
     def test_other_spaces_keep_their_support(self, space):
         rng = np.random.default_rng(4)

@@ -385,6 +385,29 @@ class TestSllnSingleDraw:
         with pytest.raises(ValueError):
             slln_experiment(line, bernoulli_sampler(0.5), 2.0, [10, 0], 1, config)
 
+    @pytest.mark.parametrize("solver", ["weiszfeld", "subgradient", "quantile"])
+    def test_point_solvers_reject_epsilon(self, line, solver):
+        config = ExperimentConfig(solver=solver, epsilon=0.05, target_points=(pt(0.5),))
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            slln_experiment(line, bernoulli_sampler(0.5), 1.0, [10], 1, config)
+
+    def test_grid_returns_the_epsilon_band(self, line):
+        # At p = 1 on atoms 0 and 1 the band is [-eps/2, 1 + eps/2].
+        config = ExperimentConfig(solver="grid", epsilon=0.2, grid_step=0.05, grid_pad=0.5,
+                                  target_points=(pt(0.5),))
+        sampler = SamplerSpec(kind="iid", distribution="finite", atoms=(0.0, 1.0),
+                              probs=(0.5, 0.5), seed=3)
+        report = slln_experiment(line, sampler, 1.0, [2000], 1, config)
+        assert report.dvec[0] > 0.5
+
+    def test_draw_is_one_array_and_measures_keep_its_slices(self, line):
+        stream = SamplerSpec(kind="iid", distribution="normal", params=(0.0, 1.0),
+                             seed=4).draw(500)
+        assert isinstance(stream, np.ndarray) and stream.shape == (500, 1)
+        mu = DiscreteMeasure.uniform(line, stream[:200])
+        assert np.shares_memory(mu.stacked, stream) and mu.stacked.shape == (200, 1)
+        assert len(mu.support) == 200 and np.array_equal(mu.support[7], stream[7])
+
 
 @st.composite
 def _ldp_case(draw):
