@@ -146,15 +146,14 @@ def _cmd_mean(config: dict) -> tuple[dict, list[dict] | None, str]:
     fc = FrechetConfig(p=float(config["p"]),
                        epsilon=float(config.get("epsilon", 0.0)))
     scheme = config.get("scheme", "grid")
-    kwargs = {}
-    if scheme in ("grid", "ball-grid"):
-        kwargs["step"] = float(config.get("grid_step", 0.01))
-        kwargs["pad"] = float(config.get("grid_pad", 1.0))
+    if scheme == "ball-grid":
+        raise ConfigurationError("the ball-grid scheme needs a centre and a radius, "
+                                 "which the command line does not take")
     if scheme == "grid":
-        band = grid_mean_set(space, mu, fc, kwargs["step"], kwargs["pad"])
+        band = grid_mean_set(space, mu, fc, float(config.get("grid_step", 0.01)),
+                             float(config.get("grid_pad", 1.0)))
     else:
-        grid = space.candidates(mu, scheme, **kwargs)
-        band = grid_oracle(space, mu, fc, grid, resolution=kwargs.get("step"))
+        band = grid_oracle(space, mu, fc, space.candidates(mu, scheme))
     result = {
         "mean_set": [space.point_to_json(pt) for pt in band.points],
         "resolution": band.resolution,

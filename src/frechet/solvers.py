@@ -189,6 +189,65 @@ def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetCo
     return MeanSetApprox(tuple(grid_points(at[kept])), step, achieved)
 
 
+@dataclass(frozen=True)
+class SortedLine:
+    """A 1-D support sorted once, with its weights accumulated in that order.
+
+    ``values`` holds the atoms in ascending order and ``cum[k]`` the weight
+    of the k smallest, summed left to right (``cum[0] = 0``, ``cum[-1]``
+    the total), so the weight below, inside and above any window costs two
+    ``searchsorted`` calls.
+    """
+
+    values: np.ndarray
+    cum: np.ndarray
+
+    @classmethod
+    def of(cls, column: np.ndarray, weights: np.ndarray) -> "SortedLine":
+        order = np.argsort(column)
+        return cls(column[order], np.concatenate(([0.0], np.cumsum(weights[order]))))
+
+    def split(self, lo: float, hi: float) -> tuple[float, float, float]:
+        """Weights of the atoms below ``lo``, in ``[lo, hi]`` and above ``hi``."""
+        a = int(np.searchsorted(self.values, lo, side="left"))
+        b = int(np.searchsorted(self.values, hi, side="right"))
+        cum = self.cum
+        return float(cum[a]), float(cum[b] - cum[a]), float(cum[-1] - cum[b])
+
+
+def _pull_outweighs_window(line: SortedLine, yj: float, tie: float) -> bool:
+    """True when rank counts alone show that the atom at ``yj`` fails the
+    full scan of ``_atom_certificate`` with the same ``tie``.
+
+    Outside the window [fl(yj - 2 tie), fl(yj + 2 tie)] every atom lies
+    more than 2 tie from yj exactly, so its computed difference d has
+    |d| >= 2 tie: it is not tied, and sqrt(d * d) = |d| (d * d neither
+    underflows, since tie >= 1e-12, nor overflows, since the support spans
+    at most 1e150), so its term of the computed pull is exactly +-w_i.
+    With A, B and W the weights above, below and inside the window and T
+    the tied weight, the exact pull is A - B + R where R is a signed sum
+    of the untied window weights, |R| <= W - T. So |pull| > T as soon as
+    |A - B| > W. The scan's dot product and tied sum are each within
+    1.01 n u S of their exact values (u = 2**-53, S the total weight),
+    and |A - B| - W from the prefix sums within 5.05 n u S + 8 u S, so
+    the scan rejects the atom whenever |A - B| - W exceeds
+    (7.07 n + 8) u S. The slack below, 16 (n + 1) u (S + 1), is larger.
+    """
+    below, inside, above = line.split(yj - 2.0 * tie, yj + 2.0 * tie)
+    slack = 16.0 * (len(line.values) + 1) * 2.0 ** -53 * (float(line.cum[-1]) + 1.0)
+    return abs(above - below) - inside > slack
+
+
+def _atom_certificate(ys: np.ndarray, w: np.ndarray, j: int, tie: float) -> bool:
+    """The subgradient condition at atom j by a full scan: the pull of the
+    atoms farther than ``tie`` does not exceed the weight of the others."""
+    yj = ys[j]
+    dj = np.linalg.norm(ys - yj, axis=1)
+    same = dj <= tie
+    pull = ((ys[~same] - yj) / dj[~same, None]).T @ w[~same]
+    return float(np.linalg.norm(pull)) <= float(w[same].sum())
+
+
 def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,
                      config: SolverConfig | None = None,
                      callback=None) -> np.ndarray:
@@ -200,6 +259,20 @@ def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,
     iterate is pushed off along the pull direction. The objective is
     non-increasing at every step; ``callback(x)`` is invoked on each
     iterate.
+
+    Atoms within tie = 1e-12 (1 + the largest distance from the start) of
+    the nearest atom count as that atom. On the line (dim 1) the support
+    is sorted once (``SortedLine``) and a new nearest atom y_j is first
+    tested by rank counting: when the weight on one side of the window
+    [y_j - 2 tie, y_j + 2 tie] exceeds the weight on the other side plus
+    the window's own weight by more than a rounding slack of
+    16 (n + 1) 2**-53 (S + 1), S the total weight, the full scan would
+    reject the atom too, so it is not run. Otherwise, and whenever the
+    support spans more than 1e150, the full scan decides. Distances on
+    the line are sqrt(d * d) of the one coordinate, the value
+    ``np.linalg.norm`` gives. Iterates, callbacks and the result are those
+    of the full scan bit for bit; in dimension 2 and up the full scan is
+    the only test.
     """
     if not isinstance(space, EuclideanSpace):
         raise ConfigurationError("the median iteration runs on Euclidean spaces")
@@ -208,11 +281,19 @@ def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,
     w = mu.weights
     if mu.is_degenerate():
         return ys[0].copy()
+    column = ys[:, 0] if ys.shape[1] == 1 else None
+
+    def distances(x: np.ndarray) -> np.ndarray:
+        if column is None:
+            return np.linalg.norm(ys - x, axis=1)
+        d = column - x[0]
+        return np.sqrt(d * d)
 
     x = ys.T @ w  # weighted average start
     if callback is not None:
         callback(x.copy())
-    scale = 1.0 + float(np.max(np.linalg.norm(ys - x, axis=1)))
+    scale = 1.0 + float(np.max(distances(x)))
+    tie = 1e-12 * scale
 
     # Optimality certificate at an atom: the pull of the other atoms does
     # not exceed the atom's own weight. It certifies the global optimum of
@@ -220,19 +301,20 @@ def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,
     # the plain iteration converges sublinearly. Verdicts are cached since
     # the nearest atom stabilizes quickly.
     certified: dict[int, bool] = {}
+    # The rank-count gate needs squared differences that cannot overflow.
+    line = SortedLine.of(column, w) if column is not None and np.ptp(column) <= 1e150 else None
 
     def atom_is_optimal(j: int) -> bool:
         if j not in certified:
-            yj = ys[j]
-            dj = np.linalg.norm(ys - yj, axis=1)
-            same = dj <= 1e-12 * scale
-            pull = ((ys[~same] - yj) / dj[~same, None]).T @ w[~same]
-            certified[j] = float(np.linalg.norm(pull)) <= float(w[same].sum())
+            if line is not None and _pull_outweighs_window(line, float(column[j]), tie):
+                certified[j] = False
+            else:
+                certified[j] = _atom_certificate(ys, w, j, tie)
         return certified[j]
 
     f_prev = math.inf
     for _ in range(config.max_iterations):
-        dist = np.linalg.norm(ys - x, axis=1)
+        dist = distances(x)
         j = int(np.argmin(dist))
         if atom_is_optimal(j):
             return ys[j].copy()
@@ -240,10 +322,10 @@ def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,
         if abs(f_prev - f_here) <= config.value_tolerance * (1.0 + abs(f_here)):
             return x
         f_prev = f_here
-        if dist[j] <= 1e-12 * scale:
+        if dist[j] <= tie:
             # Sitting on a non-optimal atom: push off along the pull,
             # damped by the anchor weight (the iteration map is singular).
-            same = dist <= 1e-12 * scale
+            same = dist <= tie
             others = ~same
             pull = ((ys[others] - x) / dist[others, None]).T @ w[others]
             pull_norm = float(np.linalg.norm(pull))

@@ -10,7 +10,6 @@ merged output.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import time
@@ -150,18 +149,24 @@ class SamplerSpec:
         elif dist == "cauchy":
             vals = p[0] + p[1] * np.tan(math.pi * (u - 0.5))
         else:  # finite
-            return self._points_at(self.atoms, _finite_indices(self.probs, u))
+            return self._points_at(self.atoms, _finite_indices(np.cumsum(self.probs), u))
         return self._points(vals)
 
     def _draw_chain(self, rng: np.random.Generator, n: int):
-        cum = np.cumsum(np.asarray(self.kernel, dtype=float), axis=1).tolist()
-        last = len(self.states) - 1
-        idx = np.empty(n, dtype=np.intp)
-        state = self.initial_state
-        for i, u in enumerate(rng.uniform(size=n).tolist()):
-            idx[i] = state
-            state = min(bisect.bisect_right(cum[state], u), last)
-        return self._points_at(self.states, idx)
+        cum = np.cumsum(np.asarray(self.kernel, dtype=float), axis=1)
+        u = rng.uniform(size=n)
+        # The successor of every state under every uniform, one
+        # ``searchsorted`` per state, in blocks of at most 2**20 entries;
+        # the walk then only looks successors up.
+        block = max(1, 2 ** 20 // len(cum))
+        path, state = [], self.initial_state
+        for start in range(0, n, block):
+            succ = np.minimum([np.searchsorted(row, u[start:start + block], side="right")
+                               for row in cum], len(cum) - 1).tolist()
+            for k in range(len(succ[0])):
+                path.append(state)
+                state = succ[state][k]
+        return self._points_at(self.states, np.array(path, dtype=np.intp))
 
     def draw(self, n: int):
         """First n points of the stream; a prefix of any longer draw. With
@@ -187,9 +192,20 @@ class SamplerSpec:
         return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
 
-def _finite_indices(probs, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF atom indices of uniforms ``u`` under ``probs``."""
-    return np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), len(probs) - 1)
+def _finite_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF atom indices of uniforms ``u`` under the cumulative
+    probabilities ``cum``."""
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
+def _first_drawn(idx: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``idx`` (atom indices below k) in the order
+    first drawn, and how often each was drawn."""
+    counts = np.bincount(idx, minlength=k)
+    first = np.full(k, len(idx))
+    np.minimum.at(first, idx, np.arange(len(idx)))
+    order = np.argsort(first)[:np.count_nonzero(counts)]  # undrawn atoms keep len(idx)
+    return order, counts[order]
 
 
 def _is_irreducible(kernel: np.ndarray) -> bool:
@@ -579,6 +595,7 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
     elif mode == "monte-carlo":
         if any(n < 1 for n in n_grid):
             raise ValueError("need at least one sample")
+        cum = np.cumsum(base_w)
         for j, n in enumerate(n_grid):
             # mass[c] is c samples of weight 1/n added one at a time.
             mass = np.concatenate(([0.0], np.cumsum(np.full(n, 1.0 / n))))
@@ -588,10 +605,8 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
             by_size: dict[int, list] = {}
             for rep in range(replications):
                 rng = np.random.default_rng(_derived_seed(seed, rep * len(n_grid) + j))
-                idx = _finite_indices(base_w, rng.uniform(size=n))
-                drawn, first = np.unique(idx, return_index=True)
-                order = drawn[np.argsort(first)]
-                by_size.setdefault(len(order), []).append((order, mass[np.bincount(idx)[order]]))
+                order, counts = _first_drawn(_finite_indices(cum, rng.uniform(size=n)), len(atoms))
+                by_size.setdefault(len(order), []).append((order, mass[counts]))
             hits = tie_hits = 0
             for group in by_size.values():
                 support, weights = (np.array(v) for v in zip(*group))

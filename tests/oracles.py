@@ -7,8 +7,10 @@ end: the per-point and per-replication loops that the package's
 array-native experiment drivers, shared prefix engine and equality scan
 replaced, which call the package's generic band sweep (``grid_oracle``)
 and solver dispatch on one measure at a time, the per-point grid and
-stacking code that the stacked vector points replaced, and the full grid
-sweep that the pruned grid search replaced.
+stacking code that the stacked vector points replaced, the full grid
+sweep that the pruned grid search replaced, and the median iteration,
+LDP replication count and chain walk as they were before their sorted or
+per-call tables.
 """
 
 from __future__ import annotations
@@ -417,3 +419,93 @@ def grid_band_full_sweep(space, mu, config, step, pad):
 
     grid = space.candidates(mu, "grid", step=step, pad=pad)
     return grid_oracle(space, mu, config, grid, resolution=step)
+
+
+# ---------------------------------------------------------------------------
+# The median iteration before the rank-count gate, and the LDP replication
+# and chain draws before their per-call tables.
+# ---------------------------------------------------------------------------
+
+def weiszfeld_median_full_scan(space, mu, config=None, callback=None):
+    """The median iteration with a full O(n) certificate scan for every new
+    nearest atom and ``np.linalg.norm`` distances in every dimension."""
+    from frechet.core import ConvergenceFailure
+    from frechet.solvers import SolverConfig
+
+    config = config or SolverConfig()
+    ys = mu.stacked
+    w = mu.weights
+    if mu.is_degenerate():
+        return ys[0].copy()
+
+    x = ys.T @ w
+    if callback is not None:
+        callback(x.copy())
+    scale = 1.0 + float(np.max(np.linalg.norm(ys - x, axis=1)))
+    certified = {}
+
+    def atom_is_optimal(j):
+        if j not in certified:
+            yj = ys[j]
+            dj = np.linalg.norm(ys - yj, axis=1)
+            same = dj <= 1e-12 * scale
+            pull = ((ys[~same] - yj) / dj[~same, None]).T @ w[~same]
+            certified[j] = float(np.linalg.norm(pull)) <= float(w[same].sum())
+        return certified[j]
+
+    f_prev = math.inf
+    for _ in range(config.max_iterations):
+        dist = np.linalg.norm(ys - x, axis=1)
+        j = int(np.argmin(dist))
+        if atom_is_optimal(j):
+            return ys[j].copy()
+        f_here = float(np.dot(w, dist))
+        if abs(f_prev - f_here) <= config.value_tolerance * (1.0 + abs(f_here)):
+            return x
+        f_prev = f_here
+        if dist[j] <= 1e-12 * scale:
+            same = dist <= 1e-12 * scale
+            others = ~same
+            pull = ((ys[others] - x) / dist[others, None]).T @ w[others]
+            pull_norm = float(np.linalg.norm(pull))
+            anchor_weight = float(w[same].sum())
+            denom = float(np.sum(w[others] / dist[others]))
+            step = (1.0 - anchor_weight / pull_norm) * (pull_norm / denom)
+            x = x + step * (pull / pull_norm)
+            if callback is not None:
+                callback(x.copy())
+            continue
+        inv = w / dist
+        x_next = ys.T @ inv / inv.sum()
+        move = float(np.linalg.norm(x_next - x))
+        x = x_next
+        if callback is not None:
+            callback(x.copy())
+        if move <= config.step_tolerance * scale:
+            return x
+    raise ConvergenceFailure("median iteration did not converge",
+                             last_point=x, iterations=config.max_iterations,
+                             value=f_prev)
+
+
+def ldp_replication_counts_unique(probs, u, k):
+    """(atoms in first-drawn order, their counts) of one Monte-Carlo LDP
+    replication, by ``np.unique`` on the inverse-CDF indices."""
+    idx = np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), len(probs) - 1)
+    drawn, first = np.unique(idx, return_index=True)
+    order = drawn[np.argsort(first)]
+    return order, np.bincount(idx, minlength=k)[order]
+
+
+def chain_indices_bisect(kernel, initial_state, u):
+    """State indices of a chain path, one ``bisect_right`` per step."""
+    import bisect
+
+    cum = np.cumsum(np.asarray(kernel, dtype=float), axis=1).tolist()
+    last = len(cum) - 1
+    idx = np.empty(len(u), dtype=np.intp)
+    state = initial_state
+    for i, v in enumerate(np.asarray(u).tolist()):
+        idx[i] = state
+        state = min(bisect.bisect_right(cum[state], v), last)
+    return idx

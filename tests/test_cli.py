@@ -183,6 +183,29 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "config" and "epsilon" in err["message"]
 
+    def test_ball_grid_rejected_by_name(self, tmp_path, capsys):
+        # The command line takes no centre or radius for a ball-grid.
+        cfg = write_config(tmp_path, "m.json", {
+            "space": {"type": "euclidean", "dim": 1},
+            "measure": {"support": [[0.0], [1.0]]},
+            "p": 2.0, "scheme": "ball-grid", "grid_step": 0.1})
+        code, out = run(tmp_path, "mean", cfg)
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config" and "ball-grid" in err["message"]
+        assert "radius" in err["message"] and "command line" in err["message"]
+        assert not os.path.exists(out + ".json")
+
+    def test_support_scheme_still_runs(self, tmp_path):
+        cfg = write_config(tmp_path, "m.json", {
+            "space": {"type": "euclidean", "dim": 1},
+            "measure": {"support": [[0.0], [0.0], [1.0]]},
+            "p": 1.0, "scheme": "support"})
+        code, out = run(tmp_path, "mean", cfg)
+        assert code == EXIT_OK
+        payload = json.loads(open(out + ".json").read())
+        assert payload["result"]["mean_set"] == [[0.0]]
+
     def test_bad_schema_version(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema_version": 99}))

@@ -1,0 +1,174 @@
+"""The median iteration's rank-count gate (``solvers._pull_outweighs_window``)
+against the full certificate scan it skips (``oracles.weiszfeld_median_full_scan``):
+the same iterates, callbacks and result bit for bit, with at most two full
+scans per call on heavy-tailed samples. Also the per-call tables of the
+Monte-Carlo LDP replications and of the chain draw against the code they
+replaced."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frechet import (
+    ConvergenceFailure,
+    DiscreteMeasure,
+    EuclideanSpace,
+    SamplerSpec,
+    SolverConfig,
+    weiszfeld_median,
+)
+from frechet import solvers
+from frechet.stochastics import _finite_indices, _first_drawn
+
+from oracles import (
+    chain_indices_bisect,
+    ldp_replication_counts_unique,
+    weiszfeld_median_full_scan,
+)
+
+
+def _run(solve, space, mu, config):
+    """(outcome, bytes of the result or the failure, bytes of every iterate)."""
+    iterates = []
+    try:
+        x = solve(space, mu, config, callback=lambda v: iterates.append(v.tobytes()))
+        return "ok", x.tobytes(), iterates
+    except ConvergenceFailure as exc:
+        return "failed", (str(exc), np.asarray(exc.last_point).tobytes()), iterates
+
+
+class _CountedScans:
+    """Counts the full O(n) certificate scans of the median iteration."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = solvers._atom_certificate
+
+        def counted(*args):
+            self.calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(solvers, "_atom_certificate", counted)
+
+
+class TestSameIteratesAsFullScan:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_instances(self, data):
+        shape = data.draw(st.sampled_from(
+            ["even-uniform", "integer-ties", "near-ties", "offset", "huge-span", "cauchy",
+             "plane"]),
+            label="shape")
+        n = data.draw(st.integers(2, 300), label="n")
+        if shape == "even-uniform":
+            n += n % 2
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        dim = 2 if shape == "plane" else 1
+        if shape == "even-uniform":  # the certificate is tight at the middle pair
+            atoms = rng.uniform(-1.0, 1.0, size=(n, 1))
+        elif shape == "integer-ties":
+            atoms = rng.integers(-3, 4, size=(n, 1)).astype(float)
+        elif shape == "near-ties":  # distinct atoms within one or two tie distances
+            atoms = rng.integers(-2, 3, size=(n, 1)) + 1e-12 * rng.integers(-12, 13, size=(n, 1))
+        elif shape == "offset":  # the tie window is below one ulp of the atoms
+            atoms = 1e10 + 1e-3 * rng.uniform(size=(n, 1))
+        elif shape == "huge-span":  # squared differences overflow: no gate
+            atoms = rng.standard_cauchy(size=(n, 1))
+            atoms[0, 0], atoms[-1, 0] = -1e200, 1e200
+        elif shape == "cauchy":
+            atoms = np.round(rng.standard_cauchy(size=(n, 1)), data.draw(
+                st.sampled_from([0, 1, 8]), label="decimals"))
+        else:
+            atoms = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        space = EuclideanSpace(dim=dim)
+        if shape != "even-uniform" and data.draw(st.booleans(), label="weighted"):
+            weights = rng.integers(1, 5, size=n).astype(float)
+            mu = DiscreteMeasure.from_weights(space, list(atoms), weights / weights.sum())
+        else:
+            mu = DiscreteMeasure.uniform(space, list(atoms))
+        config = SolverConfig(max_iterations=data.draw(st.sampled_from([3, 500]),
+                                                       label="max_iterations"))
+        with np.errstate(over="ignore"):
+            assert _run(weiszfeld_median, space, mu, config) == \
+                _run(weiszfeld_median_full_scan, space, mu, config)
+
+    @pytest.mark.parametrize("n", [2, 4, 10, 100, 1000])
+    def test_even_uniform_returns_what_the_scan_returns(self, line, n):
+        atoms = np.arange(n, dtype=float).reshape(-1, 1)
+        mu = DiscreteMeasure.uniform(line, list(atoms))
+        assert _run(weiszfeld_median, line, mu, None) == \
+            _run(weiszfeld_median_full_scan, line, mu, None)
+
+    @pytest.mark.parametrize("far", [1e149, 1e151])
+    def test_gate_steps_aside_beyond_a_span_of_1e150(self, line, monkeypatch, far):
+        gates = []
+        original = solvers._pull_outweighs_window
+        monkeypatch.setattr(solvers, "_pull_outweighs_window",
+                            lambda *args: gates.append(args) or original(*args))
+        atoms = np.array([[-far], [0.0], [1.0], [2.0], [far]])
+        mu = DiscreteMeasure.uniform(line, list(atoms))
+        assert _run(weiszfeld_median, line, mu, None) == \
+            _run(weiszfeld_median_full_scan, line, mu, None)
+        assert bool(gates) == (far < 1e150)
+
+
+class TestWork:
+    @pytest.mark.parametrize("n", [1000, 10000])
+    def test_at_most_two_scans_on_cauchy_samples(self, line, monkeypatch, n):
+        scans = _CountedScans(monkeypatch)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            mu = DiscreteMeasure.uniform(line, rng.standard_cauchy(size=(n, 1)))
+            before = scans.calls
+            weiszfeld_median(line, mu)
+            assert scans.calls - before <= 2
+
+    def test_plane_keeps_the_full_scan(self, plane, monkeypatch):
+        scans = _CountedScans(monkeypatch)
+        pts = [np.array([0.0, 0.0])] * 3 + [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        assert np.array_equal(weiszfeld_median(plane, DiscreteMeasure.uniform(plane, pts)),
+                              [0.0, 0.0])
+        assert scans.calls >= 1
+
+
+class TestSortedLine:
+    @given(values=st.lists(st.integers(-5, 5), min_size=1, max_size=30),
+           lo=st.integers(-6, 6), width=st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_split_counts_each_side(self, values, lo, width):
+        column = np.array(values, dtype=float) / 2.0
+        weights = np.arange(1.0, len(values) + 1.0)
+        line = solvers.SortedLine.of(column, weights)
+        lo, hi = lo / 2.0, (lo + width) / 2.0
+        want = (weights[column < lo].sum(), weights[(column >= lo) & (column <= hi)].sum(),
+                weights[column > hi].sum())
+        assert line.split(lo, hi) == want  # integer weights: every sum is exact
+        assert np.all(np.diff(line.values) >= 0) and line.cum[0] == 0.0
+
+
+class TestReplicationTables:
+    @given(k=st.integers(1, 12), n=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_first_drawn_matches_unique(self, k, n, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.full(k, 0.3))
+        u = rng.uniform(size=n)
+        order, counts = _first_drawn(_finite_indices(np.cumsum(probs), u), k)
+        want_order, want_counts = ldp_replication_counts_unique(probs, u, k)
+        assert order.tolist() == want_order.tolist()
+        assert counts.tolist() == want_counts.tolist()
+
+    @pytest.mark.parametrize("m,n", [(1, 50), (2, 1), (3, 10000), (5, 0), (64, 40000)])
+    def test_chain_matches_bisect(self, m, n):
+        rng = np.random.default_rng(m * 1000 + n)
+        kernel = rng.uniform(size=(m, m)) * (rng.uniform(size=(m, m)) > 0.4)
+        kernel[:, 0] += 1e-3
+        kernel = kernel / kernel.sum(axis=1, keepdims=True)
+        sampler = SamplerSpec(kind="markov-chain", kernel=tuple(map(tuple, kernel)),
+                              states=tuple(float(s) for s in range(m)),
+                              initial_state=m - 1, seed=m + n)
+        got = sampler.draw(n).reshape(-1).astype(np.intp)
+        want = chain_indices_bisect(kernel, m - 1, np.random.default_rng(m + n).uniform(size=n))
+        assert got.tolist() == want.tolist()
