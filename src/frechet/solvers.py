@@ -100,10 +100,16 @@ def grid_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     return _pruned_box_band(space, mu, config, *space.grid_box(mu, step, pad), step)
 
 
+# Index ranges per axis that a kept cell is split into at each level: four
+# halves the levels of a bisection at a few more evaluated points per level.
+_AXIS_SPLITS = 4
+
+
 def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetConfig,
                      lows: np.ndarray, sizes: list[int], step: float) -> MeanSetApprox:
     """The epsilon-band over the box grid of ``_VectorSpace.grid_box``, by
-    bisection; grid points are computed from their indices when needed.
+    splitting cells into up to ``_AXIS_SPLITS`` index ranges per axis and
+    level; grid points are computed from their indices when needed.
 
     A cell is a box of index ranges [lo, hi) over the axis grids. Its
     representative c is its middle grid point and its radius r is the
@@ -116,10 +122,11 @@ def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetCo
     (the mean value theorem, then Jensen and Minkowski for weights summing
     to one), so the second form needs only c's value. Each level evaluates
     the representatives with ``_band_values``, drops every cell whose
-    lower bound exceeds the cut of the best value seen so far, and bisects
-    the rest along every axis longer than one point. The best value seen
-    is never below the grid minimum and ``band_cut`` increases with it, so
-    that cut is at least the final one and no band point is ever dropped.
+    lower bound exceeds the cut of the best value seen so far, and splits
+    each axis of the rest into up to four nonempty index ranges of near
+    equal length. The best value seen is never below the grid minimum and
+    ``band_cut`` increases with it, so that cut is at least the final one
+    and no band point is ever dropped.
     Single points are final: their values, ordered by flat index
     (``itertools.product`` order), give the band with the cut of
     ``relaxed_mean_set``. Values do not depend on which rows are swept
@@ -174,11 +181,14 @@ def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetCo
         keep = values - lipschitz - margin <= threshold
         lo, hi = lo[keep], hi[keep]
         for k in range(dim):
-            split = hi[:, k] - lo[:, k] > 1
-            upper_lo, upper_hi = lo[split], hi[split]
-            upper_lo[:, k] = (upper_lo[:, k] + upper_hi[:, k]) // 2
-            hi[split, k] = upper_lo[:, k]
-            lo, hi = np.concatenate([lo, upper_lo]), np.concatenate([hi, upper_hi])
+            cuts = [lo[:, k] + (hi[:, k] - lo[:, k]) * i // _AXIS_SPLITS
+                    for i in range(_AXIS_SPLITS + 1)]
+            starts, ends = cuts[:-1], cuts[1:]
+            nonempty = [a < b for a, b in zip(starts, ends)]
+            lo = np.concatenate([lo[m] for m in nonempty])
+            hi = np.concatenate([hi[m] for m in nonempty])
+            lo[:, k] = np.concatenate([a[m] for a, m in zip(starts, nonempty)])
+            hi[:, k] = np.concatenate([b[m] for b, m in zip(ends, nonempty)])
 
     at = np.concatenate(found_at)
     values = np.concatenate(found_values)
@@ -261,9 +271,11 @@ def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,
     iterate.
 
     Atoms within tie = 1e-12 (1 + the largest distance from the start) of
-    the nearest atom count as that atom. On the line (dim 1) the support
-    is sorted once (``SortedLine``) and a new nearest atom y_j is first
-    tested by rank counting: when the weight on one side of the window
+    the nearest atom count as that atom; when that scale overflows (atoms
+    about 1.3e154 or more from the start) ``ConfigurationError`` is
+    raised. On the line (dim 1) the support is sorted once
+    (``SortedLine``) and a new nearest atom y_j is first tested by rank
+    counting: when the weight on one side of the window
     [y_j - 2 tie, y_j + 2 tie] exceeds the weight on the other side plus
     the window's own weight by more than a rounding slack of
     16 (n + 1) 2**-53 (S + 1), S the total weight, the full scan would
@@ -293,6 +305,9 @@ def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,
     if callback is not None:
         callback(x.copy())
     scale = 1.0 + float(np.max(distances(x)))
+    if not math.isfinite(scale):
+        raise ConfigurationError("the median iteration's distance scale overflows: "
+                                 "the support lies too far from its weighted average")
     tie = 1e-12 * scale
 
     # Optimality certificate at an atom: the pull of the other atoms does

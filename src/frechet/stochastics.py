@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -198,14 +199,16 @@ def _finite_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
 
 
-def _first_drawn(idx: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``idx`` (atom indices below k) in the order
-    first drawn, and how often each was drawn."""
-    counts = np.bincount(idx, minlength=k)
-    first = np.full(k, len(idx))
-    np.minimum.at(first, idx, np.arange(len(idx)))
-    order = np.argsort(first)[:np.count_nonzero(counts)]  # undrawn atoms keep len(idx)
-    return order, counts[order]
+def _drawn_atoms(idx: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``idx`` (atom indices below k): the k atoms in the order
+    first drawn, undrawn atoms last, and how often each was drawn."""
+    rows, n = idx.shape
+    flat = (idx + k * np.arange(rows)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=rows * k).reshape(rows, k)
+    first = np.full(rows * k, n)  # undrawn atoms keep n
+    np.minimum.at(first, flat, np.tile(np.arange(n), rows))
+    order = np.argsort(first.reshape(rows, k), axis=1, kind="stable")
+    return order, np.take_along_axis(counts, order, axis=1)
 
 
 def _is_irreducible(kernel: np.ndarray) -> bool:
@@ -349,6 +352,91 @@ def slln_experiment(space: Space, sampler: SamplerSpec, p: float,
 
 def _derived_seed(seed: int, rep: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)).generate_state(1)[0])
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (pcg64.h).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(n_words)`` for many sequences
+    at once: entry i of ``entropy`` holds the i-th 32-bit entropy word of
+    every sequence as one uint32 array, and so does each output word."""
+    hash_a = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * np.uint32(hash_a)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b, out = _INIT_B, []
+    for i in range(n_words):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _MASK32
+        value = value * np.uint32(hash_b)
+        out.append(value ^ (value >> np.uint32(16)))
+    return out
+
+
+def _replication_uniforms(seed: int, keys: np.ndarray, n: int) -> np.ndarray:
+    """The (len(keys), n) array whose row r holds the first n uniforms of
+    ``np.random.default_rng(_derived_seed(seed, keys[r]))``, bit for bit.
+
+    Both SeedSequence stages (the spawn key to one 32-bit seed, then that
+    seed to the eight words that seed PCG64) run as uint32 arithmetic over
+    all keys at once, and the PCG64 seeding steps as Python integers. One
+    generator is reused: its state is set once per key and fills its row.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    keys = np.asarray(keys, dtype=np.int64)
+    if len(keys) and (keys.min() < 0 or keys.max() > _MASK32):
+        raise ValueError("replication keys must lie in [0, 2**32 - 1]")
+    # The entropy words of SeedSequence(seed, spawn_key=(key,)): the seed's
+    # words, least significant first, padded with zeros to the pool size,
+    # then the key.
+    words = [(seed >> (32 * i)) & _MASK32 for i in range(max(1, -(-seed.bit_length() // 32)))]
+    words += [0] * (_POOL_SIZE - len(words))
+    keys = keys.astype(np.uint32)
+    entropy = [np.full(len(keys), w, dtype=np.uint32) for w in words] + [keys]
+    (derived,) = _seed_words(entropy, 1)
+    # PCG64 reads the eight words as four little-endian uint64 words: the
+    # initial state is the first two, high word first, the stream the last two.
+    w = [v.astype(np.uint64) for v in _seed_words([derived], 8)]
+    halves = [(w[2 * i + 1] << np.uint64(32) | w[2 * i]).tolist() for i in range(4)]
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    out = np.empty((len(keys), n))
+    for row, s_hi, s_lo, i_hi, i_lo in zip(out, *halves):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        generator.random(out=row)
+    return out
 
 
 def ergodic_experiment(space: Space, markov: SamplerSpec, p: float,
@@ -562,9 +650,14 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
 
     Modes: ``exact-binomial`` (two-atom measures only, exact tail sums) or
     ``monte-carlo`` (any finite support, frequency estimates; zero counts
-    are censored rather than mapped to an infinite rate). A Monte-Carlo
-    replication only counts the atoms it draws; the bands of all
-    replications at one n are decided by one batched sweep.
+    are censored rather than mapped to an infinite rate). Replication rep
+    at the j-th n draws the uniforms of
+    ``default_rng(_derived_seed(seed, rep * len(n_grid) + j))``; the
+    replications of one n are seeded, drawn and counted as arrays
+    (``_replication_uniforms``, ``_drawn_atoms``) in blocks of at most
+    ``SWEEP_BLOCK_ENTRIES`` uniforms, and each block's bands are decided
+    by one batched sweep per count of distinct atoms drawn. A negative
+    seed raises ``ValueError``.
     """
     atoms, base_w = _aggregate(mu)
     event_points = list(event_points)
@@ -599,20 +692,21 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
         for j, n in enumerate(n_grid):
             # mass[c] is c samples of weight 1/n added one at a time.
             mass = np.concatenate(([0.0], np.cumsum(np.full(n, 1.0 / n))))
-            # A replication's empirical measure lives on the atoms it drew,
-            # in the order first drawn; replications are grouped by how
-            # many atoms that is.
-            by_size: dict[int, list] = {}
-            for rep in range(replications):
-                rng = np.random.default_rng(_derived_seed(seed, rep * len(n_grid) + j))
-                order, counts = _first_drawn(_finite_indices(cum, rng.uniform(size=n)), len(atoms))
-                by_size.setdefault(len(order), []).append((order, mass[counts]))
             hits = tie_hits = 0
-            for group in by_size.values():
-                support, weights = (np.array(v) for v in zip(*group))
-                band = _support_bands(dp, support, weights)
-                hits += int(np.sum(np.all(event[support] | ~band, axis=1)))
-                tie_hits += int(np.sum(band.sum(axis=1) > 1))
+            for block in row_blocks(replications, n):
+                reps = np.arange(replications)[block]
+                u = _replication_uniforms(seed, reps * len(n_grid) + j, n)
+                order, counts = _drawn_atoms(_finite_indices(cum, u), len(atoms))
+                # A replication's empirical measure lives on the atoms it
+                # drew, in the order first drawn; replications are grouped
+                # by how many atoms that is.
+                sizes = np.count_nonzero(counts, axis=1)
+                for size in np.unique(sizes):
+                    rows = sizes == size
+                    support = order[rows, :size]
+                    band = _support_bands(dp, support, mass[counts[rows, :size]])
+                    hits += int(np.sum(np.all(event[support] | ~band, axis=1)))
+                    tie_hits += int(np.sum(band.sum(axis=1) > 1))
             probabilities.append(hits / replications)
             ties.append(tie_hits / replications)
             censored.append(hits == 0)

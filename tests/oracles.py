@@ -429,7 +429,7 @@ def grid_band_full_sweep(space, mu, config, step, pad):
 def weiszfeld_median_full_scan(space, mu, config=None, callback=None):
     """The median iteration with a full O(n) certificate scan for every new
     nearest atom and ``np.linalg.norm`` distances in every dimension."""
-    from frechet.core import ConvergenceFailure
+    from frechet.core import ConfigurationError, ConvergenceFailure
     from frechet.solvers import SolverConfig
 
     config = config or SolverConfig()
@@ -442,6 +442,9 @@ def weiszfeld_median_full_scan(space, mu, config=None, callback=None):
     if callback is not None:
         callback(x.copy())
     scale = 1.0 + float(np.max(np.linalg.norm(ys - x, axis=1)))
+    if not math.isfinite(scale):
+        raise ConfigurationError("the median iteration's distance scale overflows: "
+                                 "the support lies too far from its weighted average")
     certified = {}
 
     def atom_is_optimal(j):

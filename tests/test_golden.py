@@ -1,7 +1,8 @@
 """CLI CSV bodies pinned as golden files.
 
-Each config below is one of the experiment configs of ``test_cli.py``. The
-CSV that ``frechet.cli.main`` writes for it must equal, byte for byte, the
+Each config below is one of the experiment configs of ``test_cli.py``, or
+a second config of one command (``COMMANDS`` names its command). The CSV
+that ``frechet.cli.main`` writes for it must equal, byte for byte, the
 file recorded under ``tests/golden/``. Runtimes never reach the CSV, so the
 bodies are a pure function of the seed and the config.
 
@@ -43,6 +44,13 @@ CONFIGS = {
         "measure": {"support": [[0.0], [1.0]], "weights": [0.7, 0.3]},
         "p": 2.0, "n_grid": [20, 40], "event_points": [[1.0]],
         "mode": "exact-binomial", "simplex_step": 0.001},
+    "ldp-monte-carlo": {
+        "space": {"type": "euclidean", "dim": 1},
+        "measure": {"support": [[-1.0], [0.0], [1.0], [2.0]],
+                    "weights": [0.4, 0.3, 0.2, 0.1]},
+        "p": 2.0, "n_grid": [5, 20], "event_points": [[1.0]],
+        "mode": "monte-carlo", "replications": 300, "seed": 11,
+        "simplex_step": 0.05},
     "gamma": {
         "space": {"type": "euclidean", "dim": 1},
         "measures": [{"support": [[0.0], [1.5]]}, {"support": [[0.0], [1.25]]},
@@ -52,15 +60,18 @@ CONFIGS = {
     "diag": {"space": {"type": "spider", "legs": 3}, "trials": 200, "seed": 4},
 }
 
+# The command of a config whose name is not a command.
+COMMANDS = {"ldp-monte-carlo": "ldp"}
 
-def render_csv(command: str, workdir: Path) -> bytes:
-    """The CSV bytes the CLI writes for ``CONFIGS[command]``."""
-    config = workdir / f"{command}.json"
-    config.write_text(json.dumps({"schema_version": SCHEMA_VERSION, **CONFIGS[command]}))
-    out = workdir / command
-    code = main([command, "--config", str(config), "--out", str(out)])
+
+def render_csv(name: str, workdir: Path) -> bytes:
+    """The CSV bytes the CLI writes for ``CONFIGS[name]``."""
+    config = workdir / f"{name}.json"
+    config.write_text(json.dumps({"schema_version": SCHEMA_VERSION, **CONFIGS[name]}))
+    out = workdir / name
+    code = main([COMMANDS.get(name, name), "--config", str(config), "--out", str(out)])
     assert code == EXIT_OK
-    return (workdir / f"{command}.csv").read_bytes()
+    return (workdir / f"{name}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", sorted(CONFIGS))

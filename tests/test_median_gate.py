@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frechet import (
+    ConfigurationError,
     ConvergenceFailure,
     DiscreteMeasure,
     EuclideanSpace,
@@ -19,7 +20,7 @@ from frechet import (
     weiszfeld_median,
 )
 from frechet import solvers
-from frechet.stochastics import _finite_indices, _first_drawn
+from frechet.stochastics import _drawn_atoms, _finite_indices
 
 from oracles import (
     chain_indices_bisect,
@@ -36,6 +37,8 @@ def _run(solve, space, mu, config):
         return "ok", x.tobytes(), iterates
     except ConvergenceFailure as exc:
         return "failed", (str(exc), np.asarray(exc.last_point).tobytes()), iterates
+    except ConfigurationError as exc:
+        return "rejected", str(exc), iterates
 
 
 class _CountedScans:
@@ -74,9 +77,10 @@ class TestSameIteratesAsFullScan:
             atoms = rng.integers(-2, 3, size=(n, 1)) + 1e-12 * rng.integers(-12, 13, size=(n, 1))
         elif shape == "offset":  # the tie window is below one ulp of the atoms
             atoms = 1e10 + 1e-3 * rng.uniform(size=(n, 1))
-        elif shape == "huge-span":  # squared differences overflow: no gate
+        elif shape == "huge-span":  # a span above 1e150: no gate; at 1e200 the scale overflows
+            far = data.draw(st.sampled_from([1e152, 1e200]), label="far")
             atoms = rng.standard_cauchy(size=(n, 1))
-            atoms[0, 0], atoms[-1, 0] = -1e200, 1e200
+            atoms[0, 0], atoms[-1, 0] = -far, far
         elif shape == "cauchy":
             atoms = np.round(rng.standard_cauchy(size=(n, 1)), data.draw(
                 st.sampled_from([0, 1, 8]), label="decimals"))
@@ -149,16 +153,21 @@ class TestSortedLine:
 
 
 class TestReplicationTables:
-    @given(k=st.integers(1, 12), n=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1))
+    @given(k=st.integers(1, 12), n=st.integers(1, 400), rows=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_first_drawn_matches_unique(self, k, n, seed):
+    def test_first_drawn_matches_unique(self, k, n, rows, seed):
         rng = np.random.default_rng(seed)
         probs = rng.dirichlet(np.full(k, 0.3))
-        u = rng.uniform(size=n)
-        order, counts = _first_drawn(_finite_indices(np.cumsum(probs), u), k)
-        want_order, want_counts = ldp_replication_counts_unique(probs, u, k)
-        assert order.tolist() == want_order.tolist()
-        assert counts.tolist() == want_counts.tolist()
+        u = rng.uniform(size=(rows, n))
+        order, counts = _drawn_atoms(_finite_indices(np.cumsum(probs), u), k)
+        for r in range(rows):
+            want_order, want_counts = ldp_replication_counts_unique(probs, u[r], k)
+            drawn = len(want_order)
+            assert order[r, :drawn].tolist() == want_order.tolist()
+            assert counts[r, :drawn].tolist() == want_counts.tolist()
+            assert sorted(order[r].tolist()) == list(range(k))
+            assert not counts[r, drawn:].any()
 
     @pytest.mark.parametrize("m,n", [(1, 50), (2, 1), (3, 10000), (5, 0), (64, 40000)])
     def test_chain_matches_bisect(self, m, n):

@@ -73,6 +73,14 @@ class TestWeiszfeld:
         mu = DiscreteMeasure.dirac(line, pt(7.0))
         assert float(weiszfeld_median(line, mu)[0]) == 7.0
 
+    def test_overflowing_scale_is_rejected(self, line):
+        # 1 + the largest distance from the start overflows to inf, which
+        # used to tie every atom to the first one: -1e200 came back, and
+        # the median is 1.
+        mu = uniform_line(line, [-1e200, 0.0, 1.0, 2.0, 1e200])
+        with np.errstate(over="ignore"), pytest.raises(ConfigurationError, match="overflow"):
+            weiszfeld_median(line, mu)
+
     def test_anchor_stays_when_optimal(self, plane):
         # Heavy central atom dominates: the subgradient test keeps it.
         pts = [pt(0.0, 0.0), pt(2.0, 0.0), pt(0.0, 2.0), pt(-2.0, 0.0), pt(0.0, -2.0)]

@@ -22,8 +22,8 @@ from frechet import (
     sample_empirical,
     slln_experiment,
 )
-from frechet import stochastics
-from frechet.stochastics import _is_irreducible
+from frechet import core, stochastics
+from frechet.stochastics import _derived_seed, _is_irreducible, _replication_uniforms
 
 from conftest import pt
 from oracles import (
@@ -429,6 +429,65 @@ def _ldp_case(draw):
     if draw(st.booleans()):
         events.append(np.full(dim, 9.0 * scale))
     return EuclideanSpace(dim=dim), atoms, w, events, draw(st.integers(0, 2 ** 31 - 1))
+
+
+class TestReplicationUniforms:
+    """Every Monte-Carlo LDP replication's uniforms from one array pass
+    against one generator per replication, as the replications used to
+    draw them."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 130])
+    def test_rows_equal_per_replication_generators(self, seed):
+        keys = np.append(np.arange(1000), 2 ** 32 - 1)
+        for n in (1, 7, 40):
+            got = _replication_uniforms(seed, keys, n)
+            assert got.shape == (len(keys), n)
+            for row, key in zip(got, keys.tolist()):
+                want = np.random.default_rng(_derived_seed(seed, key)).uniform(size=n)
+                assert row.tobytes() == want.tobytes()
+
+    def test_negative_seed_and_wide_key_are_rejected(self, line):
+        with pytest.raises(ValueError):
+            _replication_uniforms(-1, np.arange(3), 5)
+        with pytest.raises(ValueError):
+            _replication_uniforms(0, np.array([0, 2 ** 32]), 5)
+        mu = DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0)], [0.5, 0.5])
+        with pytest.raises(ValueError):
+            ldp_experiment(line, mu, 2.0, [pt(1.0)], [4], mode="monte-carlo",
+                           replications=3, seed=-1, simplex_step=0.5)
+
+    def test_no_generator_per_replication(self, line, monkeypatch):
+        mu = DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0), pt(3.0)], [0.5, 0.3, 0.2])
+
+        def run():
+            result = ldp_experiment(line, mu, 2.0, [pt(1.0)], [3, 8], mode="monte-carlo",
+                                    replications=50, seed=5, simplex_step=0.1)
+            return result.probabilities, result.tie_probabilities, result.censored
+
+        want = run()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a generator was seeded per replication")
+
+        monkeypatch.setattr(stochastics.np.random, "default_rng", forbidden)
+        monkeypatch.setattr(stochastics.np.random, "SeedSequence", forbidden)
+        assert run() == want
+
+    def test_replication_blocks_match_per_replication_loop(self, line, monkeypatch):
+        # 64 entries per block: at most 9 replications of n = 7 at a time.
+        monkeypatch.setattr(core, "SWEEP_BLOCK_ENTRIES", 64)
+        blocks = []
+        uniforms = stochastics._replication_uniforms
+        monkeypatch.setattr(stochastics, "_replication_uniforms",
+                            lambda seed, keys, n: blocks.append(len(keys) * n)
+                            or uniforms(seed, keys, n))
+        mu = DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0), pt(2.0), pt(4.0)],
+                                          [0.4, 0.3, 0.2, 0.1])
+        result = ldp_experiment(line, mu, 2.0, [pt(1.0)], [2, 7, 20], mode="monte-carlo",
+                                replications=40, seed=9, simplex_step=0.25)
+        expected = ldp_monte_carlo_per_replication(line, mu, 2.0, [pt(1.0)], [2, 7, 20], 40, 9)
+        assert (result.probabilities, result.tie_probabilities, result.censored) == expected
+        assert len(blocks) > 3 * 3 and max(blocks) <= 64
 
 
 class TestBatchedLdp:
