@@ -135,6 +135,8 @@ def _cmd_dist(config: dict) -> tuple[dict, list[dict] | None, str]:
     space = space_from_json(config["space"])
     x = space.point_from_json(config["x"])
     y = space.point_from_json(config["y"])
+    if not (space.contains(x) and space.contains(y)):
+        raise ConfigurationError("x and y must be points of the space")
     value = space.distance(x, y)
     return {"distance": value}, None, f"distance={value:.8f}"
 

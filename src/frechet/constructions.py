@@ -102,11 +102,6 @@ class ProductSpace(Space):
         if not (1.0 <= self.q < math.inf):
             raise ValueError("product exponent q must lie in [1, inf)")
 
-    def distance(self, x, y) -> float:
-        d1 = self.left.distance(x[0], y[0])
-        d2 = self.right.distance(x[1], y[1])
-        return float((d1 ** self.q + d2 ** self.q) ** (1.0 / self.q))
-
     def contains(self, x) -> bool:
         try:
             a, b = x
@@ -151,6 +146,20 @@ class ProductSpace(Space):
         return (self.left.point_from_json(obj[0]), self.right.point_from_json(obj[1]))
 
 
+def _min_over_group(base: Space, group: GroupSpec, xs, ys, lam=None) -> np.ndarray:
+    """Element-wise minimum over g of d = base.pairwise_distances(xs, [g.y for
+    y in ys]), or of sqrt(rho(g)^2 / lam^2 + d^2) when ``lam`` is given: one
+    base kernel call per group element, two matrices alive at a time."""
+    best = None
+    for g in group.elements:
+        d = base.pairwise_distances(xs, [group.act(g, y) for y in ys])
+        if lam is not None:
+            rho = float(group.length[g])
+            d = np.sqrt(1.0 / (lam * lam) * rho * rho + d * d)
+        best = d if best is None else np.minimum(best, d, out=best)
+    return best
+
+
 @dataclass(frozen=True, eq=False)
 class QuotientSpace(Space):
     """Base points treated as orbit representatives under a finite group.
@@ -163,8 +172,8 @@ class QuotientSpace(Space):
     base: Space
     group: GroupSpec
 
-    def distance(self, x, y) -> float:
-        return min(self.base.distance(x, self.group.act(g, y)) for g in self.group.elements)
+    def pairwise_distances(self, xs, ys) -> np.ndarray:
+        return _min_over_group(self.base, self.group, xs, ys)
 
     def contains(self, x) -> bool:
         return self.base.contains(x)
@@ -204,14 +213,8 @@ class RegularizedSpace(Space):
         if self.group.length is None:
             raise ConfigurationError("regularization needs a group length function")
 
-    def distance(self, x, y) -> float:
-        best = math.inf
-        inv_lam2 = 1.0 / (self.lam * self.lam)
-        for g in self.group.elements:
-            rho = float(self.group.length[g])
-            d = self.base.distance(x, self.group.act(g, y))
-            best = min(best, math.sqrt(inv_lam2 * rho * rho + d * d))
-        return best
+    def pairwise_distances(self, xs, ys) -> np.ndarray:
+        return _min_over_group(self.base, self.group, xs, ys, self.lam)
 
     def contains(self, x) -> bool:
         return self.base.contains(x)

@@ -74,13 +74,16 @@ class ConvergenceFailure(RuntimeError):
 class Space:
     """Contract every concrete metric space implements.
 
-    A space is an immutable configuration object; ``distance`` must be a
-    metric on the points it ``contains``. All methods are pure, so spaces
-    and the values built on them are safe to share across threads.
+    A space is an immutable configuration object; ``pairwise_distances``
+    must be a metric on the points it ``contains``. All methods are pure,
+    so spaces and the values built on them are safe to share across threads.
     """
 
     def distance(self, x: Point, y: Point) -> float:
-        raise NotImplementedError
+        """d(x, y): the 1x1 case of ``pairwise_distances``, the one metric
+        formula a space writes. A single pair pays the kernel's fixed
+        overhead; callers with many pairs should ask for a matrix."""
+        return float(self.pairwise_distances([x], [y])[0, 0])
 
     def contains(self, x: Point) -> bool:
         raise NotImplementedError
@@ -111,19 +114,11 @@ class Space:
         return self.pairwise_distances([x], ys)[0] <= tol
 
     def pairwise_distances(self, xs: Sequence[Point], ys: Sequence[Point]) -> np.ndarray:
-        """Distance matrix with shape (len(xs), len(ys)).
-
-        The result is a fresh, writable float array that the caller owns
-        and may overwrite; it shares no memory with xs, ys or an earlier
-        result. Generic double loop over ``distance``. Batched overrides:
-        Euclidean and l_q vectors (one coordinate at a time),
-        Wasserstein1D (each pair's merged CDF breakpoints), Bures-Wasserstein
-        (stacked eigendecompositions) and products (their factors'
-        kernels). Spiders, quotients and regularized spaces still use this
-        loop. PersistenceDiagramSpace keeps it by design: every pair needs
-        its own assignment problem.
-        """
-        return np.array([[self.distance(x, y) for y in ys] for x in xs], dtype=float)
+        """Distance matrix with shape (len(xs), len(ys)): the one place a
+        space writes its metric. The result is a fresh, writable float array
+        that the caller owns; it shares no memory with xs, ys or an earlier
+        result."""
+        raise NotImplementedError
 
     def candidates(self, mu: "DiscreteMeasure", scheme: str = "support", *,
                    step: float | None = None, center: Point | None = None,

@@ -407,10 +407,10 @@ def euclidean_pmean(space: EuclideanSpace, mu: DiscreteMeasure, p: float,
         if gnorm <= config.step_tolerance:
             return x
         step = lr
-        for _ in range(60):  # backtracking keeps the descent monotone
+        for _ in range(60):  # backtracking: sufficient decrease, c = 1/2
             x_try = x - step * grad
             f_try = _pmoment(ys, w, x_try, p)
-            if f_try <= f - 0.5 * step * gnorm * gnorm * 1e-4:
+            if f_try <= f - 0.5 * step * gnorm * gnorm:
                 break
             step *= 0.5
         else:

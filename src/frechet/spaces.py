@@ -2,9 +2,10 @@
 one-dimensional Wasserstein, Bures-Wasserstein covariance matrices, and
 persistence diagrams with partial matching.
 
-Each space supplies the distance, a point-equality predicate, candidate
-generation for mean-set enumeration, JSON point codecs, and a random point
-sampler used by the randomized axiom checks.
+Each space supplies its metric once, as the batched kernel
+``pairwise_distances`` (``distance`` is its 1x1 case), a point-equality
+predicate, candidate generation for mean-set enumeration, JSON point
+codecs, and a random point sampler used by the randomized axiom checks.
 """
 
 from __future__ import annotations
@@ -142,9 +143,6 @@ class EuclideanSpace(_VectorSpace):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
 
-    def distance(self, x, y) -> float:
-        return float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
-
     def pairwise_distances(self, xs, ys) -> np.ndarray:
         return np.sqrt(self._coordinate_sums(xs, ys, lambda d: np.square(d, out=d)))
 
@@ -167,10 +165,6 @@ class LqSequenceSpace(_VectorSpace):
         if not (1.0 < self.q < math.inf):
             raise ValueError("exponent q must lie strictly between 1 and infinity")
 
-    def distance(self, x, y) -> float:
-        diff = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        return float(np.sum(diff ** self.q) ** (1.0 / self.q))
-
     def pairwise_distances(self, xs, ys) -> np.ndarray:
         sums = self._coordinate_sums(
             xs, ys, lambda d: np.power(np.abs(d, out=d), self.q, out=d))
@@ -192,9 +186,10 @@ class SpiderSpace(Space):
         if self.legs < 1:
             raise ValueError("need at least one leg")
 
-    def distance(self, x, y) -> float:
-        (i, s), (j, t) = x, y
-        return abs(s - t) if i == j else s + t
+    def pairwise_distances(self, xs, ys) -> np.ndarray:
+        a, b = (np.asarray(pts, dtype=float).reshape(-1, 2) for pts in (xs, ys))
+        s, t = a[:, 1, None], b[None, :, 1]
+        return np.where(a[:, 0, None] == b[None, :, 0], np.abs(s - t), s + t)
 
     def contains(self, x) -> bool:
         try:
@@ -376,9 +371,6 @@ class Wasserstein1D(Space):
         if self.q < 1:
             raise ValueError("order q must be >= 1")
 
-    def distance(self, x: Measure1D, y: Measure1D) -> float:
-        return float(self.pairwise_distances([x], [y])[0, 0])
-
     def pairwise_distances(self, xs, ys) -> np.ndarray:
         out = np.empty((len(xs), len(ys)))
         y_groups = _size_groups(ys)
@@ -491,9 +483,6 @@ class BuresWassersteinSpace(Space):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
 
-    def distance(self, x, y) -> float:
-        return float(self.pairwise_distances([x], [y])[0, 0])
-
     def pairwise_distances(self, xs, ys) -> np.ndarray:
         a = np.asarray(xs, dtype=float)
         b = _symmetric_stack(self, ys)
@@ -581,6 +570,11 @@ class PersistenceDiagramSpace(Space):
     def __post_init__(self):
         if not (1.0 < self.q < math.inf):
             raise ValueError("order q must lie strictly between 1 and infinity")
+
+    def pairwise_distances(self, xs, ys) -> np.ndarray:
+        """A loop over pairs: each pair is its own assignment problem."""
+        return np.array([[self.distance(x, y) for y in ys] for x in xs],
+                        dtype=float).reshape(len(xs), len(ys))
 
     def distance(self, x, y) -> float:
         from scipy.optimize import linear_sum_assignment

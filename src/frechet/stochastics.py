@@ -320,7 +320,8 @@ def slln_experiment(space: Space, sampler: SamplerSpec, p: float,
     Each replication draws its stream once, at the largest n, and every
     n uses a prefix of it; streams are prefix-stable, so this equals a
     fresh draw per n. The runtime of an n is the time its cells took,
-    summed over replications; the draw itself belongs to no cell.
+    summed over replications; the draw itself belongs to no cell. Fewer
+    than one replication raises ``ValueError``.
     """
     if not config.target_points:
         raise ConfigurationError("the experiment needs a target mean set")
@@ -328,6 +329,8 @@ def slln_experiment(space: Space, sampler: SamplerSpec, p: float,
     n_grid = list(n_grid)
     if any(n < 1 for n in n_grid):
         raise ValueError("need at least one sample")
+    if replications < 1:
+        raise ValueError("need at least one replication")
 
     def one_rep(rep: int) -> tuple[list, list, list, list]:
         stream = sampler.with_seed(_derived_seed(sampler.seed, rep)).draw(max(n_grid, default=0))
@@ -657,8 +660,10 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
     (``_replication_uniforms``, ``_drawn_atoms``) in blocks of at most
     ``SWEEP_BLOCK_ENTRIES`` uniforms, and each block's bands are decided
     by one batched sweep per count of distinct atoms drawn. A negative
-    seed raises ``ValueError``.
+    seed, or fewer than one replication in this mode, raises ``ValueError``.
     """
+    if mode == "monte-carlo" and replications < 1:
+        raise ValueError("need at least one replication")
     atoms, base_w = _aggregate(mu)
     event_points = list(event_points)
     n_grid = list(n_grid)

@@ -141,14 +141,56 @@ def wasserstein2_functional(space_distance, candidate, members, member_weights):
 def wasserstein1d_pair(x, y, q):
     """Order-q transport distance of two Measure1D points, one pair at a time.
 
-    Quantile gaps at the midpoints of the union of the two CDF breakpoint
-    sets, found by searching each quantile function; the reference for the
-    batched kernel, which sorts the merged breakpoints instead.
+    Quantile gaps on the intervals between consecutive levels of the union
+    of the two CDF breakpoint sets, found by searching each quantile
+    function; the reference for the batched kernel, which sorts the merged
+    breakpoints instead. Both quantile functions are left-continuous, so
+    each is read at the right end of its interval: a midpoint of two
+    adjacent floats rounds onto one of them and loses the interval.
     """
     levels = np.concatenate(([0.0], np.union1d(x.cdf_breakpoints(), y.cdf_breakpoints())))
-    mids = (levels[:-1] + levels[1:]) / 2.0
-    gap = np.abs(x.quantile(mids) - y.quantile(mids))
+    gap = np.abs(x.quantile(levels[1:]) - y.quantile(levels[1:]))
     return float(np.dot(np.diff(levels), gap ** q) ** (1.0 / q))
+
+
+def euclidean_pair(x, y):
+    """Euclidean distance of two vectors, one pair at a time."""
+    return float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
+
+
+def lq_pair(x, y, q):
+    """l_q distance of two vectors, one pair at a time."""
+    diff = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+    return float(np.sum(diff ** q) ** (1.0 / q))
+
+
+def spider_pair(x, y):
+    """Spider distance of two (leg, t) points: |s - t| on a shared leg,
+    s + t through the centre."""
+    (i, s), (j, t) = x, y
+    return abs(s - t) if i == j else s + t
+
+
+def quotient_pair(base_pair, group, x, y):
+    """Quotient distance: the least base distance from x to an image of y."""
+    return min(base_pair(x, group.act(g, y)) for g in group.elements)
+
+
+def regularized_pair(base_pair, group, lam, x, y):
+    """Soft-quotient distance: min over g of sqrt(rho(g)^2 / lam^2 + d(x, g.y)^2)."""
+    best = math.inf
+    inv_lam2 = 1.0 / (lam * lam)
+    for g in group.elements:
+        rho = float(group.length[g])
+        d = base_pair(x, group.act(g, y))
+        best = min(best, math.sqrt(inv_lam2 * rho * rho + d * d))
+    return best
+
+
+def product_pair(left_pair, right_pair, q, x, y):
+    """l_q combination of the two factor distances of a pair of pairs."""
+    d1, d2 = left_pair(x[0], y[0]), right_pair(x[1], y[1])
+    return float((d1 ** q + d2 ** q) ** (1.0 / q))
 
 
 def bures_wasserstein_pair(a, b):

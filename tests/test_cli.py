@@ -45,6 +45,18 @@ class TestDist:
         payload = json.loads(open(out + ".json").read())
         assert payload["result"]["distance"] == pytest.approx(math.sqrt(2.0), abs=1e-8)
 
+    @pytest.mark.parametrize("x,y", [([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), (0.5, [1.0, 1.0])],
+                             ids=["too-long", "scalar"])
+    def test_points_outside_the_space_are_config_errors(self, tmp_path, capsys, x, y):
+        # The kernel reads dim coordinates; other shapes are refused, not
+        # truncated or broadcast.
+        cfg = write_config(tmp_path, "d.json", {
+            "space": {"type": "euclidean", "dim": 2}, "x": x, "y": y})
+        code, out = run(tmp_path, "dist", cfg)
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config" and "points of the space" in err["message"]
+
 
 class TestMean:
     def test_three_atom_mean(self, tmp_path):
@@ -182,6 +194,25 @@ class TestErrorPaths:
         assert code == EXIT_CONFIG
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "config" and "epsilon" in err["message"]
+
+    @pytest.mark.parametrize("command,payload", [
+        ("slln", {"sampler": {"kind": "iid", "distribution": "normal",
+                              "params": [0.0, 1.0], "seed": 1},
+                  "n_grid": [50], "solver": "subgradient", "target_points": [[0.0]]}),
+        ("ldp", {"measure": {"support": [[0.0], [1.0]], "weights": [0.7, 0.3]},
+                 "n_grid": [20], "event_points": [[1.0]], "mode": "monte-carlo",
+                 "simplex_step": 0.25}),
+    ], ids=["slln", "ldp-monte-carlo"])
+    def test_no_replications_is_a_config_error(self, tmp_path, capsys, command, payload):
+        # No division by zero and no row of NaNs: zero replications is refused.
+        cfg = write_config(tmp_path, "r.json", {
+            "space": {"type": "euclidean", "dim": 1}, "p": 2.0, "replications": 0,
+            **payload})
+        code, out = run(tmp_path, command, cfg)
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config" and "replication" in err["message"]
+        assert not os.path.exists(out + ".csv")
 
     def test_ball_grid_rejected_by_name(self, tmp_path, capsys):
         # The command line takes no centre or radius for a ball-grid.

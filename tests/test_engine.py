@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frechet import (
@@ -176,6 +176,8 @@ class TestPrefixEngine:
         ("grid", 2.0, False), ("grid", 2.0, True), ("weiszfeld", 1.0, True)])
     @given(seed=st.integers(0, 2 ** 32 - 1), states=st.integers(2, 3),
            threshold=st.sampled_from([None, 0.5]))
+    # Seed 325 at p = 1.5: the descent used to overshoot its whole budget.
+    @example(seed=325, states=2, threshold=None)
     @settings(max_examples=8, deadline=None)
     def test_ergodic_equals_prefix_loop(self, solver, p, explicit, seed, states, threshold):
         line = EuclideanSpace(1)

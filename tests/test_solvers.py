@@ -139,6 +139,36 @@ class TestEuclideanPMean:
         with pytest.raises(ValueError):
             euclidean_pmean(line, mu, 0.5)
 
+    def test_p15_two_atoms_converges(self, line):
+        # A descent that accepts any tiny decrease and then quadruples its
+        # step overshoots here for its whole budget (iterates alternate
+        # around -1.001). The minimizer solves 19 sqrt(x + 3.514) =
+        # 21 sqrt(1.057 - x).
+        mu = DiscreteMeasure.from_weights(line, [pt(-3.514), pt(1.057)], [19 / 40, 21 / 40])
+        r = (21 / 19) ** 2
+        expected = (r * 1.057 - 3.514) / (1.0 + r)
+        assert float(euclidean_pmean(line, mu, 1.5)[0]) == pytest.approx(expected, abs=1e-8)
+
+    def test_two_atom_values_reach_the_closed_form(self, line):
+        # Two atoms a < b with weights wa, wb: for p > 1 the minimizer is
+        # (a + r b) / (1 + r) with r = (wb / wa) ** (1 / (p - 1)).
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            p = float(rng.choice([1.25, 1.5, 2.5, 3.0]))
+            a, b = sorted(rng.uniform(-10.0, 10.0, size=2))
+            n = int(rng.integers(2, 60))
+            k = int(rng.integers(1, n))
+            wa, wb = k / n, (n - k) / n
+            mu = DiscreteMeasure.from_weights(line, [pt(a), pt(b)], [wa, wb])
+            r = (wb / wa) ** (1.0 / (p - 1.0))
+            best = (a + r * b) / (1.0 + r)
+
+            def f(x):
+                return wa * abs(x - a) ** p + wb * abs(x - b) ** p
+
+            x = float(euclidean_pmean(line, mu, p)[0])
+            assert f(x) - f(best) <= 1e-8 * (1.0 + f(best)), (p, a, b, k, n)
+
 
 class TestBwBarycenter:
     def test_fixed_point_of_equal_inputs(self):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frechet import (
@@ -23,9 +23,11 @@ from frechet.constructions import (
     ProductSpace,
     QuotientSpace,
     RegularizedSpace,
+    cyclic_rotation_group,
+    loop_shape_space,
     sign_flip_group,
 )
-from frechet.core import metric_axiom_violations
+from frechet.core import Space, metric_axiom_violations
 from frechet.spaces import space_from_json, space_to_json
 
 from conftest import all_spaces, pt
@@ -33,7 +35,13 @@ from oracles import (
     bures_wasserstein_pair,
     dedup_scalar,
     diagram_matching_enumeration,
+    euclidean_pair,
+    lq_pair,
+    product_pair,
     quantile_function_values,
+    quotient_pair,
+    regularized_pair,
+    spider_pair,
     transport_lp,
     wasserstein1d_pair,
     wasserstein2_functional,
@@ -290,18 +298,18 @@ def _close(batched, reference):
     return abs(batched - reference) <= 1e-12 * (1.0 + abs(reference))
 
 
-def _check_kernel(space, xs, ys, reference=None):
-    """Batched entries against per-pair distances; identical pairs give 0.0."""
+def _check_kernel(space, xs, ys, reference):
+    """Batched entries against the per-pair reference formula in
+    ``oracles.py`` (``distance`` is the kernel's own 1x1 case, so it is no
+    reference); identical pairs give exactly 0.0."""
     dm = space.pairwise_distances(xs, ys)
     assert dm.shape == (len(xs), len(ys))
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
-            single = space.distance(x, y)
-            assert _close(dm[i, j], single), (i, j, dm[i, j], single)
-            if reference is not None:
-                assert _close(dm[i, j], reference(x, y)), (i, j)
+            expected = reference(x, y)
+            assert _close(dm[i, j], expected), (i, j, dm[i, j], expected)
             if y is x:
-                assert dm[i, j] == 0.0 and single == 0.0
+                assert dm[i, j] == 0.0 and space.distance(x, y) == 0.0
     return dm
 
 
@@ -314,6 +322,16 @@ def _vector_pairs(draw, dim):
     xs = draw(st.lists(vec, min_size=1, max_size=5))
     ys = draw(st.lists(vec, min_size=1, max_size=5))
     return xs, ys + [xs[0]]
+
+
+@st.composite
+def _spider_points(draw, legs):
+    # Small integer arc lengths make the centre and shared values common.
+    t = st.one_of(st.integers(0, 3).map(float), st.floats(0, 100))
+    point = st.tuples(st.integers(0, legs - 1), t)
+    xs = draw(st.lists(point, min_size=1, max_size=5))
+    ys = draw(st.lists(point, min_size=1, max_size=5))
+    return xs, ys + [xs[0], ((xs[0][0] + 1) % legs, 0.0)]
 
 
 @st.composite
@@ -344,7 +362,7 @@ class TestBatchedKernels:
     def test_euclidean(self, dim, data):
         xs, ys = data.draw(_vector_pairs(dim))
         space = EuclideanSpace(dim=dim)
-        dm = _check_kernel(space, xs, ys)
+        dm = _check_kernel(space, xs, ys, euclidean_pair)
         if dim <= 2:
             diff = np.asarray(xs)[:, None, :] - np.asarray(ys)[None, :, :]
             assert np.array_equal(dm, np.sqrt(np.sum(diff * diff, axis=2)))
@@ -354,11 +372,65 @@ class TestBatchedKernels:
     @settings(max_examples=40, deadline=None)
     def test_lq(self, q, data):
         xs, ys = data.draw(_vector_pairs(3))
-        _check_kernel(LqSequenceSpace(truncation=3, q=q), xs, ys)
+        _check_kernel(LqSequenceSpace(truncation=3, q=q), xs, ys,
+                      lambda x, y: lq_pair(x, y, q))
+
+    @pytest.mark.parametrize("legs", [1, 3])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_spider(self, legs, data):
+        xs, ys = data.draw(_spider_points(legs))
+        space = SpiderSpace(legs=legs)
+        dm = _check_kernel(space, xs, ys, spider_pair)
+        # The centre is one point, whatever leg names it.
+        assert dm[0, -1] == xs[0][1]
+
+    @pytest.mark.parametrize("space", [
+        QuotientSpace(EuclideanSpace(1), sign_flip_group(dim=1)),
+        QuotientSpace(EuclideanSpace(2), sign_flip_group(dim=2)),
+        loop_shape_space(n_samples=3, rotations=4),
+    ], ids=["flip1", "flip2", "loop-shape"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_quotient(self, space, data):
+        xs, ys = data.draw(_vector_pairs(space.base.dim))
+        # An image of a point is the same point of the quotient.
+        ys = ys + [space.group.act(space.group.elements[-1], xs[0])]
+        dm = _check_kernel(space, xs, ys,
+                           lambda x, y: quotient_pair(euclidean_pair, space.group, x, y))
+        assert dm[0, -1] <= 1e-12 * (1.0 + np.abs(xs[0]).max())
+
+    @pytest.mark.parametrize("base,group", [
+        (EuclideanSpace(1), sign_flip_group(dim=1)),
+        (EuclideanSpace(2), cyclic_rotation_group(4)),
+    ], ids=["flip", "rotations"])
+    @given(data=st.data(), lam=st.sampled_from([0.1, 1.0, 25.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_regularized(self, base, group, data, lam):
+        xs, ys = data.draw(_vector_pairs(base.dim))
+        space = RegularizedSpace(base, group, lam=lam)
+        _check_kernel(space, xs, ys,
+                      lambda x, y: regularized_pair(euclidean_pair, group, lam, x, y))
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_product(self, q, data):
+        vectors, _ = data.draw(_vector_pairs(2))
+        xs, ys = data.draw(_spider_points(3))
+        pairs_x = [(vectors[i % len(vectors)], x) for i, x in enumerate(xs)]
+        pairs_y = [(vectors[-1 - i % len(vectors)], y) for i, y in enumerate(ys)]
+        pairs_y.append(pairs_x[0])
+        space = ProductSpace(EuclideanSpace(2), SpiderSpace(legs=3), q=q)
+        _check_kernel(space, pairs_x, pairs_y,
+                      lambda x, y: product_pair(euclidean_pair, spider_pair, q, x, y))
 
     @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
     @given(xs=st.lists(_line_measure(), min_size=1, max_size=5),
            ys=st.lists(_line_measure(), min_size=1, max_size=5))
+    # CDF levels one float apart: the distance is sqrt(1.1e-16) at q = 2.
+    @example(xs=[Measure1D([0.0, 1.0], [0.7852760736196318, 0.2147239263803681])],
+             ys=[Measure1D([0.0, 1.0], [0.7852760736196319, 0.2147239263803681])])
     @settings(max_examples=40, deadline=None)
     def test_wasserstein1d(self, q, xs, ys):
         space = Wasserstein1D(q=q)
@@ -538,3 +610,21 @@ class TestDedup:
         x, y = (pt(0.0), pt(0.0)), (pt(0.9e-9), pt(0.9e-9))
         assert space.distance(x, y) > 1e-9
         assert space.dedup([x, y]) == dedup_scalar(space, [x, y]) == [x]
+
+
+class TestOneKernelPerSpace:
+    """Each space writes its metric once, as ``pairwise_distances``;
+    ``distance`` is the base class's 1x1 case everywhere but in persistence
+    diagrams, whose kernel loops over pairs (one assignment problem each)."""
+
+    @pytest.mark.parametrize("space", _dedup_spaces(), ids=lambda s: type(s).__name__)
+    def test_only_persistence_diagrams_override_distance(self, space):
+        cls = type(space)
+        assert cls.pairwise_distances is not Space.pairwise_distances
+        assert (cls.distance is not Space.distance) == isinstance(space, PersistenceDiagramSpace)
+
+    def test_base_class_has_no_metric(self):
+        with pytest.raises(NotImplementedError):
+            Space().pairwise_distances([0.0], [1.0])
+        with pytest.raises(NotImplementedError):
+            Space().distance(0.0, 1.0)

@@ -146,6 +146,11 @@ class TestSllnExperiment:
         assert report.verdicts["solver_failures"] == 6
         assert all(math.isnan(v) for v in report.dvec)
 
+    def test_no_replications_rejected(self, line):
+        config = ExperimentConfig(solver="subgradient", target_points=(pt(0.5),))
+        with pytest.raises(ValueError, match="replication"):
+            slln_experiment(line, bernoulli_sampler(0.5), 2.0, [10], 0, config)
+
     def test_program_errors_propagate(self, line, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("kernel returned the wrong shape")
@@ -297,6 +302,12 @@ class TestLdpExperiment:
                             simplex_step=0.05)
         assert mc.censored[0]
         assert math.isnan(mc.empirical_rates[0])
+
+    def test_monte_carlo_needs_a_replication(self, line):
+        mu = DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0)], [0.6, 0.4])
+        with pytest.raises(ValueError, match="replication"):
+            ldp_experiment(line, mu, 2.0, [pt(1.0)], [15], mode="monte-carlo",
+                           replications=0, simplex_step=0.05)
 
     def test_exact_mode_needs_two_atoms(self, line):
         mu = DiscreteMeasure.uniform(line, [pt(0.0), pt(1.0), pt(2.0)])
