@@ -26,6 +26,7 @@ from .spaces import (
     LqSequenceSpace,
     Measure1D,
     PersistenceDiagramSpace,
+    QuantileTable,
     SpiderSpace,
     Wasserstein1D,
     matrix_sqrt,
@@ -84,6 +85,7 @@ __all__ = [
     "LqSequenceSpace",
     "Measure1D",
     "PersistenceDiagramSpace",
+    "QuantileTable",
     "SpiderSpace",
     "Wasserstein1D",
     "matrix_sqrt",

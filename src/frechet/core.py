@@ -90,7 +90,8 @@ class Space:
 
     def stack(self, points: Sequence[Point]):
         """The points as the kernels read them fastest: unchanged here, one
-        (n, dim) float array in the vector spaces."""
+        (n, dim) float array in the vector spaces, one ``QuantileTable`` in
+        the Wasserstein-1D space; a list of indices picks rows of either."""
         return points
 
     def contains_all(self, points: Sequence[Point]) -> bool:
@@ -139,10 +140,10 @@ class Space:
         """For each point, the index of the first earlier kept point it
         equals, or its own index when it equals none and is kept. One
         ``equal_mask`` row per point against the points kept so far; where
-        the points stack into one array, the kept ones are its rows taken
-        by index, so no point is converted again."""
+        the points stack into one array or table, the kept ones are its
+        rows taken by index, so no point is converted again."""
         rows = self.stack(points)
-        stacked = isinstance(rows, np.ndarray)
+        stacked = rows is not points or isinstance(rows, np.ndarray)
         owner: list[int] = []
         kept: list = []
         kept_at: list[int] = []

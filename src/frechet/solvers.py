@@ -33,7 +33,8 @@ from .core import (
     origin_shift,
     relaxed_mean_set,
 )
-from .spaces import BuresWassersteinSpace, EuclideanSpace, _VectorSpace, matrix_sqrt
+from .spaces import (BuresWassersteinSpace, EuclideanSpace, Wasserstein1D, _VectorSpace,
+                     matrix_sqrt)
 
 __all__ = [
     "SolverConfig",
@@ -88,10 +89,13 @@ def grid_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     same order, the same achieved value bit for bit. On the box grids of
     the Euclidean and l_q spaces the grid is never built; it is searched
     coarse to fine (``_pruned_box_band``). Every other space sweeps the
-    whole grid.
+    whole grid; a Wasserstein-1D grid stays one ``QuantileTable``
+    (``Wasserstein1D.grid_table``) and only its band rows become
+    ``Measure1D`` objects.
     """
     if not isinstance(space, _VectorSpace):
-        grid = space.candidates(mu, "grid", step=step, pad=pad)
+        grid = (space.grid_table(mu, step, pad) if isinstance(space, Wasserstein1D)
+                else space.candidates(mu, "grid", step=step, pad=pad))
         return grid_oracle(space, mu, config, grid, resolution=step)
     _check_pair(space, mu)
     short = degenerate_band(space, mu, config, step)

@@ -24,6 +24,7 @@ __all__ = [
     "LqSequenceSpace",
     "SpiderSpace",
     "Measure1D",
+    "QuantileTable",
     "Wasserstein1D",
     "BuresWassersteinSpace",
     "PersistenceDiagramSpace",
@@ -84,15 +85,26 @@ class _VectorSpace(Space):
             return Space.contains_all(self, points)
         return bool(np.all(np.isfinite(arr)))
 
+    def _rows(self, points) -> np.ndarray:
+        """The points as an (n, length) float array, checked by shape only."""
+        arr = np.asarray(points, dtype=float)
+        if arr.shape == (0,):
+            return arr.reshape(0, self._length)
+        if arr.ndim != 2 or arr.shape[1] != self._length:
+            raise ValueError(f"points of length {self._length} expected, "
+                             f"got an array of shape {arr.shape}")
+        return arr
+
     def _coordinate_sums(self, xs, ys, term) -> np.ndarray:
         """sum_k term(x_k - y_k) for every pair of vectors, shape (len(xs), len(ys)).
 
         Terms are added one coordinate at a time into the result, so no
         (len(xs), len(ys), length) tensor is built. ``term`` may overwrite
         the gap array it is given. A stacked array is read without a copy.
+        No points on a side give an empty result; points of another length
+        raise ``ValueError``.
         """
-        a = np.asarray(xs, dtype=float)
-        b = np.asarray(ys, dtype=float)
+        a, b = (self._rows(pts) for pts in (xs, ys))
         total = np.zeros((len(a), len(b)))
         for k in range(self._length):
             total += term(a[:, k, None] - b[None, :, k])
@@ -277,6 +289,14 @@ class Measure1D:
         self._cum = np.cumsum(self.weights)
         self._cum[-1] = 1.0
 
+    @classmethod
+    def _of(cls, atoms: np.ndarray, weights: np.ndarray, cum: np.ndarray) -> "Measure1D":
+        """The measure with these sorted, merged atoms, their weights and
+        CDF breakpoints, taken as they are."""
+        m = object.__new__(cls)
+        m.atoms, m.weights, m._cum = atoms, weights, cum
+        return m
+
     def quantile(self, u) -> np.ndarray:
         """Left-continuous generalized inverse of the CDF."""
         u = np.asarray(u, dtype=float)
@@ -299,30 +319,121 @@ class Measure1D:
         return hash((tuple(np.round(self.atoms, 12)), tuple(np.round(self.weights, 12))))
 
 
-def _padded_quantiles(measures) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and CDF breakpoints of 1-D measures as two (n, k_max) arrays.
+@dataclass(frozen=True, eq=False)
+class QuantileTable:
+    """1-D measures as padded arrays, row i for measure i: its ``atoms``,
+    ``weights`` and CDF breakpoints ``cum`` in the first ``counts[i]``
+    columns. After them a row repeats its last atom, with weight 0.0 and
+    breakpoint 1.0, which only adds intervals of zero width.
 
-    Shorter rows repeat their last atom and pad their breakpoints with
-    1.0, which only adds intervals of zero width.
+    An integer index gives that row back as a ``Measure1D``; a slice or an
+    index array gives the table of those rows.
     """
-    k = max(m.atoms.size for m in measures)
-    atoms = np.empty((len(measures), k))
-    cum = np.ones((len(measures), k))
-    for row, m in enumerate(measures):
-        atoms[row] = m.atoms[-1]
-        atoms[row, :m.atoms.size] = m.atoms
-        cum[row, :m.atoms.size] = m.cdf_breakpoints()
-    return atoms, cum
+
+    atoms: np.ndarray
+    weights: np.ndarray
+    cum: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, measures: Sequence[Measure1D]) -> "QuantileTable":
+        """The table of the measures, padded once."""
+        if len(measures) == 1:
+            m = measures[0]
+            return cls(m.atoms[None], m.weights[None], m.cdf_breakpoints()[None],
+                       np.array([m.atoms.size]))
+        counts = np.array([m.atoms.size for m in measures], dtype=np.intp)
+        real = np.arange(counts.max(initial=1)) < counts[:, None]
+        atoms, weights, cum = np.empty(real.shape), np.zeros(real.shape), np.ones(real.shape)
+        if len(measures):
+            atoms[real] = np.concatenate([m.atoms for m in measures])
+            weights[real] = np.concatenate([m.weights for m in measures])
+            cum[real] = np.concatenate([m.cdf_breakpoints() for m in measures])
+        return cls._padded(atoms, weights, cum, counts, real)
+
+    @classmethod
+    def _padded(cls, atoms, weights, cum, counts, real) -> "QuantileTable":
+        """The table whose real entries (``real``) are set: pads the atoms."""
+        atoms[~real] = np.repeat(atoms[np.arange(len(counts)), counts - 1],
+                                 real.shape[1] - counts)
+        return cls(atoms, weights, cum, counts)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            k = self.counts[index]
+            return Measure1D._of(self.atoms[index, :k].copy(), self.weights[index, :k].copy(),
+                                 self.cum[index, :k].copy())
+        return QuantileTable(self.atoms[index], self.weights[index], self.cum[index],
+                             self.counts[index])
 
 
-def _size_groups(measures) -> list:
-    """Indices of the measures and their padded quantiles, grouped by atom
-    count within a factor of two, so padding at most doubles a pair's cost."""
-    groups: dict[int, list[int]] = {}
-    for i, m in enumerate(measures):
-        groups.setdefault(m.atoms.size.bit_length(), []).append(i)
-    return [(np.array(index), *_padded_quantiles([measures[i] for i in index]))
-            for index in groups.values()]
+def _grid_table(axis: np.ndarray, k: int) -> QuantileTable:
+    """``[Measure1D(list(c)) for c in combinations_with_replacement(axis, k)]``
+    as one table, bit for bit, without building a measure.
+
+    Each row is sorted already, as the axis ascends. Duplicates merge as in
+    ``Measure1D.__init__``: an atom within 1e-12 of its run's first atom
+    joins the run, and the run's weights of 1/k are added left to right.
+    """
+    if k < 1:
+        raise ValueError("a 1-D measure needs at least one atom")
+    n = math.comb(len(axis) + k - 1, k)
+    raw = axis[np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(len(axis)), k)),
+        dtype=np.intp, count=n * k).reshape(n, k)]
+    w = 1.0 / k
+    start = np.ones((n, k), dtype=bool)
+    run_weight = np.full((n, k), w)  # of the run so far, at each column
+    first = raw[:, 0]
+    for j in range(1, k):
+        start[:, j] = ~(np.abs(raw[:, j] - first) <= 1e-12)
+        first = np.where(start[:, j], raw[:, j], first)
+        run_weight[:, j] = np.where(start[:, j], w, run_weight[:, j - 1] + w)
+    ends = np.ones((n, k), dtype=bool)
+    ends[:, :-1] = start[:, 1:]
+    counts = start.sum(axis=1)
+    real = np.arange(k) < counts[:, None]
+    atoms, weights = np.empty((n, k)), np.zeros((n, k))
+    atoms[real] = raw[start]
+    weights[real] = run_weight[ends]
+    cum = np.cumsum(weights, axis=1)
+    cum[np.arange(k) >= counts[:, None] - 1] = 1.0
+    return QuantileTable._padded(atoms, weights, cum, counts, real)
+
+
+def _size_groups(table: QuantileTable) -> list:
+    """Row indices of a table with their atoms and breakpoints, grouped by
+    atom count within a factor of two and cut to the group's widest row,
+    so padding at most doubles a pair's cost."""
+    lo = int(table.counts.min(initial=table.atoms.shape[1]))
+    hi = int(table.counts.max(initial=1))
+    if lo.bit_length() == hi.bit_length():  # one group: views, no copies
+        return [(np.arange(len(table)), table.atoms[:, :hi], table.cum[:, :hi])]
+    bits = np.frexp(table.counts)[1]
+    groups = []
+    for b in np.unique(bits):
+        index = np.flatnonzero(bits == b)
+        k = table.counts[index].max()
+        groups.append((index, table.atoms[index, :k], table.cum[index, :k]))
+    return groups
+
+
+def _distinct_rows(a: np.ndarray):
+    """The distinct rows of a 2-D array and the index that maps them back
+    onto its rows; the array itself and a full slice when no row repeats."""
+    if len(a) < 2:
+        return a, slice(None)
+    order = np.lexsort(a.T[::-1])
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = np.any(a[order[1:]] != a[order[:-1]], axis=1)
+    if new.all():
+        return a, slice(None)
+    of = np.empty(len(a), dtype=np.intp)
+    of[order] = np.cumsum(new) - 1
+    return a[order[new]], of
 
 
 def _quantile_gap_integrals(atoms_x, cum_x, atoms_y, cum_y, q: float) -> np.ndarray:
@@ -330,11 +441,15 @@ def _quantile_gap_integrals(atoms_x, cum_x, atoms_y, cum_y, q: float) -> np.ndar
 
     For one pair both quantile functions are constant between consecutive
     points of the merged breakpoint sets, so the integral is exact over
-    those k_x + k_y intervals. A stable sort of each pair's merged
-    breakpoints gives the intervals; the number of x's breakpoints sorted
-    before an interval is x's atom index on it (likewise for y). The terms
-    are added in level order, and padding only adds exact zeros to that
-    sum, so a pair's value does not depend on the rest of the batch.
+    those k_x + k_y intervals. A stable sort of the merged breakpoints
+    gives the intervals; the number of x's breakpoints sorted before an
+    interval is x's atom index on it (likewise for y). The sort, the
+    interval widths and the atom indices depend on a pair only through
+    its two breakpoint rows, so they are found once per distinct row of
+    ``cum_x`` in a block (an equal-weight grid of k atoms has at most
+    2**(k - 1)) and gathered for each pair. The terms are added in level
+    order, and padding only adds exact zeros to that sum, so a pair's
+    value does not depend on the rest of the batch.
     """
     kx, ky = cum_x.shape[1], cum_y.shape[1]
     cols = np.arange(len(cum_y))[:, None]
@@ -342,17 +457,19 @@ def _quantile_gap_integrals(atoms_x, cum_x, atoms_y, cum_y, q: float) -> np.ndar
     out = np.empty((len(cum_x), len(cum_y)))
     for block in row_blocks(len(cum_x), len(cum_y) * (kx + ky)):
         rows = np.arange(len(cum_x))[block, None, None]
-        levels = np.empty((rows.shape[0], len(cum_y), kx + ky))
-        levels[..., :kx] = cum_x[block, None, :]
+        distinct, of = _distinct_rows(cum_x[block])
+        levels = np.empty((len(distinct), len(cum_y), kx + ky))
+        levels[..., :kx] = distinct[:, None, :]
         levels[..., kx:] = cum_y
         from_x = levels.argsort(axis=-1, kind="stable") < kx
         ix = from_x.cumsum(axis=-1) - from_x
-        gap = np.abs(atoms_x[rows, np.minimum(ix, kx - 1)]
-                     - atoms_y[cols, np.minimum(span - ix, ky - 1)])
+        iy = np.minimum(span - ix, ky - 1)
+        np.minimum(ix, kx - 1, out=ix)
         levels.sort(axis=-1)
         widths = levels.copy()
         widths[..., 1:] -= levels[..., :-1]
-        out[block] = (gap ** q * widths).cumsum(axis=-1)[..., -1]
+        gap = np.abs(atoms_x[rows, ix[of]] - atoms_y[cols, iy[of]])
+        out[block] = (gap ** q * widths[of]).cumsum(axis=-1)[..., -1]
     return out
 
 
@@ -371,10 +488,24 @@ class Wasserstein1D(Space):
         if self.q < 1:
             raise ValueError("order q must be >= 1")
 
+    def stack(self, points):
+        """The measures as one ``QuantileTable``; unchanged when one of them
+        is not a ``Measure1D``."""
+        if isinstance(points, QuantileTable) or not all(
+                isinstance(m, Measure1D) for m in points):
+            return points
+        return QuantileTable.of(points)
+
+    def contains_all(self, points) -> bool:
+        return isinstance(points, QuantileTable) or Space.contains_all(self, points)
+
     def pairwise_distances(self, xs, ys) -> np.ndarray:
+        """Measures or ``QuantileTable`` rows on each side. Pairs are swept
+        per group of atom counts within a factor of two
+        (``_quantile_gap_integrals``)."""
         out = np.empty((len(xs), len(ys)))
-        y_groups = _size_groups(ys)
-        for rows, atoms_x, cum_x in _size_groups(xs):
+        y_groups = _size_groups(self.stack(ys))
+        for rows, atoms_x, cum_x in _size_groups(self.stack(xs)):
             for cols, atoms_y, cum_y in y_groups:
                 out[rows[:, None], cols] = _quantile_gap_integrals(
                     atoms_x, cum_x, atoms_y, cum_y, self.q)
@@ -383,20 +514,24 @@ class Wasserstein1D(Space):
     def contains(self, x) -> bool:
         return isinstance(x, Measure1D)
 
+    def grid_table(self, mu: DiscreteMeasure, step: float, pad: float = 0.0,
+                   atom_count: int = 2) -> QuantileTable:
+        """The ``grid`` scheme as one table: equal-weight measures of
+        ``atom_count`` atoms drawn with repetition from a 1-D grid spanning
+        the member supports, in ``combinations_with_replacement`` order."""
+        atoms = mu.stacked.atoms
+        return _grid_table(_axis_grid(float(atoms.min()) - pad, float(atoms.max()) + pad,
+                                      step), atom_count)
+
     def candidates(self, mu: DiscreteMeasure, scheme: str = "support", *,
                    step: float | None = None, center=None, radius=None,
                    pad: float = 0.0, atom_count: int = 2, levels: int = 256,
                    **kwargs) -> list:
         if scheme == "grid":
-            # Equal-weight candidate measures with atoms drawn from a shared
-            # 1-D grid spanning the member supports.
             if step is None:
                 raise ValueError("grid scheme needs a step")
-            lo = min(float(m.atoms.min()) for m in mu.support) - pad
-            hi = max(float(m.atoms.max()) for m in mu.support) + pad
-            axis = _axis_grid(lo, hi, step)
-            return [Measure1D(list(combo))
-                    for combo in itertools.combinations_with_replacement(axis, atom_count)]
+            # A list, as callers concatenate it.
+            return list(self.grid_table(mu, step, pad, atom_count))
         if scheme == "solver-seeded":
             seeds = self.dedup(mu.support)
             if self.q == 2.0:

@@ -545,8 +545,9 @@ def _support_bands(dp: np.ndarray, support: np.ndarray, weights: np.ndarray) -> 
     for block in row_blocks(len(support), support.shape[1] ** 2):
         s, w = support[block], weights[block]
         d = dp[s[:, :, None], s[:, None, :]]
-        # relaxed_mean_set takes its shift as one BLAS dot per measure.
-        shift = np.array([np.dot(w_r, d_r) for w_r, d_r in zip(w, d[:, 0])])
+        # relaxed_mean_set takes its shift as one BLAS dot per measure; the
+        # stacked product gives the same bits (a test pins this).
+        shift = (w[:, None, :] @ d[:, 0, :, None])[:, 0, 0]
         values = np.sum(d * w[:, None, :], axis=-1) - shift[:, None]
         achieved = values.min(axis=1, keepdims=True)
         band[block] = values <= achieved + value_tolerance(achieved)

@@ -8,7 +8,9 @@ array-native experiment drivers, shared prefix engine and equality scan
 replaced, which call the package's generic band sweep (``grid_oracle``)
 and solver dispatch on one measure at a time, the per-point grid and
 stacking code that the stacked vector points replaced, the full grid
-sweep that the pruned grid search replaced, and the median iteration,
+sweep that the pruned grid search replaced, the per-object
+Wasserstein-1D grid and per-measure LDP origin shifts that arrays
+replaced, and the median iteration,
 LDP replication count and chain walk as they were before their sorted or
 per-call tables.
 """
@@ -413,6 +415,18 @@ def ldp_rate_lattice(space, mu, p, target_x, simplex_step):
     return best
 
 
+def support_bands_per_row_dot(dp, support, weights):
+    """``stochastics._support_bands`` with each measure's origin shift taken
+    by its own ``np.dot``, as ``relaxed_mean_set`` takes it."""
+    from frechet.core import value_tolerance
+
+    d = dp[support[:, :, None], support[:, None, :]]
+    shift = np.array([np.dot(w_r, d_r) for w_r, d_r in zip(weights, d[:, 0])])
+    values = np.sum(d * weights[:, None, :], axis=-1) - shift[:, None]
+    achieved = values.min(axis=1, keepdims=True)
+    return values <= achieved + value_tolerance(achieved)
+
+
 # ---------------------------------------------------------------------------
 # Per-point vector grids and stacking replaced by stacked arrays.
 # ---------------------------------------------------------------------------
@@ -451,8 +465,17 @@ def band_values_out_of_place(space, mu, p, candidates, origin):
 
 
 # ---------------------------------------------------------------------------
-# The full grid sweep replaced by the pruned grid search.
+# The full grid sweep replaced by the pruned grid search, and the per-object
+# Wasserstein-1D grid replaced by one quantile table.
 # ---------------------------------------------------------------------------
+
+def w1d_grid_per_object(axis, k):
+    """The Wasserstein-1D ``grid`` scheme on an axis, one ``Measure1D`` per
+    combination of k axis points, each merged by its own constructor."""
+    from frechet import Measure1D
+
+    return [Measure1D(list(c)) for c in itertools.combinations_with_replacement(axis, k)]
+
 
 def grid_band_full_sweep(space, mu, config, step, pad):
     """The band of the ``grid`` scheme from every grid point: the whole grid

@@ -367,6 +367,23 @@ class TestBatchedKernels:
             diff = np.asarray(xs)[:, None, :] - np.asarray(ys)[None, :, :]
             assert np.array_equal(dm, np.sqrt(np.sum(diff * diff, axis=2)))
 
+    @pytest.mark.parametrize("space", [EuclideanSpace(1), EuclideanSpace(2),
+                                       LqSequenceSpace(truncation=3, q=1.5)], ids=repr)
+    def test_vector_shapes(self, space):
+        n = space.dim if isinstance(space, EuclideanSpace) else space.truncation
+        one = [np.zeros(n)]
+        assert space.pairwise_distances(one, []).shape == (1, 0)
+        assert space.pairwise_distances([], one).shape == (0, 1)
+        assert space.pairwise_distances(np.empty((0, n)), []).shape == (0, 0)
+        wrong = [([np.zeros(n + 1)], one), (one, [np.ones(n + 1)]),
+                 (np.zeros((2, n + 1)), np.zeros((2, n + 1))), ([1.0], [2.0]),
+                 (np.zeros((3, 0)), one), (one, np.zeros((1, n, 1)))]
+        for xs, ys in wrong:
+            with pytest.raises(ValueError, match="length"):
+                space.pairwise_distances(xs, ys)
+        with pytest.raises(ValueError, match="length"):
+            space.distance(np.zeros(n + 1), np.ones(n + 1))
+
     @pytest.mark.parametrize("q", [1.5, 3.0])
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)

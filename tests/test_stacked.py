@@ -16,6 +16,8 @@ from frechet import (
     FrechetConfig,
     LqSequenceSpace,
     Measure1D,
+    QuantileTable,
+    Wasserstein1D,
     grid_oracle,
     relaxed_mean_set,
 )
@@ -74,11 +76,24 @@ class TestStackedMeasure:
         assert mu.stacked.base is stream and mu.stacked.shape == (300, _length(space))
         assert isinstance(mu.support, tuple) and np.array_equal(mu.support[-1], stream[299])
 
-    @pytest.mark.parametrize("space", _dedup_spaces()[2:], ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize("space", [s for s in _dedup_spaces()[2:]
+                                       if not isinstance(s, Wasserstein1D)],
+                             ids=lambda s: type(s).__name__)
     def test_other_spaces_keep_their_support(self, space):
         rng = np.random.default_rng(4)
         mu = DiscreteMeasure.uniform(space, [space.sample_point(rng) for _ in range(3)])
         assert mu.stacked is mu.support
+
+    def test_wasserstein1d_stacks_one_quantile_table(self):
+        space = Wasserstein1D(q=2.0)
+        rng = np.random.default_rng(4)
+        mu = DiscreteMeasure.uniform(space, [space.sample_point(rng) for _ in range(5)])
+        assert isinstance(mu.stacked, QuantileTable) and len(mu.stacked) == 5
+        assert space.stack(mu.stacked) is mu.stacked
+        for i, m in enumerate(mu.support):
+            row = mu.stacked[i]
+            for name in ("atoms", "weights", "_cum"):
+                assert np.array_equal(getattr(row, name), getattr(m, name))
 
     # Exception types the per-point membership loop gives; None: accepted.
     BAD_SUPPORTS = [

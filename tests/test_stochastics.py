@@ -33,6 +33,7 @@ from oracles import (
     ldp_monte_carlo_per_replication,
     ldp_rate_lattice,
     slln_per_n_draws,
+    support_bands_per_row_dot,
 )
 
 
@@ -314,6 +315,30 @@ class TestLdpExperiment:
         with pytest.raises(ConfigurationError):
             ldp_experiment(line, mu, 2.0, [pt(1.0)], [10], mode="exact-binomial",
                            simplex_step=0.25)
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    def test_stacked_origin_shift_is_the_per_row_dot(self, c):
+        # _support_bands takes every measure's origin shift in one stacked
+        # product; it must add each row's terms as np.dot does.
+        rng = np.random.default_rng(c)
+        w = rng.random((20000, c))
+        d = rng.random((20000, c, c)) * 10.0
+        stacked = (w[:, None, :] @ d[:, 0, :, None])[:, 0, 0]
+        per_row = np.array([np.dot(w_r, d_r) for w_r, d_r in zip(w, d[:, 0])])
+        assert stacked.tobytes() == per_row.tobytes()
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    def test_support_bands_match_per_row_shifts(self, c):
+        from frechet.stochastics import _simplex_lattice, _support_bands
+        rng = np.random.default_rng(10 + c)
+        # Integer atoms make exact ties common, where the last bit decides.
+        atoms = rng.integers(-3, 4, size=c).astype(float)
+        dp = np.abs(atoms[:, None] - atoms[None, :]) ** 2.0
+        for counts in _simplex_lattice(c, 12):
+            support = np.broadcast_to(np.arange(c), counts.shape)
+            weights = counts / 12
+            assert np.array_equal(_support_bands(dp, support, weights),
+                                  support_bands_per_row_dot(dp, support, weights))
 
     def test_tied_sample_has_two_point_mean_set(self, line):
         # An exact 50/50 split minimizes at both atoms; the strict-majority
