@@ -16,7 +16,6 @@ from .core import (
     MeanSetApprox,
     Space,
     frechet_functional,
-    frechet_variance,
     moment,
     relaxed_mean_set,
 )
@@ -37,7 +36,6 @@ from .constructions import (
     ProductSpace,
     QuotientSpace,
     RegularizedSpace,
-    orbit,
 )
 from .solvers import (
     SolverConfig,
@@ -45,16 +43,12 @@ from .solvers import (
     euclidean_pmean,
     grid_mean_set,
     grid_oracle,
-    refine_mean_set,
     weiszfeld_median,
 )
 from .convergence import (
     ConvergenceReport,
     gamma_convergence_probe,
     one_sided_hausdorff,
-    tail_mass_profile,
-    tau_w_r_distance,
-    triangle_check_dvec,
 )
 from .stochastics import (
     ExperimentConfig,
@@ -77,7 +71,6 @@ __all__ = [
     "MeanSetApprox",
     "Space",
     "frechet_functional",
-    "frechet_variance",
     "moment",
     "relaxed_mean_set",
     "BuresWassersteinSpace",
@@ -94,20 +87,15 @@ __all__ = [
     "ProductSpace",
     "QuotientSpace",
     "RegularizedSpace",
-    "orbit",
     "SolverConfig",
     "bw_barycenter",
     "euclidean_pmean",
     "grid_mean_set",
     "grid_oracle",
-    "refine_mean_set",
     "weiszfeld_median",
     "ConvergenceReport",
     "gamma_convergence_probe",
     "one_sided_hausdorff",
-    "tail_mass_profile",
-    "tau_w_r_distance",
-    "triangle_check_dvec",
     "ExperimentConfig",
     "LdpResult",
     "SamplerSpec",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -117,8 +118,9 @@ def _write_outputs(out: str, command: str, config: dict, result: dict,
                      "runtime_seconds": runtime,
                      "version": __version__},
     }
+    # One compact dumps call runs the C encoder; ``indent`` would not.
     with open(out + ".json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))
     if rows:
         with open(out + ".csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -258,7 +260,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it;
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="frechet",
         description="Set-valued mean computation and experiments over metric spaces")

@@ -24,12 +24,10 @@ __all__ = [
     "ProductSpace",
     "QuotientSpace",
     "RegularizedSpace",
-    "orbit",
     "sign_flip_group",
     "cyclic_rotation_group",
     "planar_loop_group",
     "loop_shape_space",
-    "group_from_json",
 ]
 
 
@@ -82,14 +80,6 @@ class GroupSpec:
                 raise ConfigurationError("length values must be nonnegative")
 
 
-def orbit(group: GroupSpec, x, space: Space | None = None) -> list:
-    """All translates g.x, deduplicated by point equality when a space is given."""
-    pts = [group.act(g, x) for g in group.elements]
-    if space is None:
-        return pts
-    return space.dedup(pts)
-
-
 @dataclass(frozen=True)
 class ProductSpace(Space):
     """Two component spaces combined with an l_q metric on pairs."""
@@ -118,22 +108,17 @@ class ProductSpace(Space):
         d2 = self.right.pairwise_distances([x[1] for x in xs], [y[1] for y in ys])
         return (d1 ** self.q + d2 ** self.q) ** (1.0 / self.q)
 
-    def candidates(self, mu, scheme="support", *, center=None, **kwargs) -> list:
+    def candidates(self, mu, scheme="support", **kwargs) -> list:
         if scheme == "support":
             return self.dedup(mu.support)
         # Cartesian product of component candidates, built from the
-        # component marginals of the support. A pair-valued ball-grid
-        # center splits into its components.
+        # component marginals of the support.
         left_mu = DiscreteMeasure.from_weights(
             self.left, [x[0] for x in mu.support], mu.weights)
         right_mu = DiscreteMeasure.from_weights(
             self.right, [x[1] for x in mu.support], mu.weights)
-        left_kw = dict(kwargs)
-        right_kw = dict(kwargs)
-        if center is not None:
-            left_kw["center"], right_kw["center"] = center[0], center[1]
-        lc = self.left.candidates(left_mu, scheme, **left_kw)
-        rc = self.right.candidates(right_mu, scheme, **right_kw)
+        lc = self.left.candidates(left_mu, scheme, **kwargs)
+        rc = self.right.candidates(right_mu, scheme, **kwargs)
         return [(a, b) for a in lc for b in rc]
 
     def sample_point(self, rng, scale: float = 1.0):
@@ -329,32 +314,3 @@ def loop_shape_space(n_samples: int, rotations: int = 4) -> QuotientSpace:
     base = EuclideanSpace(dim=2 * n_samples)
     return QuotientSpace(base, planar_loop_group(n_samples, rotations))
 
-
-def group_from_json(spec: dict) -> GroupSpec:
-    """Build a group from a JSON description.
-
-    Supported action kinds: ``matrix`` (label -> row-major matrix) and
-    ``permutation`` (label -> index permutation of vector coordinates).
-    An optional ``length`` table maps labels to lengths.
-    """
-    kind = spec.get("kind")
-    labels = list(spec["elements"])
-    length = spec.get("length")
-    if length is not None:
-        length = {lab: float(v) for lab, v in length.items()}
-    if kind == "matrix":
-        dim = int(spec["dim"])
-        mats = [np.asarray(spec["matrices"][str(lab)], dtype=float).reshape(dim, dim)
-                for lab in labels]
-        return matrix_group(labels, mats, length)
-    if kind == "permutation":
-        perms = {lab: list(map(int, spec["permutations"][str(lab)])) for lab in labels}
-        n = len(next(iter(perms.values())))
-        mats = []
-        for lab in labels:
-            m = np.zeros((n, n))
-            for i, j in enumerate(perms[lab]):
-                m[j, i] = 1.0
-            mats.append(m)
-        return matrix_group(labels, mats, length)
-    raise ConfigurationError(f"unknown group action kind {kind!r}")

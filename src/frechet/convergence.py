@@ -20,9 +20,6 @@ from .solvers import grid_mean_set, grid_oracle
 __all__ = [
     "ConvergenceReport",
     "one_sided_hausdorff",
-    "triangle_check_dvec",
-    "tau_w_r_distance",
-    "tail_mass_profile",
     "gamma_convergence_probe",
 ]
 
@@ -80,62 +77,6 @@ def one_sided_hausdorff(space: Space, s: Sequence, s_prime: Sequence) -> float:
         raise ValueError("both sets must be nonempty")
     dm = space.pairwise_distances(s, s_prime)
     return float(np.max(np.min(dm, axis=1)))
-
-
-def triangle_check_dvec(space: Space, s, s1, s2, tol: float = 1e-9) -> bool:
-    """d->(s, s2) <= d->(s, s1) + d->(s1, s2), within tol. Must hold always."""
-    lhs = one_sided_hausdorff(space, s, s2)
-    rhs = one_sided_hausdorff(space, s, s1) + one_sided_hausdorff(space, s1, s2)
-    return lhs <= rhs + tol
-
-
-def tau_w_r_distance(space: Space, mu: DiscreteMeasure, nu: DiscreteMeasure,
-                     r: float, n_functions: int = 64, seed: int = 0) -> tuple[float, float]:
-    """Proxy for weak-plus-moment convergence of measures.
-
-    Returns ``(bl, moment_gap)``: a bounded-Lipschitz gap estimated by
-    maximizing the integral difference over randomized test functions of
-    the form y -> clamp(a - d(y, z), -1, 1) with anchors z drawn from the
-    combined supports, and the absolute difference of r-th moments at the
-    default origin. Both vanish along sequences converging in the
-    weak-plus-moment sense.
-    """
-    rng = np.random.default_rng(seed)
-    pool = list(mu.support) + list(nu.support)
-    origin = mu.support[0]
-    best = 0.0
-    for _ in range(n_functions):
-        z = pool[int(rng.integers(len(pool)))]
-        row_mu = space.pairwise_distances([z], mu.stacked)[0]
-        row_nu = space.pairwise_distances([z], nu.stacked)[0]
-        a = float(rng.uniform(0.0, 1.0 + max(row_mu.max(), row_nu.max())))
-        f_mu = np.clip(a - row_mu, -1.0, 1.0)
-        f_nu = np.clip(a - row_nu, -1.0, 1.0)
-        gap = abs(float(np.dot(mu.weights, f_mu)) - float(np.dot(nu.weights, f_nu)))
-        best = max(best, gap)
-    moment_gap = abs(moment(space, mu, r, origin) - moment(space, nu, r, origin))
-    return best, moment_gap
-
-
-def tail_mass_profile(space: Space, mu_sequence: Sequence[DiscreteMeasure], o,
-                      l_grid: Sequence[float], r: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Tail masses and r-weighted tail moments outside balls around ``o``.
-
-    Returns two matrices indexed by (measure, radius): the mass placed
-    outside the open ball of each radius, and the r-th-power distance mass
-    carried by that tail. Uniformly vanishing columns as the radius grows
-    witness the uniform integrability that convergence arguments need.
-    """
-    l_grid = list(l_grid)
-    masses = np.zeros((len(mu_sequence), len(l_grid)))
-    weighted = np.zeros_like(masses)
-    for i, mu in enumerate(mu_sequence):
-        d = space.pairwise_distances([o], mu.stacked)[0]
-        for j, radius in enumerate(l_grid):
-            outside = d >= radius
-            masses[i, j] = float(mu.weights[outside].sum())
-            weighted[i, j] = float(np.dot(mu.weights[outside], d[outside] ** r))
-    return masses, weighted
 
 
 def gamma_convergence_probe(space: Space, mu_sequence: Sequence[DiscreteMeasure],

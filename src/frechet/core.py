@@ -121,15 +121,12 @@ class Space:
         result."""
         raise NotImplementedError
 
-    def candidates(self, mu: "DiscreteMeasure", scheme: str = "support", *,
-                   step: float | None = None, center: Point | None = None,
-                   radius: float | None = None, pad: float = 0.0,
-                   **kwargs) -> list:
+    def candidates(self, mu: "DiscreteMeasure", scheme: str = "support", **kwargs) -> list:
         """Deterministic candidate points for mean-set enumeration.
 
         The base class only knows the ``support`` scheme (deduplicated
-        support atoms); subclasses add ``grid`` and ``ball-grid`` where the
-        geometry allows it.
+        support atoms); subclasses add ``grid`` (keywords ``step`` and
+        ``pad``) where the geometry allows it.
         """
         if scheme == "support":
             return self.dedup(mu.support)
@@ -200,9 +197,10 @@ class DiscreteMeasure:
             raise ValueError("measure needs at least one support point")
         if w.shape != (len(self.support),):
             raise ValueError("weights must align with support points")
-        if np.any(w < -1e-15):
+        # Written so that a NaN weight fails each check.
+        if not np.all(w >= -1e-15):
             raise ValueError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
+        if not abs(float(w.sum()) - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
         object.__setattr__(self, "stacked", self.space.stack(
             self.support if rows is None else rows))
@@ -253,9 +251,9 @@ class FrechetConfig:
     origin: Any = None
 
     def __post_init__(self):
-        if self.p < 1:
+        if not self.p >= 1:
             raise ValueError("order p must be >= 1")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be >= 0")
 
 
@@ -346,20 +344,6 @@ def _band_values(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
         d *= mu.weights
         values[block] = np.sum(d, axis=1) - shift
     return values
-
-
-def frechet_variance(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
-                     candidates: Sequence[Point]) -> float:
-    """Best renormalized cost over the candidates.
-
-    An upper bound of the true infimum; tightens as the candidate scheme
-    refines.
-    """
-    _check_pair(space, mu)
-    candidates = as_sequence(candidates)
-    if len(candidates) == 0:
-        raise ValueError("candidates must be nonempty")
-    return float(np.min(_band_values(space, mu, config, candidates)))
 
 
 def estimate_resolution(space: Space, candidates: Sequence[Point]) -> float:

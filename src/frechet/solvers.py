@@ -43,7 +43,6 @@ __all__ = [
     "weiszfeld_median",
     "euclidean_pmean",
     "bw_barycenter",
-    "refine_mean_set",
 ]
 
 log = logging.getLogger(__name__)
@@ -492,23 +491,3 @@ def bw_barycenter(space: BuresWassersteinSpace, mu: DiscreteMeasure,
     raise ConvergenceFailure("fixed-point iteration did not converge",
                              last_point=current, iterations=config.max_iterations)
 
-
-def refine_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
-                    coarse: MeanSetApprox) -> MeanSetApprox:
-    """One local refinement round around a coarse band.
-
-    Lays a ball-grid of half the coarse resolution around every coarse
-    member, keeps the coarse members themselves, and re-extracts the band.
-    The resolution halves and the achieved value cannot increase. Needs a
-    space with a ball-grid candidate scheme.
-    """
-    if config.epsilon == 0.0 and mu.is_degenerate():
-        return coarse
-    res = coarse.resolution
-    step = res / 2.0
-    refined = list(coarse.points)
-    for pt in coarse.points:
-        refined.extend(space.candidates(mu, "ball-grid", center=pt,
-                                        radius=res, step=step))
-    refined = space.dedup(refined) if len(refined) <= 4096 else refined
-    return relaxed_mean_set(space, mu, config, refined, resolution=step)

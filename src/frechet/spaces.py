@@ -31,7 +31,6 @@ __all__ = [
     "matrix_sqrt",
     "quantile_barycenter",
     "space_from_json",
-    "space_to_json",
 ]
 
 
@@ -45,11 +44,6 @@ def _axis_size(lo: float, hi: float, step: float) -> int:
 def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Inclusive grid lo, lo+step, ..., covering hi: point k is lo + step * k."""
     return lo + step * np.arange(_axis_size(lo, hi, step))
-
-
-def _box_sizes(lows: np.ndarray, highs: np.ndarray, step: float) -> list[int]:
-    """``_axis_size`` of every coordinate of the box [lows, highs]."""
-    return [_axis_size(float(lo), float(hi), step) for lo, hi in zip(lows, highs)]
 
 
 def _box_grid(lows: np.ndarray, sizes: list[int], step: float) -> np.ndarray:
@@ -111,7 +105,7 @@ class _VectorSpace(Space):
         return total
 
     def candidates(self, mu: DiscreteMeasure, scheme: str = "support", *, step=None,
-                   center=None, radius=None, pad: float = 0.0, **kwargs):
+                   pad: float = 0.0, **kwargs):
         """Vector candidates as the rows of one array."""
         if scheme == "support":
             return np.unique(np.round(mu.stacked, 12), axis=0)
@@ -119,11 +113,6 @@ class _VectorSpace(Space):
             if step is None:
                 raise ValueError("grid scheme needs a step")
             return _box_grid(*self.grid_box(mu, step, pad), step)
-        if scheme == "ball-grid":
-            if step is None or center is None or radius is None:
-                raise ValueError("ball-grid scheme needs center, radius and step")
-            c = np.asarray(center, dtype=float)
-            return _box_grid(c - radius, _box_sizes(c - radius, c + radius, step), step)
         return super().candidates(mu, scheme)
 
     def grid_box(self, mu: DiscreteMeasure, step: float,
@@ -132,7 +121,7 @@ class _VectorSpace(Space):
         support's bounding box widened by ``pad``, and the number of grid
         points along each axis. Point k of axis j is lows[j] + step * k."""
         lows, highs = mu.stacked.min(axis=0) - pad, mu.stacked.max(axis=0) + pad
-        return lows, _box_sizes(lows, highs, step)
+        return lows, [_axis_size(float(lo), float(hi), step) for lo, hi in zip(lows, highs)]
 
     def sample_point(self, rng: np.random.Generator, scale: float = 1.0):
         return rng.normal(scale=scale, size=self._length)
@@ -210,8 +199,8 @@ class SpiderSpace(Space):
             return False
         return 0 <= int(leg) < self.legs and float(t) >= 0.0 and math.isfinite(float(t))
 
-    def candidates(self, mu, scheme="support", *, step=None, center=None,
-                   radius=None, pad: float = 0.0, **kwargs) -> list:
+    def candidates(self, mu, scheme="support", *, step=None, pad: float = 0.0,
+                   **kwargs) -> list:
         if scheme == "grid":
             if step is None:
                 raise ValueError("grid scheme needs a step")
@@ -221,22 +210,6 @@ class SpiderSpace(Space):
                 n = int(math.ceil(reach / step - 1e-12))
                 pts.extend((leg, step * k) for k in range(1, n + 1))
             return pts
-        if scheme == "ball-grid":
-            if step is None or center is None or radius is None:
-                raise ValueError("ball-grid scheme needs center, radius and step")
-            leg0, t0 = center
-            pts = []
-            lo, hi = max(t0 - radius, 0.0), t0 + radius
-            for t in _axis_grid(lo, hi, step):
-                pts.append((leg0, float(t)))
-            spill = radius - t0
-            if spill > 0:  # ball reaches through the center onto other legs
-                for leg in range(self.legs):
-                    if leg == leg0:
-                        continue
-                    for t in _axis_grid(0.0, spill, step):
-                        pts.append((leg, float(t)))
-            return self.dedup(pts)
         return super().candidates(mu, scheme)
 
     def sample_point(self, rng, scale: float = 1.0):
@@ -269,9 +242,9 @@ class Measure1D:
             weights = np.asarray(weights, dtype=float)
             if weights.shape != atoms.shape:
                 raise ValueError("weights must align with atoms")
-            if np.any(weights < -1e-15):
+            if not np.all(weights >= -1e-15):  # false on a NaN weight
                 raise ValueError("weights must be nonnegative")
-            if abs(float(weights.sum()) - 1.0) > 1e-12:
+            if not abs(float(weights.sum()) - 1.0) <= 1e-12:
                 raise ValueError("weights must sum to 1 within 1e-12")
         order = np.argsort(atoms, kind="stable")
         atoms, weights = atoms[order], weights[order]
@@ -524,8 +497,8 @@ class Wasserstein1D(Space):
                                       step), atom_count)
 
     def candidates(self, mu: DiscreteMeasure, scheme: str = "support", *,
-                   step: float | None = None, center=None, radius=None,
-                   pad: float = 0.0, atom_count: int = 2, levels: int = 256,
+                   step: float | None = None, pad: float = 0.0,
+                   atom_count: int = 2, levels: int = 256,
                    **kwargs) -> list:
         if scheme == "grid":
             if step is None:
@@ -773,18 +746,3 @@ def space_from_json(spec: dict) -> Space:
         raise ConfigurationError(f"unknown space type {kind!r}")
     return _SPACE_BUILDERS[kind](spec)
 
-
-def space_to_json(space: Space) -> dict:
-    if isinstance(space, EuclideanSpace):
-        return {"type": "euclidean", "dim": space.dim}
-    if isinstance(space, LqSequenceSpace):
-        return {"type": "lq", "truncation": space.truncation, "q": space.q}
-    if isinstance(space, SpiderSpace):
-        return {"type": "spider", "legs": space.legs}
-    if isinstance(space, Wasserstein1D):
-        return {"type": "wasserstein1d", "q": space.q}
-    if isinstance(space, BuresWassersteinSpace):
-        return {"type": "bures-wasserstein", "dim": space.dim}
-    if isinstance(space, PersistenceDiagramSpace):
-        return {"type": "persistence-diagram", "q": space.q}
-    raise ConfigurationError(f"space {type(space).__name__} has no JSON form")

@@ -88,7 +88,8 @@ class SamplerSpec:
                 p = np.asarray(self.probs, dtype=float)
                 if len(self.atoms) == 0 or p.shape != (len(self.atoms),):
                     raise ValueError("finite sampler needs aligned atoms and probs")
-                if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-12:
+                # Written so that a NaN probability fails the check.
+                if not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= 1e-12):
                     raise ValueError("finite sampler probs must form a distribution")
             else:
                 self._validate_params()
@@ -97,7 +98,7 @@ class SamplerSpec:
             m = len(self.states)
             if m == 0 or k.shape != (m, m):
                 raise ValueError("markov sampler needs a square kernel over its states")
-            if np.any(k < 0) or np.any(np.abs(k.sum(axis=1) - 1.0) > 1e-12):
+            if not (np.all(k >= 0) and np.all(np.abs(k.sum(axis=1) - 1.0) <= 1e-12)):
                 raise ValueError("kernel rows must sum to 1")
             if not (0 <= self.initial_state < m):
                 raise ValueError("initial state out of range")
@@ -106,17 +107,19 @@ class SamplerSpec:
 
     def _validate_params(self):
         p = self.params
+        if len(p) != 2 or not np.all(np.isfinite(np.asarray(p, dtype=float))):
+            raise ValueError(f"{self.distribution} sampler needs two finite parameters")
         if self.distribution == "normal":
-            if len(p) != 2 or p[1] <= 0:
+            if p[1] <= 0:
                 raise ValueError("normal(m, s) needs s > 0")
         elif self.distribution == "uniform":
-            if len(p) != 2 or p[1] <= p[0]:
+            if p[1] <= p[0]:
                 raise ValueError("uniform(a, b) needs a < b")
         elif self.distribution == "pareto":
-            if len(p) != 2 or p[0] <= 0 or p[1] <= 0:
+            if p[0] <= 0 or p[1] <= 0:
                 raise ValueError("pareto(alpha, x_min) needs positive parameters")
         elif self.distribution == "cauchy":
-            if len(p) != 2 or p[1] <= 0:
+            if p[1] <= 0:
                 raise ValueError("cauchy(loc, scale) needs scale > 0")
 
     def with_seed(self, seed: int) -> "SamplerSpec":

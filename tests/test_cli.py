@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import frechet
-from frechet.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, SCHEMA_VERSION, main
+from frechet.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, SCHEMA_VERSION, build_parser, main
 
 
 def write_config(tmp_path, name, payload):
@@ -227,6 +227,23 @@ class TestErrorPaths:
         assert "radius" in err["message"] and "command line" in err["message"]
         assert not os.path.exists(out + ".json")
 
+    @pytest.mark.parametrize("command,payload", [
+        ("mean", {}),
+        ("ldp", {"n_grid": [20], "event_points": [[1.0]], "mode": "monte-carlo",
+                 "replications": 50, "simplex_step": 0.25}),
+    ], ids=["mean", "ldp-monte-carlo"])
+    def test_nan_weight_is_a_config_error(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, "w.json", {
+            "space": {"type": "euclidean", "dim": 1}, "p": 2.0,
+            "measure": {"support": [[0.0], [1.0]], "weights": [math.nan, 1.0]},
+            **payload})
+        assert "NaN" in Path(cfg).read_text()  # JSON's NaN literal
+        code, out = run(tmp_path, command, cfg)
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config" and "weights" in err["message"]
+        assert not os.path.exists(out + ".json")
+
     def test_support_scheme_still_runs(self, tmp_path):
         cfg = write_config(tmp_path, "m.json", {
             "space": {"type": "euclidean", "dim": 1},
@@ -285,3 +302,30 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+class TestParserAndSidecar:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_overrides_do_not_leak_into_the_next_call(self, tmp_path):
+        cfg = write_config(tmp_path, "d.json", {
+            "space": {"type": "euclidean", "dim": 1}, "x": [0.0], "y": [1.0]})
+        code, first = run(tmp_path, "dist", cfg, out_name="first",
+                          extra=["--set", "y=[3.0]", "--seed", "5"])
+        assert code == EXIT_OK
+        code, second = run(tmp_path, "dist", cfg, out_name="second")
+        assert code == EXIT_OK
+        a = json.loads(Path(first + ".json").read_text())
+        b = json.loads(Path(second + ".json").read_text())
+        assert a["result"]["distance"] == 3.0 and a["config"]["seed"] == 5
+        assert b["result"]["distance"] == 1.0
+        assert b["config"]["y"] == [1.0] and "seed" not in b["config"]
+
+    def test_sidecar_is_compact_sorted_json(self, tmp_path):
+        cfg = write_config(tmp_path, "d.json", {
+            "space": {"type": "euclidean", "dim": 2}, "x": [0.0, 0.0], "y": [3.0, 4.0]})
+        code, out = run(tmp_path, "dist", cfg)
+        assert code == EXIT_OK
+        text = Path(out + ".json").read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True)

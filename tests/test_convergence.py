@@ -6,13 +6,8 @@ from hypothesis import strategies as st
 from frechet import (
     DiscreteMeasure,
     EuclideanSpace,
-    SamplerSpec,
     gamma_convergence_probe,
     one_sided_hausdorff,
-    sample_empirical,
-    tail_mass_profile,
-    tau_w_r_distance,
-    triangle_check_dvec,
 )
 
 from conftest import pt
@@ -54,23 +49,29 @@ class TestOneSidedHausdorff:
             one_sided_hausdorff(line, [], finite_set([0.0]))
 
 
+def triangle_holds(space, s, s1, s2, tol=1e-9):
+    """d->(s, s2) <= d->(s, s1) + d->(s1, s2), within tol."""
+    lhs = one_sided_hausdorff(space, s, s2)
+    return lhs <= one_sided_hausdorff(space, s, s1) + one_sided_hausdorff(space, s1, s2) + tol
+
+
 class TestTriangle:
     def test_singletons(self, line):
-        assert triangle_check_dvec(line, finite_set([0.0]), finite_set([2.0]),
+        assert triangle_holds(line, finite_set([0.0]), finite_set([2.0]),
                                    finite_set([5.0]))
 
     def test_nested_sets(self, line):
         s = finite_set([0.0])
         s1 = finite_set([0.0, 1.0])
         s2 = finite_set([0.0, 1.0, 2.0])
-        assert triangle_check_dvec(line, s, s1, s2)
+        assert triangle_holds(line, s, s1, s2)
 
     def test_random_finite_sets(self, plane):
         rng = np.random.default_rng(3)
         for _ in range(1000):
             sets = [[plane.sample_point(rng) for _ in range(int(rng.integers(1, 5)))]
                     for _ in range(3)]
-            assert triangle_check_dvec(plane, *sets)
+            assert triangle_holds(plane, *sets)
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=5),
            st.lists(st.floats(-100, 100), min_size=1, max_size=5),
@@ -79,57 +80,7 @@ class TestTriangle:
     def test_triangle_property_on_line(self, a, b, c):
         line = EuclideanSpace(dim=1)
         sets = [finite_set(v) for v in (a, b, c)]
-        assert triangle_check_dvec(line, *sets)
-
-
-class TestTauW:
-    def test_identical_measures(self, line):
-        mu = DiscreteMeasure.uniform(line, finite_set([0.0, 1.0, 2.0]))
-        bl, gap = tau_w_r_distance(line, mu, mu, r=1.0)
-        assert bl == 0.0
-        assert gap == 0.0
-
-    def test_moment_gap_between_diracs(self, line):
-        mu = DiscreteMeasure.dirac(line, pt(0.0))
-        nu = DiscreteMeasure.dirac(line, pt(1.0))
-        _, gap = tau_w_r_distance(line, mu, nu, r=1.0)
-        assert gap == pytest.approx(1.0)
-
-    def test_empirical_convergence_to_target(self, line):
-        target = DiscreteMeasure.uniform(line, finite_set([0.0, 1.0]))
-        sampler = SamplerSpec(kind="iid", distribution="finite",
-                              atoms=(0.0, 1.0), probs=(0.5, 0.5), seed=4)
-        values = []
-        for n in (20, 200, 2000):
-            emp = sample_empirical(sampler, n, line)
-            bl, gap = tau_w_r_distance(line, emp, target, r=1.0, seed=11)
-            values.append((bl, gap))
-        assert values[-1][0] < values[0][0]
-        assert values[-1][0] < 0.05
-        assert values[-1][1] < 0.05
-
-
-class TestTailMass:
-    def test_compact_support_vanishes(self, line):
-        mu = DiscreteMeasure.uniform(line, finite_set([0.0, 1.0, 2.0]))
-        masses, weighted = tail_mass_profile(line, [mu], pt(0.0), [3.0, 5.0], r=1.0)
-        assert np.all(masses == 0.0)
-        assert np.all(weighted == 0.0)
-
-    def test_dirac_tail_zero(self, line):
-        mu = DiscreteMeasure.dirac(line, pt(0.0))
-        masses, _ = tail_mass_profile(line, [mu], pt(0.0), [0.5, 1.0])
-        assert np.all(masses == 0.0)
-
-    def test_heavy_tail_decreases_in_radius(self, line):
-        sampler = SamplerSpec(kind="iid", distribution="pareto",
-                              params=(1.5, 1.0), seed=5)
-        mu = sample_empirical(sampler, 2000, line)
-        radii = [1.5, 2.0, 4.0, 8.0, 16.0]
-        masses, weighted = tail_mass_profile(line, [mu], pt(0.0), radii, r=1.0)
-        assert np.all(np.diff(masses[0]) <= 0)
-        assert np.all(np.diff(weighted[0]) <= 0)
-        assert masses[0, 0] > 0
+        assert triangle_holds(line, *sets)
 
 
 class TestGammaProbe:

@@ -11,7 +11,6 @@ from frechet import (
     MeanSetApprox,
     SpiderSpace,
     frechet_functional,
-    frechet_variance,
     moment,
     relaxed_mean_set,
 )
@@ -50,6 +49,12 @@ class TestFunctional:
             frechet_functional(plane, mu, pt(0.0, 0.0), pt(1.0, 1.0), 2.0)
 
 
+def best_value(space, mu, cfg, cands):
+    """The best renormalized cost over the candidates: the band's achieved
+    value."""
+    return relaxed_mean_set(space, mu, cfg, cands, resolution=1e-3).achieved_value
+
+
 class TestVariance:
     def test_quadratic_closed_form_on_grid(self, line):
         # Oracle: the p=2 objective with origin 0 is minimized at the mean 2,
@@ -60,12 +65,12 @@ class TestVariance:
         mu = uniform_line(line, [1.0, 2.0, 3.0])
         cfg = FrechetConfig(p=2.0, origin=pt(0.0))
         cands = [pt(v) for v in grid_vals]
-        assert frechet_variance(line, mu, cfg, cands) == pytest.approx(best, abs=1e-12)
+        assert best_value(line, mu, cfg, cands) == pytest.approx(best, abs=1e-12)
 
     def test_dirac_zero_at_own_atom(self, line):
         mu = DiscreteMeasure.dirac(line, pt(1.5))
         cfg = FrechetConfig(p=3.0, origin=pt(1.5))
-        assert frechet_variance(line, mu, cfg, [pt(1.5), pt(2.0)]) == pytest.approx(0.0)
+        assert best_value(line, mu, cfg, [pt(1.5), pt(2.0)]) == pytest.approx(0.0)
 
     def test_median_value_zero(self, line):
         # Oracle scan: with origin 0 the p=1 objective is flat at 0 on [0, 1].
@@ -75,12 +80,12 @@ class TestVariance:
         mu = uniform_line(line, [0.0, 1.0])
         cfg = FrechetConfig(p=1.0, origin=pt(0.0))
         cands = [pt(v) for v in grid_vals]
-        assert frechet_variance(line, mu, cfg, cands) == pytest.approx(0.0, abs=1e-12)
+        assert best_value(line, mu, cfg, cands) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_candidates_rejected(self, line):
         mu = uniform_line(line, [0.0, 1.0])
         with pytest.raises(ValueError):
-            frechet_variance(line, mu, FrechetConfig(p=2.0), [])
+            best_value(line, mu, FrechetConfig(p=2.0), [])
 
 
 class TestRelaxedMeanSet:
@@ -269,11 +274,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             DiscreteMeasure(line, (pt(0.0), pt(1.0)), np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.nan, np.nan], [0.5, np.nan]])
+    def test_nan_weights_rejected(self, line, weights):
+        # A NaN fails every comparison, so each check must be written to fail on it.
+        with pytest.raises(ValueError, match="weights"):
+            DiscreteMeasure(line, (pt(0.0), pt(1.0)), np.array(weights))
+        with pytest.raises(ValueError, match="weights"):
+            DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0)], weights, normalize=True)
+
     def test_config_bounds(self):
         with pytest.raises(ValueError):
             FrechetConfig(p=0.5)
         with pytest.raises(ValueError):
             FrechetConfig(p=2.0, epsilon=-0.1)
+        with pytest.raises(ValueError):
+            FrechetConfig(p=float("nan"))
+        with pytest.raises(ValueError):
+            FrechetConfig(p=2.0, epsilon=float("nan"))
 
     def test_mean_set_approx_nonempty(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from frechet import (
     euclidean_pmean,
     frechet_functional,
     grid_oracle,
-    refine_mean_set,
     weiszfeld_median,
 )
 
@@ -210,49 +209,6 @@ class TestBwBarycenter:
         mu = uniform_line(line, [0.0, 1.0])
         with pytest.raises(ConfigurationError):
             bw_barycenter(line, mu)
-
-
-class TestRefineMeanSet:
-    def test_halves_resolution_around_mean(self, line):
-        mu = uniform_line(line, [1.0, 2.0, 3.0])
-        coarse = grid_oracle(line, mu, FrechetConfig(p=2.0),
-                             [pt(v) for v in np.arange(0.0, 4.5, 0.5)], resolution=0.5)
-        refined = refine_mean_set(line, mu, FrechetConfig(p=2.0), coarse)
-        assert refined.resolution == pytest.approx(0.25)
-        assert refined.achieved_value <= coarse.achieved_value + 1e-12
-        assert refined.points[0][0] == pytest.approx(2.0, abs=0.25)
-
-    def test_median_interval_endpoints_survive(self, line):
-        mu = uniform_line(line, [0.0, 1.0])
-        h = 0.25
-        coarse = grid_oracle(line, mu, FrechetConfig(p=1.0),
-                             [pt(v) for v in np.arange(-1.0, 2.0 + 1e-12, h)],
-                             resolution=h)
-        refined = refine_mean_set(line, mu, FrechetConfig(p=1.0), coarse)
-        got = sorted(float(x[0]) for x in refined.points)
-        # Oracle at the finer step: the whole interval [0, 1] stays minimal.
-        fine_vals = np.arange(-1.0, 2.0 + 1e-12, h / 2)
-        _, _, argmin = scan_objective_1d([0.0, 1.0], [0.5, 0.5], fine_vals, 1.0)
-        assert min(got) <= min(argmin) + h / 2
-        assert max(got) >= max(argmin) - h / 2
-
-    def test_single_atom_unchanged(self, line):
-        mu = DiscreteMeasure.uniform(line, [pt(5.0), pt(5.0)])
-        coarse = grid_oracle(line, mu, FrechetConfig(p=2.0), [pt(5.0)], resolution=0.5)
-        refined = refine_mean_set(line, mu, FrechetConfig(p=2.0), coarse)
-        assert refined is coarse
-
-    def test_spider_refinement_reaches_through_center(self):
-        # A coarse band on one leg must spill onto the other legs when the
-        # refinement ball crosses the center.
-        spider = SpiderSpace(legs=3)
-        mu = DiscreteMeasure.uniform(spider, [(0, 1.0), (1, 1.0), (2, 1.0)])
-        coarse = grid_oracle(spider, mu, FrechetConfig(p=2.0),
-                             [(0, 0.2), (0, 0.6), (0, 1.0)], resolution=0.4)
-        refined = refine_mean_set(spider, mu, FrechetConfig(p=2.0), coarse)
-        assert refined.resolution == pytest.approx(0.2)
-        assert refined.achieved_value <= coarse.achieved_value + 1e-12
-        assert any(t == 0.0 for _, t in refined.points)
 
 
 class TestOracleDominance:

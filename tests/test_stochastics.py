@@ -88,6 +88,25 @@ class TestSampleEmpirical:
             SamplerSpec(kind="markov-chain", states=(0.0, 1.0),
                         kernel=((0.5, 0.6), (0.5, 0.5)))
 
+    @pytest.mark.parametrize("spec", [
+        {"distribution": "finite", "atoms": (0.0, 1.0), "probs": (np.nan, 1.0)},
+        {"distribution": "finite", "atoms": (0.0, 1.0), "probs": (0.5, np.nan)},
+        {"distribution": "normal", "params": (0.0, np.nan)},
+        {"distribution": "normal", "params": (np.nan, 1.0)},
+        {"distribution": "uniform", "params": (0.0, np.inf)},
+        {"distribution": "pareto", "params": (np.nan, 1.0)},
+        {"distribution": "cauchy", "params": (0.0, np.nan)},
+    ], ids=["finite-first", "finite-last", "normal-scale", "normal-loc", "uniform-inf",
+            "pareto", "cauchy"])
+    def test_nan_and_infinite_parameters_rejected(self, spec):
+        with pytest.raises(ValueError):
+            SamplerSpec(kind="iid", **spec)
+
+    def test_nan_kernel_row_rejected(self):
+        with pytest.raises(ValueError, match="kernel"):
+            SamplerSpec(kind="markov-chain", states=(0.0, 1.0),
+                        kernel=((np.nan, 1.0), (0.5, 0.5)))
+
     def test_pareto_inverse_cdf(self, line):
         sampler = SamplerSpec(kind="iid", distribution="pareto", params=(1.5, 1.0), seed=6)
         mu = sample_empirical(sampler, 1000, line)
@@ -303,6 +322,11 @@ class TestLdpExperiment:
                             simplex_step=0.05)
         assert mc.censored[0]
         assert math.isnan(mc.empirical_rates[0])
+
+    def test_nan_weight_never_reaches_the_monte_carlo_count(self, line):
+        # Such a measure used to run and report probability 0.0.
+        with pytest.raises(ValueError, match="weights"):
+            DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0)], [np.nan, 1.0])
 
     def test_monte_carlo_needs_a_replication(self, line):
         mu = DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0)], [0.6, 0.4])
