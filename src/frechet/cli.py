@@ -86,6 +86,16 @@ def _measure_from_json(space, spec: dict) -> DiscreteMeasure:
     return DiscreteMeasure.from_weights(space, points, np.asarray(weights, dtype=float))
 
 
+def _grid_keys(config: dict) -> dict[str, float]:
+    """``grid_step`` (finite, > 0) and ``grid_pad`` (finite, >= 0), refused by name."""
+    step, pad = float(config.get("grid_step", 0.01)), float(config.get("grid_pad", 1.0))
+    if not 0 < step < np.inf:  # false on a NaN
+        raise ConfigurationError(f"grid_step must be finite and > 0, got {step}")
+    if not 0 <= pad < np.inf:
+        raise ConfigurationError(f"grid_pad must be finite and >= 0, got {pad}")
+    return {"grid_step": step, "grid_pad": pad}
+
+
 def _experiment_config(config: dict, space) -> ExperimentConfig:
     targets = tuple(space.point_from_json(obj)
                     for obj in config.get("target_points", []))
@@ -98,8 +108,7 @@ def _experiment_config(config: dict, space) -> ExperimentConfig:
     return ExperimentConfig(
         solver=config.get("solver", "grid"),
         epsilon=float(config.get("epsilon", 0.0)),
-        grid_step=float(config.get("grid_step", 0.01)),
-        grid_pad=float(config.get("grid_pad", 1.0)),
+        **_grid_keys(config),
         target_points=targets,
         threshold=config.get("threshold"),
         max_workers=max(threads, 1),
@@ -154,8 +163,7 @@ def _cmd_mean(config: dict) -> tuple[dict, list[dict] | None, str]:
         raise ConfigurationError("the ball-grid scheme needs a centre and a radius, "
                                  "which the command line does not take")
     if scheme == "grid":
-        band = grid_mean_set(space, mu, fc, float(config.get("grid_step", 0.01)),
-                             float(config.get("grid_pad", 1.0)))
+        band = grid_mean_set(space, mu, fc, *_grid_keys(config).values())
     else:
         band = grid_oracle(space, mu, fc, space.candidates(mu, scheme))
     result = {
@@ -207,9 +215,7 @@ def _cmd_gamma(config: dict) -> tuple[dict, list[dict] | None, str]:
     eps = config.get("eps_sequence") or [1.0 / (i + 1) for i in range(len(seq))]
     report = gamma_convergence_probe(
         space, seq, limit, float(config["p"]), [float(e) for e in eps],
-        grid_step=float(config.get("grid_step", 0.01)),
-        grid_pad=float(config.get("grid_pad", 1.0)),
-        seed=int(config.get("seed", 0)))
+        **_grid_keys(config), seed=int(config.get("seed", 0)))
     return report.to_json_dict(), report.rows(), f"final_dvec={report.dvec[-1]:.6g}"
 
 
@@ -223,9 +229,7 @@ def _cmd_diag(config: dict) -> tuple[dict, list[dict] | None, str]:
 
     # Functional algebra on random single-point measures and triples.
     p = float(config.get("p", 2.0))
-    worst_cocycle = 0.0
-    worst_renorm = 0.0
-    worst_power = 0.0
+    worst_cocycle = worst_renorm = worst_power = 0.0
     for _ in range(min(trials, 200)):
         pts = [space.sample_point(rng) for _ in range(5)]
         mu = DiscreteMeasure.uniform(space, pts[:2])

@@ -177,22 +177,24 @@ class DiscreteMeasure:
     This is the only measure representation: empirical measures and
     reference measures alike are finite lists of support points with
     nonnegative weights summing to one (within 1e-12). Support points may
-    repeat; weights then add. Kernels read ``stacked``, ``space.stack(support)``;
-    a support given as one array that stacks as it is (a slice of a drawn
-    stream, say) is kept as ``stacked`` without a copy, so that array must
-    not be written to afterwards.
+    repeat; weights then add. ``support`` is a tuple of the points or, when
+    given as one array (a slice of a drawn stream, say), a read-only view of
+    it. Kernels read ``stacked``, ``space.stack(support)``: such an array
+    stacks without a copy, so it must not be written to afterwards.
     """
 
     space: Space
-    support: tuple
+    support: Sequence
     weights: np.ndarray
     stacked: Any = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
-        rows = self.support if isinstance(self.support, np.ndarray) else None
-        object.__setattr__(self, "support", tuple(self.support))
+        array = isinstance(self.support, np.ndarray)
+        object.__setattr__(self, "support", self.support.view() if array else tuple(self.support))
+        if array:
+            self.support.flags.writeable = False
         if len(self.support) == 0:
             raise ValueError("measure needs at least one support point")
         if w.shape != (len(self.support),):
@@ -202,18 +204,14 @@ class DiscreteMeasure:
             raise ValueError("weights must be nonnegative")
         if not abs(float(w.sum()) - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
-        object.__setattr__(self, "stacked", self.space.stack(
-            self.support if rows is None else rows))
+        object.__setattr__(self, "stacked", self.space.stack(self.support))
         if not self.space.contains_all(self.stacked):
             raise ConfigurationError("support point does not belong to the space")
 
     @classmethod
     def uniform(cls, space: Space, points: Sequence[Point]) -> "DiscreteMeasure":
-        points = as_sequence(points)
-        n = len(points)
-        if n == 0:
-            raise ValueError("measure needs at least one support point")
-        return cls(space, points, np.full(n, 1.0 / n))
+        points = as_sequence(points)  # no points: the constructor raises
+        return cls(space, points, np.full(len(points), 1.0 / max(len(points), 1)))
 
     @classmethod
     def dirac(cls, space: Space, point: Point) -> "DiscreteMeasure":
@@ -327,16 +325,17 @@ def origin_shift(space: Space, mu: DiscreteMeasure, config: FrechetConfig) -> fl
 
 
 def _band_values(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
-                 candidates: Sequence[Point]) -> np.ndarray:
+                 candidates: Sequence[Point], shift: float | None = None) -> np.ndarray:
     """Objective values of all candidates against the configured origin.
 
     Candidates are swept in row blocks (``row_blocks``), so memory grows
     with block size times support size, never with the candidate count.
     Each row is reduced on its own, so a value does not depend on where
     the block boundaries fall, nor on which other candidates are swept
-    with it. The kernel's fresh block is reduced in place.
+    with it. The kernel's fresh block is reduced in place. ``shift`` is
+    ``origin_shift``, computed here unless given.
     """
-    shift = origin_shift(space, mu, config)
+    shift = origin_shift(space, mu, config) if shift is None else shift
     values = np.empty(len(candidates))
     for block in row_blocks(len(candidates), len(mu.support)):
         d = space.pairwise_distances(candidates[block], mu.stacked)

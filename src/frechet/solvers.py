@@ -136,7 +136,7 @@ def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetCo
     together, so both equal the full sweep's bit for bit.
     """
     p, eps, n, dim = config.p, config.epsilon, len(mu.support), len(sizes)
-    shift = abs(origin_shift(space, mu, config))
+    shift = origin_shift(space, mu, config)
     # Rounding margin. With u = 2**-53, a kernel distance carries a relative
     # error below (dim + 3) u, a term w_i d_i**p below (p (dim + 3) + 2) u,
     # and the sum of n terms adds at most (n - 1) u times the sum of the
@@ -156,15 +156,11 @@ def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetCo
     hi = np.array([sizes], dtype=np.intp)
     best = math.inf
     found_at, found_values = [], []
-
-    def grid_points(index):
-        # The floats of ``_box_grid``: lows[k] + step * index.
-        return np.column_stack([float(a) + step * index[:, k] for k, a in enumerate(lows)])
-
+    # Grid points are lows + step * index, the floats of ``_box_grid``.
     while len(lo):
         rep = (lo + hi - 1) // 2
-        c = grid_points(rep)
-        values = _band_values(space, mu, config, c)
+        c = lows + step * rep
+        values = _band_values(space, mu, config, c, shift)
         best = min(best, float(values.min()))
         threshold = band_cut(best, eps)
         single = np.all(hi - lo == 1, axis=1)
@@ -174,24 +170,23 @@ def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetCo
         if not len(lo):
             break
         # The farthest corner's offset from c along each axis.
-        corner = np.maximum(c - grid_points(lo), grid_points(hi - 1) - c)
+        corner = np.maximum(c - (lows + step * lo), lows + step * (hi - 1) - c)
         r = space.pairwise_distances(corner, np.zeros((1, dim)))[:, 0]
-        size = np.abs(values) + shift
+        size = np.abs(values) + abs(shift)
         # An upper bound of S(c).
-        s_up = np.maximum(values + shift, 0.0) + 2.0 * kappa * ulp * size
+        s_up = np.maximum(values + abs(shift), 0.0) + 2.0 * kappa * ulp * size
         lipschitz = p * r * (s_up ** (1.0 / p) + r) ** (p - 1.0) * weight_slack
         margin = 4.0 * kappa * ulp * (size + lipschitz + abs(threshold) + 1.0)
         keep = values - lipschitz - margin <= threshold
         lo, hi = lo[keep], hi[keep]
         for k in range(dim):
-            cuts = [lo[:, k] + (hi[:, k] - lo[:, k]) * i // _AXIS_SPLITS
-                    for i in range(_AXIS_SPLITS + 1)]
-            starts, ends = cuts[:-1], cuts[1:]
-            nonempty = [a < b for a, b in zip(starts, ends)]
-            lo = np.concatenate([lo[m] for m in nonempty])
-            hi = np.concatenate([hi[m] for m in nonempty])
-            lo[:, k] = np.concatenate([a[m] for a, m in zip(starts, nonempty)])
-            hi[:, k] = np.concatenate([b[m] for b, m in zip(ends, nonempty)])
+            # Row j of ``cuts`` bounds the index ranges cell j splits into.
+            span = hi[:, k, None] - lo[:, k, None]
+            cuts = lo[:, k, None] + span * np.arange(_AXIS_SPLITS + 1) // _AXIS_SPLITS
+            cell, part = np.nonzero(cuts[:, :-1] < cuts[:, 1:])
+            lo, hi = lo[cell], hi[cell]
+            lo[:, k] = cuts[cell, part]
+            hi[:, k] = cuts[cell, part + 1]
 
     at = np.concatenate(found_at)
     values = np.concatenate(found_values)
@@ -199,7 +194,7 @@ def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetCo
     at, values = at[order], values[order]
     achieved = float(values.min())
     kept = np.flatnonzero(values <= band_cut(achieved, eps))
-    return MeanSetApprox(tuple(grid_points(at[kept])), step, achieved)
+    return MeanSetApprox(tuple(lows + step * at[kept]), step, achieved)
 
 
 @dataclass(frozen=True)

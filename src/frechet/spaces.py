@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigurationError, DiscreteMeasure, Space, row_blocks
+from .core import ConfigurationError, DiscreteMeasure, Space, _check_pair, row_blocks
 
 __all__ = [
     "EuclideanSpace",
@@ -36,7 +36,7 @@ __all__ = [
 
 def _axis_size(lo: float, hi: float, step: float) -> int:
     """Number of points of the inclusive grid lo, lo+step, ..., covering hi."""
-    if step <= 0:
+    if not step > 0:  # false on a NaN step
         raise ValueError("grid step must be positive")
     return max(int(math.ceil((hi - lo) / step - 1e-12)), 0) + 1
 
@@ -92,15 +92,15 @@ class _VectorSpace(Space):
     def _coordinate_sums(self, xs, ys, term) -> np.ndarray:
         """sum_k term(x_k - y_k) for every pair of vectors, shape (len(xs), len(ys)).
 
-        Terms are added one coordinate at a time into the result, so no
-        (len(xs), len(ys), length) tensor is built. ``term`` may overwrite
-        the gap array it is given. A stacked array is read without a copy.
-        No points on a side give an empty result; points of another length
-        raise ``ValueError``.
+        Starts from the first coordinate's terms (>= +0.0: a sum from zeros
+        bit for bit) and adds one coordinate at a time, building no (len(xs),
+        len(ys), length) tensor. ``term`` may overwrite the gap array it is
+        given. A stacked array is read without a copy. No points on a side
+        give an empty result; points of another length raise ``ValueError``.
         """
         a, b = (self._rows(pts) for pts in (xs, ys))
-        total = np.zeros((len(a), len(b)))
-        for k in range(self._length):
+        total = term(a[:, 0, None] - b[None, :, 0])
+        for k in range(1, self._length):
             total += term(a[:, k, None] - b[None, :, k])
         return total
 
@@ -145,7 +145,8 @@ class EuclideanSpace(_VectorSpace):
             raise ValueError("dimension must be positive")
 
     def pairwise_distances(self, xs, ys) -> np.ndarray:
-        return np.sqrt(self._coordinate_sums(xs, ys, lambda d: np.square(d, out=d)))
+        total = self._coordinate_sums(xs, ys, lambda d: np.square(d, out=d))
+        return np.sqrt(total, out=total)
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,8 @@ class LqSequenceSpace(_VectorSpace):
     def pairwise_distances(self, xs, ys) -> np.ndarray:
         sums = self._coordinate_sums(
             xs, ys, lambda d: np.power(np.abs(d, out=d), self.q, out=d))
-        return sums ** (1.0 / self.q)
+        sums **= 1.0 / self.q
+        return sums
 
 
 @dataclass(frozen=True)
@@ -541,8 +543,7 @@ def quantile_barycenter(space: Wasserstein1D, mu: DiscreteMeasure,
         raise ConfigurationError("quantile barycenter needs a 1-D Wasserstein space")
     if p != 2.0 or space.q != 2.0:
         raise ConfigurationError("quantile averaging is exact only for p = q = 2")
-    if mu.space != space:
-        raise ConfigurationError("measure is supported on a different space")
+    _check_pair(space, mu)
     u = (np.arange(levels) + 0.5) / levels
     avg = np.zeros(levels)
     for member, w in zip(mu.support, mu.weights):

@@ -490,7 +490,7 @@ def relative_entropy(nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
     to the first distinct atom of mu that it equals.
     """
     m = len(mu.support)
-    owner = mu.space.first_equal(mu.support + nu.support)
+    owner = mu.space.first_equal([*mu.support, *nu.support])
     mu_w = _sum_by_owner(owner[:m], mu.weights)
     total = 0.0
     for key, w in _sum_by_owner(owner[m:], nu.weights).items():

@@ -7,7 +7,8 @@ end: the per-point and per-replication loops that the package's
 array-native experiment drivers, shared prefix engine and equality scan
 replaced, which call the package's generic band sweep (``grid_oracle``)
 and solver dispatch on one measure at a time, the per-point grid and
-stacking code that the stacked vector points replaced, the full grid
+stacking code that the stacked vector points replaced, the vector
+kernels as they summed from zeros, the full grid
 sweep that the pruned grid search replaced, the per-object
 Wasserstein-1D grid and per-measure LDP origin shifts that arrays
 replaced, and the median iteration,
@@ -525,6 +526,21 @@ def coordinate_sums_per_point(xs, ys, dim, term):
     for k in range(dim):
         total += term(a[:, k, None] - b[None, :, k])
     return total
+
+
+def vector_kernel_from_zeros(space, xs, ys):
+    """``pairwise_distances`` of the Euclidean and l_q spaces as it was
+    before the sums started from the first coordinate's term: each point
+    converted on its own, every term added into zeros, and the root taken
+    out of place."""
+    from frechet import EuclideanSpace
+
+    if isinstance(space, EuclideanSpace):
+        return np.sqrt(coordinate_sums_per_point(xs, ys, space.dim,
+                                                 lambda d: np.square(d, out=d)))
+    sums = coordinate_sums_per_point(
+        xs, ys, space.truncation, lambda d: np.power(np.abs(d, out=d), space.q, out=d))
+    return sums ** (1.0 / space.q)
 
 
 def band_values_out_of_place(space, mu, p, candidates, origin):

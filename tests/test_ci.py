@@ -1,0 +1,40 @@
+"""The CI workflow against the documents it must agree with. The workflow
+and ``pyproject.toml`` are read as text, so no YAML or TOML parser is needed
+on any supported Python."""
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+
+
+def _run_lines() -> list[str]:
+    return [m.group(1).strip() for m in re.finditer(r"^\s*run:\s*(.+)$", WORKFLOW, re.M)]
+
+
+def _requirements(key: str) -> list[str]:
+    """The quoted requirements of the list ``key = [...]`` in pyproject.toml."""
+    block = re.search(rf"^{key} = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(), re.M | re.S)
+    assert block is not None, key
+    return re.findall(r'"([^"]+)"', block.group(1))
+
+
+def _package_name(requirement: str) -> str:
+    return re.split(r"[<>=!~\[;\s]", requirement, maxsplit=1)[0].lower()
+
+
+def test_pytest_step_is_the_tier1_verify_command():
+    roadmap = (ROOT / "ROADMAP.md").read_text()
+    verify = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, re.M)
+    assert verify is not None
+    assert verify.group(1) in _run_lines()
+
+
+def test_install_step_covers_the_test_extra_and_the_dependencies():
+    wanted = {_package_name(r) for r in _requirements("test") + _requirements("dependencies")}
+    assert {"pytest", "hypothesis", "numpy", "scipy"} <= wanted
+    installs = [line.split("pip install", 1)[1].split() for line in _run_lines()
+                if "pip install" in line]
+    assert len(installs) == 1
+    assert wanted <= {_package_name(arg) for arg in installs[0] if not arg.startswith("-")}

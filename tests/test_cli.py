@@ -244,6 +244,33 @@ class TestErrorPaths:
         assert err["error"] == "config" and "weights" in err["message"]
         assert not os.path.exists(out + ".json")
 
+    @pytest.mark.parametrize("key,value", [
+        ("grid_step", math.nan), ("grid_step", math.inf), ("grid_step", 0.0),
+        ("grid_pad", -5.0), ("grid_pad", math.nan),
+    ], ids=["step-nan", "step-inf", "step-zero", "pad-negative", "pad-nan"])
+    @pytest.mark.parametrize("command,payload", [
+        ("mean", {"measure": {"support": [[0.0], [1.0]]}}),
+        ("slln", {"sampler": {"kind": "iid", "distribution": "normal",
+                              "params": [0.0, 1.0], "seed": 1},
+                  "n_grid": [20], "target_points": [[0.0]]}),
+        ("ergodic", {"sampler": {"kind": "markov-chain", "states": [0.0, 3.0],
+                                 "kernel": [[0.6, 0.4], [0.4, 0.6]], "seed": 3},
+                     "n_grid": [20], "target_points": [[1.5]]}),
+    ], ids=["mean", "slln", "ergodic"])
+    def test_bad_grid_keys_are_config_errors(self, tmp_path, capsys, command, payload,
+                                             key, value):
+        # Unchecked, each fails deep in the grid code with a message that
+        # names no key, or runs: an infinite step leaves no band and a
+        # negative pad a mean set outside the support's hull.
+        cfg = write_config(tmp_path, "g.json", {
+            "space": {"type": "euclidean", "dim": 1}, "p": 2.0, "solver": "grid",
+            key: value, **payload})
+        code, out = run(tmp_path, command, cfg)
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config" and key in err["message"]
+        assert not os.path.exists(out + ".json")
+
     def test_support_scheme_still_runs(self, tmp_path):
         cfg = write_config(tmp_path, "m.json", {
             "space": {"type": "euclidean", "dim": 1},

@@ -134,6 +134,23 @@ class TestRelativeEntropy:
         mu = _measure(space, pool, [2, 3], [1, 1])
         assert relative_entropy(nu, mu) == relative_entropy_scalar(nu, mu) == math.inf
 
+    @pytest.mark.parametrize("nu_rows,mu_rows,want", [
+        ([0.0, 1.0, 2.0], [0.0, 0.0, 5.0], math.inf),
+        ([0.0, 0.0, 5.0], [5.0, 0.0, 0.0], 0.0),
+        ([0.0, 0.0, 5.0], [0.0, 5.0, 5.0], None),
+    ])
+    def test_stream_slices_of_equal_length(self, nu_rows, mu_rows, want):
+        # Measures on slices of one stream keep the arrays as their
+        # supports; joining the supports must not add them row by row.
+        line = EuclideanSpace(1)
+        stream = np.array(nu_rows + mu_rows).reshape(-1, 1)
+        nu = DiscreteMeasure.uniform(line, stream[:3])
+        mu = DiscreteMeasure.uniform(line, stream[3:])
+        value = relative_entropy(nu, mu)
+        assert _bits([value]) == _bits([relative_entropy_scalar(nu, mu)])
+        if want is not None:
+            assert value == want
+
     def test_zero_weight_atoms_outside_mu_count_nothing(self):
         line = EuclideanSpace(1)
         nu = DiscreteMeasure.from_weights(line, [np.array([0.0]), np.array([5.0])],

@@ -20,7 +20,7 @@ from frechet import (
     grid_mean_set,
     slln_experiment,
 )
-from frechet import solvers
+from frechet import core, solvers
 
 from oracles import grid_band_full_sweep
 
@@ -48,9 +48,9 @@ class _CountedSweep:
         self.rows = 0
         original = solvers._band_values
 
-        def counted(space, mu, config, candidates):
+        def counted(space, mu, config, candidates, *shift):
             self.rows += len(candidates)
-            return original(space, mu, config, candidates)
+            return original(space, mu, config, candidates, *shift)
 
         monkeypatch.setattr(solvers, "_band_values", counted)
 
@@ -125,6 +125,40 @@ class TestSameBandAsFullSweep:
 
 
 class TestWork:
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["euclidean", "lq"])
+    def test_one_origin_shift_per_search(self, monkeypatch, kind, dim, p, eps):
+        # The shift is the same at every level: it is computed once and
+        # passed down, and the band still equals relaxed_mean_set over the
+        # full grid bit for bit.
+        space = EuclideanSpace(dim) if kind == "euclidean" else LqSequenceSpace(dim, 3.0)
+        rng = np.random.default_rng(dim * 100 + int(10 * p))
+        mu = DiscreteMeasure.uniform(space, list(rng.standard_t(2, size=(7, dim)).clip(-2, 2)))
+        config = FrechetConfig(p=p, epsilon=eps)
+        step = {1: 0.02, 2: 0.1, 3: 0.25}[dim]
+        calls = []
+        original = solvers.origin_shift
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(core, "origin_shift", counted)
+        monkeypatch.setattr(solvers, "origin_shift", counted)
+        band = grid_mean_set(space, mu, config, step, 0.5)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        _assert_same_band(band, grid_band_full_sweep(space, mu, config, step, 0.5))
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan")])
+    def test_step_that_is_not_positive_is_refused(self, step):
+        line = EuclideanSpace(1)
+        mu = DiscreteMeasure.uniform(line, [np.array([0.0]), np.array([1.0])])
+        with pytest.raises(ValueError, match="grid step"):
+            grid_mean_set(line, mu, FrechetConfig(p=2.0), step)
+
     def test_mean_grid_instance_evaluates_under_one_percent(self, monkeypatch):
         # The shape of the benchmark's Euclidean call: 200 heavy-tailed atoms
         # rescaled onto [-1, 1]^2, p = 1, step 0.02, pad 1: 40,401 candidates.

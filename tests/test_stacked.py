@@ -25,7 +25,7 @@ from frechet import spaces
 from frechet.core import _band_values, as_sequence
 
 from conftest import pt
-from oracles import band_values_out_of_place, box_grid_list, coordinate_sums_per_point
+from oracles import band_values_out_of_place, box_grid_list, vector_kernel_from_zeros
 from test_spaces import _dedup_spaces
 
 VECTOR_SPACES = [EuclideanSpace(1), EuclideanSpace(2), EuclideanSpace(3), EuclideanSpace(10),
@@ -74,7 +74,8 @@ class TestStackedMeasure:
         mu = DiscreteMeasure.uniform(space, stream[:300])
         assert counting.copies == 0
         assert mu.stacked.base is stream and mu.stacked.shape == (300, _length(space))
-        assert isinstance(mu.support, tuple) and np.array_equal(mu.support[-1], stream[299])
+        assert len(mu.support) == 300 and np.array_equal(mu.support[-1], stream[299])
+        assert mu.support.base is stream and not mu.support.flags.writeable
 
     @pytest.mark.parametrize("space", [s for s in _dedup_spaces()[2:]
                                        if not isinstance(s, Wasserstein1D)],
@@ -168,13 +169,24 @@ def _vector_batches(draw):
     return space, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
 
 
-def _per_point_kernel(space, xs, ys):
-    if isinstance(space, EuclideanSpace):
-        return np.sqrt(coordinate_sums_per_point(xs, ys, space.dim,
-                                                 lambda d: np.square(d, out=d)))
-    sums = coordinate_sums_per_point(
-        xs, ys, space.truncation, lambda d: np.power(np.abs(d, out=d), space.q, out=d))
-    return sums ** (1.0 / space.q)
+# Signed zeros, subnormals, the smallest normal and values whose squares
+# approach the largest float, next to ordinary coordinates.
+_EDGE_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                     1e154, -1e154, 1.3e154]),
+    st.floats(-1.3e154, 1.3e154, allow_subnormal=True),
+    st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _edge_batches(draw):
+    dim = draw(st.sampled_from([1, 2, 3, 10]))
+    space = draw(st.sampled_from([EuclideanSpace(dim), LqSequenceSpace(dim, 1.5),
+                                  LqSequenceSpace(dim, 2.0), LqSequenceSpace(dim, 3.0)]))
+    vec = st.lists(_EDGE_COORDS, min_size=dim, max_size=dim)
+    xs = draw(st.lists(vec, min_size=1, max_size=5))
+    ys = draw(st.lists(vec, min_size=1, max_size=5))
+    return space, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
 
 
 class TestKernelsOnStacks:
@@ -182,10 +194,22 @@ class TestKernelsOnStacks:
     @settings(max_examples=80, deadline=None)
     def test_same_bits_on_rows_and_on_the_stack(self, batch):
         space, xs, ys = batch
-        expected = _per_point_kernel(space, list(xs), list(ys)).tobytes()
+        expected = vector_kernel_from_zeros(space, list(xs), list(ys)).tobytes()
         for a in (xs, list(xs), tuple(xs), xs.tolist()):
             for b in (ys, list(ys)):
                 assert space.pairwise_distances(a, b).tobytes() == expected
+
+    @given(batch=_edge_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_first_term_start_equals_the_sum_from_zeros(self, batch):
+        # Every term is +0.0 or more, so 0.0 + t == t: starting from the
+        # first coordinate's term gives the old sums bit for bit, signed
+        # zeros, subnormals and overflow to inf included.
+        space, xs, ys = batch
+        with np.errstate(over="ignore"):
+            want = vector_kernel_from_zeros(space, list(xs), list(ys))
+            got = space.pairwise_distances(xs, ys)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @st.composite
