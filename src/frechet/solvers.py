@@ -217,13 +217,13 @@ class SortedLine:
 
     def split(self, lo: float, hi: float) -> tuple[float, float, float]:
         """Weights of the atoms below ``lo``, in ``[lo, hi]`` and above ``hi``."""
-        a = int(np.searchsorted(self.values, lo, side="left"))
-        b = int(np.searchsorted(self.values, hi, side="right"))
+        a = int(self.values.searchsorted(lo, side="left"))
+        b = int(self.values.searchsorted(hi, side="right"))
         cum = self.cum
         return float(cum[a]), float(cum[b] - cum[a]), float(cum[-1] - cum[b])
 
 
-def _pull_outweighs_window(line: SortedLine, yj: float, tie: float) -> bool:
+def _pull_outweighs_window(line: SortedLine, yj: float, tie: float, slack: float) -> bool:
     """True when rank counts alone show that the atom at ``yj`` fails the
     full scan of ``_atom_certificate`` with the same ``tie``.
 
@@ -239,10 +239,10 @@ def _pull_outweighs_window(line: SortedLine, yj: float, tie: float) -> bool:
     1.01 n u S of their exact values (u = 2**-53, S the total weight),
     and |A - B| - W from the prefix sums within 5.05 n u S + 8 u S, so
     the scan rejects the atom whenever |A - B| - W exceeds
-    (7.07 n + 8) u S. The slack below, 16 (n + 1) u (S + 1), is larger.
+    (7.07 n + 8) u S. The caller's ``slack``, 16 (n + 1) u (S + 1), is
+    larger.
     """
     below, inside, above = line.split(yj - 2.0 * tie, yj + 2.0 * tie)
-    slack = 16.0 * (len(line.values) + 1) * 2.0 ** -53 * (float(line.cum[-1]) + 1.0)
     return abs(above - below) - inside > slack
 
 
@@ -279,10 +279,14 @@ def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,
     16 (n + 1) 2**-53 (S + 1), S the total weight, the full scan would
     reject the atom too, so it is not run. Otherwise, and whenever the
     support spans more than 1e150, the full scan decides. Distances on
-    the line are sqrt(d * d) of the one coordinate, the value
-    ``np.linalg.norm`` gives. Iterates, callbacks and the result are those
-    of the full scan bit for bit; in dimension 2 and up the full scan is
-    the only test.
+    the line must be sqrt(d * d) of the one coordinate, the value
+    ``np.linalg.norm`` gives; they are computed as |d| into buffers of the
+    call, since sqrt(fl(d * d)) = |d| exactly for 2**-511 <= |d| < 2**511.
+    That holds when the support spans at most 1e150, the iterate lies
+    between its smallest and largest atom and the nearest distance is at
+    least 2**-511; otherwise that iteration takes sqrt(d * d). Iterates,
+    callbacks and the result are those of the full scan bit for bit; in
+    dimension 2 and up the full scan is the only test.
     """
     if not isinstance(space, EuclideanSpace):
         raise ConfigurationError("the median iteration runs on Euclidean spaces")
@@ -293,16 +297,10 @@ def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,
         return ys[0].copy()
     column = ys[:, 0] if ys.shape[1] == 1 else None
 
-    def distances(x: np.ndarray) -> np.ndarray:
-        if column is None:
-            return np.linalg.norm(ys - x, axis=1)
-        d = column - x[0]
-        return np.sqrt(d * d)
-
     x = ys.T @ w  # weighted average start
     if callback is not None:
         callback(x.copy())
-    scale = 1.0 + float(np.max(distances(x)))
+    scale = 1.0 + float(np.max(np.linalg.norm(ys - x, axis=1)))
     if not math.isfinite(scale):
         raise ConfigurationError("the median iteration's distance scale overflows: "
                                  "the support lies too far from its weighted average")
@@ -314,12 +312,29 @@ def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,
     # the plain iteration converges sublinearly. Verdicts are cached since
     # the nearest atom stabilizes quickly.
     certified: dict[int, bool] = {}
-    # The rank-count gate needs squared differences that cannot overflow.
+    # The rank-count gate and |d| need squared differences that cannot overflow.
     line = SortedLine.of(column, w) if column is not None and np.ptp(column) <= 1e150 else None
+    if line is not None:
+        slack = 16.0 * (len(w) + 1) * 2.0 ** -53 * (float(line.cum[-1]) + 1.0)
+    # Per call, so that concurrent calls share no buffer.
+    line_dist, inv = np.empty(len(w)), np.empty(len(w))
+
+    def distances(x: np.ndarray) -> tuple[np.ndarray, int]:
+        """The distances to x, the values ``np.linalg.norm`` gives, and the
+        index of the smallest."""
+        if column is None:
+            d = np.linalg.norm(ys - x, axis=1)
+            return d, int(d.argmin())
+        d = np.abs(np.subtract(column, x[0], out=line_dist), out=line_dist)
+        j = int(d.argmin())
+        if line is None or not line.values[0] <= x[0] <= line.values[-1] or d[j] < 2.0 ** -511:
+            np.sqrt(np.multiply(d, d, out=d), out=d)
+            j = int(d.argmin())
+        return d, j
 
     def atom_is_optimal(j: int) -> bool:
         if j not in certified:
-            if line is not None and _pull_outweighs_window(line, float(column[j]), tie):
+            if line is not None and _pull_outweighs_window(line, float(column[j]), tie, slack):
                 certified[j] = False
             else:
                 certified[j] = _atom_certificate(ys, w, j, tie)
@@ -327,8 +342,7 @@ def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,
 
     f_prev = math.inf
     for _ in range(config.max_iterations):
-        dist = distances(x)
-        j = int(np.argmin(dist))
+        dist, j = distances(x)
         if atom_is_optimal(j):
             return ys[j].copy()
         f_here = float(np.dot(w, dist))
@@ -349,9 +363,10 @@ def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,
             if callback is not None:
                 callback(x.copy())
             continue
-        inv = w / dist
+        np.divide(w, dist, out=inv)
         x_next = ys.T @ inv / inv.sum()
-        move = float(np.linalg.norm(x_next - x))
+        delta = x_next - x
+        move = math.sqrt(float(delta.dot(delta)))  # np.linalg.norm's formula, bit for bit
         x = x_next
         if callback is not None:
             callback(x.copy())

@@ -24,11 +24,19 @@ def _package_name(requirement: str) -> str:
     return re.split(r"[<>=!~\[;\s]", requirement, maxsplit=1)[0].lower()
 
 
-def test_pytest_step_is_the_tier1_verify_command():
+def _verify_command() -> str:
     roadmap = (ROOT / "ROADMAP.md").read_text()
     verify = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, re.M)
     assert verify is not None
-    assert verify.group(1) in _run_lines()
+    return verify.group(1)
+
+
+def test_pytest_step_is_the_tier1_verify_command():
+    assert _verify_command() in _run_lines()
+
+
+def test_pytest_step_runs_again_on_two_threads():
+    assert "FRECHET_THREADS=2 " + _verify_command() in _run_lines()
 
 
 def test_install_step_covers_the_test_extra_and_the_dependencies():

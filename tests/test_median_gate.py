@@ -1,9 +1,15 @@
 """The median iteration's rank-count gate (``solvers._pull_outweighs_window``)
-against the full certificate scan it skips (``oracles.weiszfeld_median_full_scan``):
-the same iterates, callbacks and result bit for bit, with at most two full
-scans per call on heavy-tailed samples. Also the per-call tables of the
-Monte-Carlo LDP replications and of the chain draw against the code they
-replaced."""
+and its line kernel (|d| in place of sqrt(d * d)) against the full
+certificate scan with ``np.linalg.norm`` distances
+(``oracles.weiszfeld_median_full_scan``): the same iterates, callbacks and
+result bit for bit, on shapes that take the kernel's sqrt(d * d) fallbacks
+and on the benchmark's own Cauchy cells, with at most two full scans per call on
+heavy-tailed samples. Also the per-call tables of the Monte-Carlo LDP
+replications and of the chain draw against the code they replaced."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +26,7 @@ from frechet import (
     weiszfeld_median,
 )
 from frechet import solvers
-from frechet.stochastics import _drawn_atoms, _finite_indices
+from frechet.stochastics import _derived_seed, _drawn_atoms, _finite_indices, sampler_from_json
 
 from oracles import (
     chain_indices_bisect,
@@ -61,7 +67,7 @@ class TestSameIteratesAsFullScan:
     def test_random_instances(self, data):
         shape = data.draw(st.sampled_from(
             ["even-uniform", "integer-ties", "near-ties", "offset", "huge-span", "cauchy",
-             "plane"]),
+             "plane", "tiny-gap", "on-atom", "near-overflow"]),
             label="shape")
         n = data.draw(st.integers(2, 300), label="n")
         if shape == "even-uniform":
@@ -81,6 +87,17 @@ class TestSameIteratesAsFullScan:
             far = data.draw(st.sampled_from([1e152, 1e200]), label="far")
             atoms = rng.standard_cauchy(size=(n, 1))
             atoms[0, 0], atoms[-1, 0] = -far, far
+        elif shape == "near-overflow":  # no gate and no |d|, yet squares stay finite
+            far = data.draw(st.sampled_from([1e150, 1e153, 6e153]), label="far")
+            atoms = rng.standard_cauchy(size=(n, 1))
+            atoms[0, 0], atoms[-1, 0] = -far, far
+        elif shape in ("tiny-gap", "on-atom"):
+            # Integers summing to 0 over 2**k atoms: the uniform start is the
+            # atom 0 exactly, or within 2**-511 of it and of the tiny atoms.
+            tiny = [0.0, 1e-170, 1e-160, 2e-160] if shape == "tiny-gap" else [0.0]
+            ints = rng.integers(-3, 4, size=max(8, 1 << (n - 1).bit_length()) - len(tiny))
+            ints[-1] -= ints.sum()
+            atoms = rng.permutation(np.concatenate([ints, tiny])).reshape(-1, 1)
         elif shape == "cauchy":
             atoms = np.round(rng.standard_cauchy(size=(n, 1)), data.draw(
                 st.sampled_from([0, 1, 8]), label="decimals"))
@@ -88,7 +105,7 @@ class TestSameIteratesAsFullScan:
             atoms = rng.integers(-2, 3, size=(n, dim)).astype(float)
         space = EuclideanSpace(dim=dim)
         if shape != "even-uniform" and data.draw(st.booleans(), label="weighted"):
-            weights = rng.integers(1, 5, size=n).astype(float)
+            weights = rng.integers(1, 5, size=len(atoms)).astype(float)
             mu = DiscreteMeasure.from_weights(space, list(atoms), weights / weights.sum())
         else:
             mu = DiscreteMeasure.uniform(space, list(atoms))
@@ -105,6 +122,23 @@ class TestSameIteratesAsFullScan:
         assert _run(weiszfeld_median, line, mu, None) == \
             _run(weiszfeld_median_full_scan, line, mu, None)
 
+    @pytest.mark.parametrize("atoms", [
+        # tiny-gap: from the start 0 the atoms 1e-170 and 0 both have
+        # sqrt(d * d) = 0, so the scan stops at the first, 1e-170; |d|
+        # alone would pick 0.
+        [1e-170, 0.0, 1e-160, 2e-160, -12.0, 1.0, 2.0, 9.0],
+        # on-atom: the start is the atom 0 exactly, a non-optimal one.
+        [-12.0, 0.0, 1.0, 2.0, 3.0, 3.0, 1.0, 2.0],
+    ], ids=["tiny-gap", "on-atom"])
+    def test_starts_within_2_pow_minus_511_of_an_atom(self, line, atoms):
+        column = np.array(atoms)
+        mu = DiscreteMeasure.uniform(line, list(column.reshape(-1, 1)))
+        starts = []
+        weiszfeld_median_full_scan(line, mu, callback=starts.append)
+        assert np.min(np.abs(column - starts[0][0])) < 2.0 ** -511
+        assert _run(weiszfeld_median, line, mu, None) == \
+            _run(weiszfeld_median_full_scan, line, mu, None)
+
     @pytest.mark.parametrize("far", [1e149, 1e151])
     def test_gate_steps_aside_beyond_a_span_of_1e150(self, line, monkeypatch, far):
         gates = []
@@ -116,6 +150,56 @@ class TestSameIteratesAsFullScan:
         assert _run(weiszfeld_median, line, mu, None) == \
             _run(weiszfeld_median_full_scan, line, mu, None)
         assert bool(gates) == (far < 1e150)
+
+
+class TestLineDistance:
+    """sqrt(fl(d * d)) = |d|, the identity the line kernel's fast path uses,
+    and its failures just outside [2**-511, 2**511), which the guards avoid."""
+
+    @given(magnitude=st.floats(2.0 ** -511, 2.0 ** 511, exclude_max=True),
+           negative=st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_square_root_of_square_is_abs_inside_the_range(self, magnitude, negative):
+        d = np.float64(-magnitude if negative else magnitude)
+        assert np.sqrt(d * d) == np.abs(d)
+
+    @pytest.mark.parametrize("d", [1e-160, -1e-160, 1.5e154, -1.5e154],
+                             ids=["underflow", "underflow-negative", "overflow",
+                                  "overflow-negative"])
+    def test_square_root_of_square_is_not_abs_outside(self, d):
+        with np.errstate(over="ignore", under="ignore"):
+            assert np.sqrt(np.float64(d) * np.float64(d)) != abs(d)
+
+
+def _benchmark_workloads():
+    """``bench/workloads.py`` as a module, read only: no bytecode is written."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return module
+
+
+class TestBenchmarkCells:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cauchy_cells_match_the_full_scan(self, line, seed):
+        """Each cell of the ``experiments`` Cauchy strong-law call, drawn as
+        ``slln_experiment`` draws it: 12 prefix measures per seed."""
+        calls = _benchmark_workloads().generate("experiments", seed)
+        config = next(c for command, c in calls
+                      if command == "slln" and c["solver"] == "weiszfeld")
+        sampler = sampler_from_json(config["sampler"]).with_seed(int(config["seed"]))
+        for rep in range(config["replications"]):
+            stream = sampler.with_seed(_derived_seed(sampler.seed, rep)).draw(
+                max(config["n_grid"]))
+            for n in config["n_grid"]:
+                mu = DiscreteMeasure.uniform(line, stream[:n])
+                assert _run(weiszfeld_median, line, mu, None) == \
+                    _run(weiszfeld_median_full_scan, line, mu, None), (rep, n)
 
 
 class TestWork:
