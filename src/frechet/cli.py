@@ -6,12 +6,17 @@ version) plus optional key=value overrides. Result JSON re-parses under
 the same schema; CSV bodies are byte-identical across reruns with the
 same seed and config, with timestamps confined to a metadata sidecar
 field.
+
+Importing this module loads ``core``, ``spaces`` and ``solvers``, which
+``dist``, ``mean`` and ``diag`` need. The experiment commands import the
+rest when they run: ``slln``, ``ergodic`` and ``ldp`` load ``stochastics``
+(and with it ``convergence``), ``gamma`` loads ``convergence``. They look
+the experiment functions up on those modules at each call.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -31,16 +36,8 @@ from .core import (
     power_bound_slack,
     renorm_bound_slack,
 )
-from .convergence import gamma_convergence_probe
 from .solvers import SolverConfig, grid_mean_set, grid_oracle
 from .spaces import space_from_json
-from .stochastics import (
-    ExperimentConfig,
-    ergodic_experiment,
-    ldp_experiment,
-    sampler_from_json,
-    slln_experiment,
-)
 
 SCHEMA_VERSION = 1
 
@@ -96,7 +93,10 @@ def _grid_keys(config: dict) -> dict[str, float]:
     return {"grid_step": step, "grid_pad": pad}
 
 
-def _experiment_config(config: dict, space) -> ExperimentConfig:
+def _experiment_config(config: dict, space):
+    """The ``stochastics.ExperimentConfig`` of an slln or ergodic config."""
+    from .stochastics import ExperimentConfig
+
     targets = tuple(space.point_from_json(obj)
                     for obj in config.get("target_points", []))
     threads = int(os.environ.get("FRECHET_THREADS", "1"))
@@ -131,6 +131,8 @@ def _write_outputs(out: str, command: str, config: dict, result: dict,
     with open(out + ".json", "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True))
     if rows:
+        import csv
+
         with open(out + ".csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
@@ -177,26 +179,30 @@ def _cmd_mean(config: dict) -> tuple[dict, list[dict] | None, str]:
 def _cmd_prefix(config: dict, command: str) -> tuple[dict, list[dict] | None, str]:
     """``slln`` and ``ergodic``: the same config keys and report; only
     the source of the streams differs (``replications`` applies to slln)."""
+    from . import stochastics
+
     _require(config, "space", "sampler", "p", "n_grid")
     space = space_from_json(config["space"])
-    sampler = sampler_from_json(config["sampler"])
+    sampler = stochastics.sampler_from_json(config["sampler"])
     if "seed" in config:
         sampler = sampler.with_seed(int(config["seed"]))
     args = (space, sampler, float(config["p"]), [int(n) for n in config["n_grid"]])
     exp = _experiment_config(config, space)
     if command == "slln":
-        report = slln_experiment(*args, int(config.get("replications", 1)), exp)
+        report = stochastics.slln_experiment(*args, int(config.get("replications", 1)), exp)
     else:
-        report = ergodic_experiment(*args, exp)
+        report = stochastics.ergodic_experiment(*args, exp)
     return report.to_json_dict(), report.rows(), f"final_dvec={report.dvec[-1]:.6g}"
 
 
 def _cmd_ldp(config: dict) -> tuple[dict, list[dict] | None, str]:
+    from . import stochastics
+
     _require(config, "space", "measure", "p", "n_grid", "event_points")
     space = space_from_json(config["space"])
     mu = _measure_from_json(space, config["measure"])
     events = [space.point_from_json(obj) for obj in config["event_points"]]
-    result = ldp_experiment(
+    result = stochastics.ldp_experiment(
         space, mu, float(config["p"]), events,
         [int(n) for n in config["n_grid"]],
         mode=config.get("mode", "exact-binomial"),
@@ -208,12 +214,14 @@ def _cmd_ldp(config: dict) -> tuple[dict, list[dict] | None, str]:
 
 
 def _cmd_gamma(config: dict) -> tuple[dict, list[dict] | None, str]:
+    from . import convergence
+
     _require(config, "space", "measures", "limit", "p")
     space = space_from_json(config["space"])
     seq = [_measure_from_json(space, spec) for spec in config["measures"]]
     limit = _measure_from_json(space, config["limit"])
     eps = config.get("eps_sequence") or [1.0 / (i + 1) for i in range(len(seq))]
-    report = gamma_convergence_probe(
+    report = convergence.gamma_convergence_probe(
         space, seq, limit, float(config["p"]), [float(e) for e in eps],
         **_grid_keys(config), seed=int(config.get("seed", 0)))
     return report.to_json_dict(), report.rows(), f"final_dvec={report.dvec[-1]:.6g}"
@@ -224,6 +232,8 @@ def _cmd_diag(config: dict) -> tuple[dict, list[dict] | None, str]:
     space = space_from_json(config["space"])
     seed = int(config.get("seed", 0))
     trials = int(config.get("trials", 1000))
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     axioms = metric_axiom_violations(space, rng, trials=trials)
 

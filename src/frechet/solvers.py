@@ -11,7 +11,6 @@ out.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -44,8 +43,6 @@ __all__ = [
     "euclidean_pmean",
     "bw_barycenter",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -451,8 +448,11 @@ def _clamped_root_pair(sigma: np.ndarray, floor_ratio: float = 1e-12):
     floor = floor_ratio * top
     clamped = np.maximum(lam, floor)
     if np.any(lam < floor):
-        log.warning("clamped %d eigenvalue(s) to keep an iterate positive definite",
-                    int(np.sum(lam < floor)))
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "clamped %d eigenvalue(s) to keep an iterate positive definite",
+            int(np.sum(lam < floor)))
     root = (vec * np.sqrt(clamped)) @ vec.T
     inv_root = (vec / np.sqrt(clamped)) @ vec.T
     return root, inv_root

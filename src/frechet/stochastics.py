@@ -14,7 +14,6 @@ import itertools
 import math
 import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -280,8 +279,21 @@ def _replication_map(fn: Callable, count: int, max_workers: int) -> list:
     """Run fn(0..count-1), possibly concurrently; order fixed by index."""
     if max_workers <= 1 or count <= 1:
         return [fn(i) for i in range(count)]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(max_workers, count)) as pool:
         return list(pool.map(fn, range(count)))
+
+
+def _sample_sizes(n_grid: Sequence[int]) -> list[int]:
+    """``n_grid`` as a list; ``ValueError`` naming the key when it is empty
+    or holds a size below one."""
+    n_grid = list(n_grid)
+    if not n_grid:
+        raise ValueError("n_grid must hold at least one sample size")
+    if min(n_grid) < 1:
+        raise ValueError(f"n_grid sample sizes must be >= 1, got {min(n_grid)}")
+    return n_grid
 
 
 def _prefix_experiment(space: Space, stream: Sequence, n_grid: list[int], p: float,
@@ -324,19 +336,18 @@ def slln_experiment(space: Space, sampler: SamplerSpec, p: float,
     n uses a prefix of it; streams are prefix-stable, so this equals a
     fresh draw per n. The runtime of an n is the time its cells took,
     summed over replications; the draw itself belongs to no cell. Fewer
-    than one replication raises ``ValueError``.
+    than one replication, or a degenerate ``n_grid`` (``_sample_sizes``),
+    raises ``ValueError``.
     """
     if not config.target_points:
         raise ConfigurationError("the experiment needs a target mean set")
     target = list(config.target_points)
-    n_grid = list(n_grid)
-    if any(n < 1 for n in n_grid):
-        raise ValueError("need at least one sample")
+    n_grid = _sample_sizes(n_grid)
     if replications < 1:
         raise ValueError("need at least one replication")
 
     def one_rep(rep: int) -> tuple[list, list, list, list]:
-        stream = sampler.with_seed(_derived_seed(sampler.seed, rep)).draw(max(n_grid, default=0))
+        stream = sampler.with_seed(_derived_seed(sampler.seed, rep)).draw(max(n_grid))
         return _prefix_experiment(space, stream, n_grid, p, config, target)
 
     per_rep = _replication_map(one_rep, replications, config.max_workers)
@@ -469,7 +480,7 @@ def ergodic_experiment(space: Space, markov: SamplerSpec, p: float,
     else:
         raise ConfigurationError("supply target_points unless p = 2 on a Euclidean space")
 
-    n_grid = list(n_grid)
+    n_grid = _sample_sizes(n_grid)
     dvecs, moments_, failures, runtimes = _prefix_experiment(
         space, markov.draw(max(n_grid)), n_grid, p, config, target)
     if any(failures):
@@ -570,22 +581,29 @@ def ldp_rate_function(space: Space, mu: DiscreteMeasure, p: float, target_x,
     """
     atoms, base_w = _aggregate(mu)
     return _lattice_rate(space.pairwise_distances(atoms, atoms) ** p, base_w,
-                         _equals_any(space, atoms, [target_x]), simplex_step)
+                         _equals_any(space, atoms, [target_x]), _lattice_size(simplex_step))
 
 
-def _lattice_rate(dp: np.ndarray, base_w: list, is_target: np.ndarray,
-                  simplex_step: float) -> float:
+def _lattice_size(simplex_step: float) -> int:
+    """The m of a lattice of step 1/m; ``ValueError`` naming the key unless
+    ``simplex_step`` is finite, > 0 and divides 1."""
+    if not 0 < simplex_step < math.inf:  # false on a NaN
+        raise ValueError(f"simplex_step must be finite and > 0, got {simplex_step}")
+    m = int(round(1.0 / simplex_step))
+    if abs(m * simplex_step - 1.0) > 1e-9:
+        raise ValueError(f"simplex_step must divide 1, got {simplex_step}")
+    return m
+
+
+def _lattice_rate(dp: np.ndarray, base_w: list, is_target: np.ndarray, m: int) -> float:
     """``min(ldp_rate_function(..., t) for t in targets)`` from one lattice
-    sweep that keeps the measures whose band is one atom equal to a target.
-    ``dp`` holds the atom distances to the power p and ``is_target`` marks
-    the target atoms."""
+    sweep of step 1/m that keeps the measures whose band is one atom equal
+    to a target. ``dp`` holds the atom distances to the power p and
+    ``is_target`` marks the target atoms."""
     k = len(base_w)
     if k > 4:
         raise ConfigurationError("rate-function enumeration is feasible for "
                                  "at most 4 support atoms")
-    m = int(round(1.0 / simplex_step))
-    if abs(m * simplex_step - 1.0) > 1e-9:
-        raise ValueError("simplex step must divide 1")
     # terms[i, c] = w log(w / b_i) at w = c / m; a coordinate where the base
     # has no mass makes the entropy infinite.
     terms = np.zeros((k, m + 1))
@@ -664,18 +682,21 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
     (``_replication_uniforms``, ``_drawn_atoms``) in blocks of at most
     ``SWEEP_BLOCK_ENTRIES`` uniforms, and each block's bands are decided
     by one batched sweep per count of distinct atoms drawn. A negative
-    seed, or fewer than one replication in this mode, raises ``ValueError``.
+    seed, fewer than one replication in this mode, a degenerate ``n_grid``
+    (``_sample_sizes``) or ``simplex_step`` (``_lattice_size``) raises
+    ``ValueError``.
     """
     if mode == "monte-carlo" and replications < 1:
         raise ValueError("need at least one replication")
+    n_grid = _sample_sizes(n_grid)
+    m = _lattice_size(simplex_step)
     atoms, base_w = _aggregate(mu)
     event_points = list(event_points)
-    n_grid = list(n_grid)
 
     # A mean set is in the event when each of its atoms is an event point.
     event = _equals_any(space, atoms, event_points)
     dp = space.pairwise_distances(atoms, atoms) ** p
-    theoretical = _lattice_rate(dp, base_w, event, simplex_step) if event_points else math.inf
+    theoretical = _lattice_rate(dp, base_w, event, m) if event_points else math.inf
 
     probabilities, ties, censored = [], [], []
     if mode == "exact-binomial":
@@ -695,8 +716,6 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
             ties.append(tie)
             censored.append(False)
     elif mode == "monte-carlo":
-        if any(n < 1 for n in n_grid):
-            raise ValueError("need at least one sample")
         cum = np.cumsum(base_w)
         for j, n in enumerate(n_grid):
             # mass[c] is c samples of weight 1/n added one at a time.

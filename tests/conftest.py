@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import frechet
 from frechet import (
     BuresWassersteinSpace,
     EuclideanSpace,
@@ -9,6 +13,14 @@ from frechet import (
     SpiderSpace,
     Wasserstein1D,
 )
+
+
+def fresh_env(**extra: str) -> dict:
+    """The environment for a fresh interpreter that imports this tree's
+    ``frechet``, with ``extra`` variables set."""
+    src = str(Path(frechet.__file__).resolve().parent.parent)
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def pt(*coords):

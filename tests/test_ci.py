@@ -5,6 +5,8 @@ on any supported Python."""
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
 
@@ -46,3 +48,33 @@ def test_install_step_covers_the_test_extra_and_the_dependencies():
                 if "pip install" in line]
     assert len(installs) == 1
     assert wanted <= {_package_name(arg) for arg in installs[0] if not arg.startswith("-")}
+
+
+def _step(name: str) -> str:
+    """The text of the step called ``name``, up to the next step."""
+    match = re.search(rf"^\s*- name: {re.escape(name)}\n(.*?)(?=^\s*(?:- |#)|\Z)",
+                      WORKFLOW, re.M | re.S)
+    assert match is not None, name
+    return match.group(1)
+
+
+def test_run_values_are_plain_yaml_scalars():
+    # In a plain scalar ": " starts a mapping and " #" a comment, so either
+    # one makes the whole workflow fail to load.
+    assert [line for line in _run_lines() if ": " in line or " #" in line] == []
+
+
+@pytest.mark.parametrize("name,reports", [
+    ("Source size", "wc -l src/frechet/*.py"),
+    ("Start-up", "import frechet.cli"),
+])
+def test_summary_step_runs_always(name, reports):
+    step = _step(name)
+    assert re.search(r"^\s*if: always\(\)$", step, re.M)
+    run = re.search(r"^\s*run:\s*(.+)$", step, re.M).group(1)
+    assert reports in run and run.endswith('>> "$GITHUB_STEP_SUMMARY"')
+
+
+def test_start_up_step_lists_the_loaded_frechet_modules():
+    run = re.search(r"^\s*run:\s*(.+)$", _step("Start-up"), re.M).group(1)
+    assert run.startswith("PYTHONPATH=src python -c ") and "sys.modules" in run

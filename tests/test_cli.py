@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-import frechet
 from frechet.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, SCHEMA_VERSION, build_parser, main
+
+from conftest import fresh_env
 
 
 def write_config(tmp_path, name, payload):
@@ -16,6 +17,19 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+# Minimal valid configs of the experiment commands.
+SLLN = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0,
+        "sampler": {"kind": "iid", "distribution": "normal", "params": [0.0, 1.0], "seed": 1},
+        "n_grid": [20], "solver": "subgradient", "target_points": [[0.0]]}
+ERGODIC = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0,
+           "sampler": {"kind": "markov-chain", "states": [0.0, 3.0],
+                       "kernel": [[0.6, 0.4], [0.4, 0.6]], "seed": 3},
+           "n_grid": [20], "solver": "subgradient"}
+LDP = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0,
+       "measure": {"support": [[0.0], [1.0]], "weights": [0.7, 0.3]},
+       "n_grid": [20], "event_points": [[1.0]], "simplex_step": 0.25}
 
 
 def run(tmp_path, command, config, out_name="out", extra=()):
@@ -271,6 +285,42 @@ class TestErrorPaths:
         assert err["error"] == "config" and key in err["message"]
         assert not os.path.exists(out + ".json")
 
+    @pytest.mark.parametrize("command,payload", [
+        ("slln", SLLN), ("ergodic", ERGODIC), ("ldp", LDP),
+        ("diag", {"space": {"type": "spider", "legs": 3}, "trials": 1})])
+    def test_the_configs_varied_below_run(self, tmp_path, command, payload):
+        # So each refusal below is owed to the one key it changes.
+        code, _ = run(tmp_path, command, write_config(tmp_path, "k.json", payload))
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("command,payload,key", [
+        ("slln", {**SLLN, "n_grid": []}, "n_grid"),
+        ("ergodic", {**ERGODIC, "n_grid": []}, "n_grid"),
+        ("ldp", {**LDP, "n_grid": []}, "n_grid"),
+        ("ldp", {**LDP, "n_grid": [0]}, "n_grid"),
+        ("ldp", {**LDP, "n_grid": [-3]}, "n_grid"),
+        ("ldp", {**LDP, "n_grid": [0], "mode": "monte-carlo", "replications": 5},
+         "n_grid"),
+        ("ldp", {**LDP, "simplex_step": 0.0}, "simplex_step"),
+        ("ldp", {**LDP, "simplex_step": math.nan}, "simplex_step"),
+        ("ldp", {**LDP, "simplex_step": -0.1}, "simplex_step"),
+        ("ldp", {**LDP, "simplex_step": 0.3}, "simplex_step"),
+        ("diag", {"space": {"type": "spider", "legs": 3}, "trials": -5}, "trials"),
+        ("diag", {"space": {"type": "spider", "legs": 3}, "trials": 0}, "trials"),
+    ], ids=["slln-empty-grid", "ergodic-empty-grid", "ldp-empty-grid", "ldp-zero-n",
+            "ldp-negative-n", "ldp-monte-carlo-zero-n", "step-zero", "step-nan",
+            "step-negative", "step-not-dividing", "diag-negative-trials", "diag-no-trials"])
+    def test_degenerate_experiment_keys_are_config_errors(self, tmp_path, capsys, command,
+                                                          payload, key):
+        # Unchecked, these end in a traceback, in a message that names no
+        # key, or in a run that reports nothing (no rows, or passed=True
+        # after zero trials).
+        code, out = run(tmp_path, command, write_config(tmp_path, "k.json", payload))
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config" and key in err["message"]
+        assert not os.path.exists(out + ".csv")
+
     def test_support_scheme_still_runs(self, tmp_path):
         cfg = write_config(tmp_path, "m.json", {
             "space": {"type": "euclidean", "dim": 1},
@@ -320,15 +370,43 @@ class TestErrorPaths:
         assert "timestamp" in payload["metadata"]
 
 
+def _fresh_modules(code: str) -> dict:
+    """The modules a fresh interpreter holds after running ``code``: the
+    ``frechet`` ones, and which of numpy, scipy and the stdlib modules that
+    only some commands use were loaded."""
+    report = ("import json, sys; print(json.dumps({"
+              "'frechet': sorted(m for m in sys.modules if m.split('.')[0] == 'frechet'), "
+              "'other': sorted(m for m in sys.modules if m in ('logging', 'csv', "
+              "'concurrent.futures', 'numpy') or m.split('.')[0] == 'scipy')}))")
+    out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=fresh_env(),
+                         capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+START_UP = ["frechet", "frechet.cli", "frechet.core", "frechet.solvers", "frechet.spaces"]
+
+
 def test_cli_import_loads_no_scipy():
-    # scipy is imported where it is used, so starting the CLI does not pay
-    # for it.
-    src = str(Path(frechet.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, frechet.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    # Starting the CLI loads what dist, mean and diag need and no more:
+    # scipy, the experiment modules, logging, csv and the thread pool are
+    # imported where they are used.
+    loaded = _fresh_modules("import frechet.cli")
+    assert loaded["frechet"] == START_UP
+    assert loaded["other"] == ["numpy"]
+
+
+def test_bare_package_import_loads_no_submodule():
+    assert _fresh_modules("import frechet") == {"frechet": ["frechet"], "other": []}
+
+
+def test_a_mean_call_loads_no_further_frechet_module(tmp_path):
+    cfg = write_config(tmp_path, "m.json", {
+        "space": {"type": "euclidean", "dim": 1},
+        "measure": {"support": [[1.0], [2.0], [3.0]]}, "p": 2.0, "grid_step": 0.01})
+    call = (f"import frechet.cli\n"
+            f"assert frechet.cli.main(['mean', '--config', {cfg!r}, "
+            f"'--out', {str(tmp_path / 'm')!r}]) == 0")
+    assert _fresh_modules(call)["frechet"] == START_UP
 
 
 class TestParserAndSidecar:

@@ -3,8 +3,9 @@
 Each config below is one of the experiment configs of ``test_cli.py``, or
 a second config of one command (``COMMANDS`` names its command). The CSV
 that ``frechet.cli.main`` writes for it must equal, byte for byte, the
-file recorded under ``tests/golden/``. Runtimes never reach the CSV, so the
-bodies are a pure function of the seed and the config.
+file recorded under ``tests/golden/``, both in process and from
+``python -m frechet.cli`` in a fresh interpreter. Runtimes never reach the
+CSV, so the bodies are a pure function of the seed and the config.
 
 To record the files again, run ``python tests/test_golden.py`` with
 ``src`` on ``PYTHONPATH``; do so only when a change is meant to alter
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -22,6 +24,8 @@ from pathlib import Path
 import pytest
 
 from frechet.cli import EXIT_OK, SCHEMA_VERSION, main
+
+from conftest import fresh_env
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -64,13 +68,16 @@ CONFIGS = {
 COMMANDS = {"ldp-monte-carlo": "ldp"}
 
 
-def render_csv(name: str, workdir: Path) -> bytes:
-    """The CSV bytes the CLI writes for ``CONFIGS[name]``."""
+def _arguments(name: str, workdir: Path) -> list[str]:
+    """The CLI arguments that run ``CONFIGS[name]`` into ``workdir``."""
     config = workdir / f"{name}.json"
     config.write_text(json.dumps({"schema_version": SCHEMA_VERSION, **CONFIGS[name]}))
-    out = workdir / name
-    code = main([COMMANDS.get(name, name), "--config", str(config), "--out", str(out)])
-    assert code == EXIT_OK
+    return [COMMANDS.get(name, name), "--config", str(config), "--out", str(workdir / name)]
+
+
+def render_csv(name: str, workdir: Path) -> bytes:
+    """The CSV bytes the CLI writes for ``CONFIGS[name]``."""
+    assert main(_arguments(name, workdir)) == EXIT_OK
     return (workdir / f"{name}.csv").read_bytes()
 
 
@@ -78,6 +85,17 @@ def render_csv(name: str, workdir: Path) -> bytes:
 def test_csv_body_matches_golden(command, tmp_path, monkeypatch):
     monkeypatch.setenv("FRECHET_THREADS", "1")
     assert render_csv(command, tmp_path) == (GOLDEN / f"{command}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_cold_start_csv_matches_golden(command, tmp_path):
+    # One fresh interpreter per command: a lazy import that works only
+    # because another test loaded its module first, or that is circular,
+    # fails here.
+    subprocess.run([sys.executable, "-m", "frechet.cli", *_arguments(command, tmp_path)],
+                   env=fresh_env(FRECHET_THREADS="1"), capture_output=True, check=True,
+                   timeout=300)
+    assert (tmp_path / f"{command}.csv").read_bytes() == (GOLDEN / f"{command}.csv").read_bytes()
 
 
 if __name__ == "__main__":
