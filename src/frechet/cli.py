@@ -93,6 +93,17 @@ def _grid_keys(config: dict) -> dict[str, float]:
     return {"grid_step": step, "grid_pad": pad}
 
 
+def _threshold(config: dict) -> float | None:
+    """``threshold``: absent, null, or a finite number > 0, refused by name."""
+    value = config.get("threshold")
+    if value is None:
+        return None
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0 < value <= sys.float_info.max):  # false on a NaN
+        raise ConfigurationError(f"threshold must be null or a finite number > 0, got {value!r}")
+    return float(value)
+
+
 def _experiment_config(config: dict, space):
     """The ``stochastics.ExperimentConfig`` of an slln or ergodic config."""
     from .stochastics import ExperimentConfig
@@ -110,7 +121,7 @@ def _experiment_config(config: dict, space):
         epsilon=float(config.get("epsilon", 0.0)),
         **_grid_keys(config),
         target_points=targets,
-        threshold=config.get("threshold"),
+        threshold=_threshold(config),
         max_workers=max(threads, 1),
         solver_config=solver_config,
     )

@@ -100,16 +100,11 @@ def grid_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     return _pruned_box_band(space, mu, config, *space.grid_box(mu, step, pad), step)
 
 
-# Index ranges per axis that a kept cell is split into at each level: four
-# halves the levels of a bisection at a few more evaluated points per level.
-_AXIS_SPLITS = 4
-
-
 def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetConfig,
                      lows: np.ndarray, sizes: list[int], step: float) -> MeanSetApprox:
     """The epsilon-band over the box grid of ``_VectorSpace.grid_box``, by
-    splitting cells into up to ``_AXIS_SPLITS`` index ranges per axis and
-    level; grid points are computed from their indices when needed.
+    splitting cells into up to ``splits`` index ranges per axis and level;
+    grid points are computed from their indices when needed.
 
     A cell is a box of index ranges [lo, hi) over the axis grids. Its
     representative c is its middle grid point and its radius r is the
@@ -123,10 +118,11 @@ def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetCo
     to one), so the second form needs only c's value. Each level evaluates
     the representatives with ``_band_values``, drops every cell whose
     lower bound exceeds the cut of the best value seen so far, and splits
-    each axis of the rest into up to four nonempty index ranges of near
-    equal length. The best value seen is never below the grid minimum and
-    ``band_cut`` increases with it, so that cut is at least the final one
-    and no band point is ever dropped.
+    each axis of the rest into up to ``splits`` nonempty index ranges of
+    near equal length (about 16 children per cell in any dimension). The
+    best value seen is never below the grid minimum and ``band_cut``
+    increases with it, so that cut is at least the final one and no band
+    point is ever dropped.
     Single points are final: their values, ordered by flat index
     (``itertools.product`` order), give the band with the cut of
     ``relaxed_mean_set``. Values do not depend on which rows are swept
@@ -149,6 +145,9 @@ def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetCo
     # Weights sum to one within 1e-12; the Jensen and Minkowski steps then
     # lose at most this factor.
     weight_slack = (1.0 + 2e-12) ** p
+    # About 16 children per cell in any dimension: 16 ranges per axis on the
+    # line, 4 in the plane, 3 in 3-D and 2 from 4-D up (not 4**dim children).
+    splits = max(2, round(16 ** (1 / dim)))
     lo = np.zeros((1, dim), dtype=np.intp)
     hi = np.array([sizes], dtype=np.intp)
     best = math.inf
@@ -179,7 +178,7 @@ def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetCo
         for k in range(dim):
             # Row j of ``cuts`` bounds the index ranges cell j splits into.
             span = hi[:, k, None] - lo[:, k, None]
-            cuts = lo[:, k, None] + span * np.arange(_AXIS_SPLITS + 1) // _AXIS_SPLITS
+            cuts = lo[:, k, None] + span * np.arange(splits + 1) // splits
             cell, part = np.nonzero(cuts[:, :-1] < cuts[:, 1:])
             lo, hi = lo[cell], hi[cell]
             lo[:, k] = cuts[cell, part]

@@ -139,12 +139,16 @@ class SamplerSpec:
         return self._points(np.asarray(values, dtype=float)[idx])
 
     def _draw_iid(self, rng: np.random.Generator, n: int):
+        """n draws by the inverse CDF of one uniform stream. The normal
+        quantile is ``_ndtri``, a numpy port of Cephes' ``ndtri`` that equals
+        ``scipy.special.ndtri`` bit for bit, so no draw depends on whether
+        scipy is loaded. Its tail logarithms come from libm (``math.log``),
+        as in the C routine; numpy's vectorized ``np.log`` can differ from
+        libm in the last bit."""
         u = rng.uniform(size=n)
         dist, p = self.distribution, self.params
         if dist == "normal":
-            from scipy.special import ndtri
-
-            vals = p[0] + p[1] * ndtri(u)
+            vals = p[0] + p[1] * _ndtri(u)
         elif dist == "uniform":
             vals = p[0] + (p[1] - p[0]) * u
         elif dist == "pareto":
@@ -193,6 +197,64 @@ class SamplerSpec:
         b = np.concatenate([np.zeros(m), [1.0]])
         pi, *_ = np.linalg.lstsq(a, b, rcond=None)
         return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
+
+
+# Cephes ``ndtri`` (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the routine behind ``scipy.special.ndtri``: numerator and
+# monic denominator coefficients, highest degree first. The tail tables hold
+# the x < 8 and x >= 8 coefficients as the columns 0 and 1.
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+             1.39312609387279679503E1, -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P_TAIL = np.transpose([
+    (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+     4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+     -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4),
+    (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+     1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+     3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)])
+_NDTRI_Q_TAIL = np.transpose([
+    (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+     1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+     -3.80806407691578277194E-2, -9.33259480895457427372E-4),
+    (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+     2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+     2.89247864745380683936E-6, 6.79019408009981274425E-9)])
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _rational(x: np.ndarray, num, den) -> np.ndarray:
+    """x P(x) / Q(x) by Horner, in the operation order of Cephes' C."""
+    top, bottom = num[0], x + den[0]
+    for c in num[1:]:
+        top = top * x + c
+    for c in den[1:]:
+        bottom = bottom * x + c
+    return x * top / bottom
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, x.tolist()), float, len(x))
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of each u in [0, 1], equal bit for bit
+    to ``scipy.special.ndtri``."""
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    out = np.where(upper, math.inf, -math.inf)  # u = 1 and u = 0
+    mid = y > _EXP_M2
+    t = y[mid] - 0.5
+    out[mid] = (t + t * _rational(t * t, _NDTRI_P0, _NDTRI_Q0)) * _SQRT_2PI
+    tail = ~mid & (y > 0.0)
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    far = (x >= 8.0).astype(np.intp)
+    x = x - _libm_log(x) / x - _rational(1.0 / x, _NDTRI_P_TAIL[:, far], _NDTRI_Q_TAIL[:, far])
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
 
 
 def _finite_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@
 and ``pyproject.toml`` are read as text, so no YAML or TOML parser is needed
 on any supported Python."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,7 @@ def test_run_values_are_plain_yaml_scalars():
 @pytest.mark.parametrize("name,reports", [
     ("Source size", "wc -l src/frechet/*.py"),
     ("Start-up", "import frechet.cli"),
+    ("Cold experiment", "frechet.cli.main"),
 ])
 def test_summary_step_runs_always(name, reports):
     step = _step(name)
@@ -78,3 +82,17 @@ def test_summary_step_runs_always(name, reports):
 def test_start_up_step_lists_the_loaded_frechet_modules():
     run = re.search(r"^\s*run:\s*(.+)$", _step("Start-up"), re.M).group(1)
     assert run.startswith("PYTHONPATH=src python -c ") and "sys.modules" in run
+
+
+def test_cold_experiment_step_reports_no_scipy_for_the_golden_slln(tmp_path):
+    # The step's own command, run as the runner would, with this
+    # interpreter first on PATH.
+    run = re.search(r"^\s*run:\s*(.+)$", _step("Cold experiment"), re.M).group(1)
+    assert "test_golden._arguments('slln'" in run and "ru_maxrss" in run
+    summary = tmp_path / "summary.md"
+    env = dict(os.environ, RUNNER_TEMP=str(tmp_path), GITHUB_STEP_SUMMARY=str(summary),
+               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
+    subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
+    report = summary.read_text().splitlines()[-1]
+    assert report.startswith("golden slln exit 0, ru_maxrss = ")
+    assert report.endswith(" MB, 0 scipy modules loaded")

@@ -321,6 +321,32 @@ class TestErrorPaths:
         assert err["error"] == "config" and key in err["message"]
         assert not os.path.exists(out + ".csv")
 
+    @pytest.mark.parametrize("command,payload", [("slln", SLLN), ("ergodic", ERGODIC)],
+                             ids=["slln", "ergodic"])
+    @pytest.mark.parametrize("value", ["0.5", math.nan, math.inf, 0.0, -0.5, True, [0.5]],
+                             ids=["string", "nan", "inf", "zero", "negative", "bool", "list"])
+    def test_bad_threshold_is_a_config_error(self, tmp_path, capsys, command, payload, value):
+        # Unchecked, a string ran the whole experiment and then ended in a
+        # TypeError traceback (exit 1), and a NaN reported
+        # final_below_threshold false.
+        cfg = write_config(tmp_path, "t.json", {**payload, "threshold": value})
+        code, out = run(tmp_path, command, cfg)
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config" and "threshold" in err["message"]
+        assert not os.path.exists(out + ".json")
+
+    @pytest.mark.parametrize("command,payload", [("slln", SLLN), ("ergodic", ERGODIC)],
+                             ids=["slln", "ergodic"])
+    @pytest.mark.parametrize("value,verdict", [(None, None), (100, True), (1e-300, False)],
+                             ids=["null", "integer", "tiny"])
+    def test_threshold_null_or_positive_runs(self, tmp_path, command, payload, value, verdict):
+        code, out = run(tmp_path, command,
+                        write_config(tmp_path, "t.json", {**payload, "threshold": value}))
+        assert code == EXIT_OK
+        verdicts = json.loads(Path(out + ".json").read_text())["result"]["verdicts"]
+        assert verdicts.get("final_below_threshold") is verdict
+
     def test_support_scheme_still_runs(self, tmp_path):
         cfg = write_config(tmp_path, "m.json", {
             "space": {"type": "euclidean", "dim": 1},
@@ -399,14 +425,36 @@ def test_bare_package_import_loads_no_submodule():
     assert _fresh_modules("import frechet") == {"frechet": ["frechet"], "other": []}
 
 
+def _modules_after_call(tmp_path, command: str, payload: dict) -> dict:
+    """``_fresh_modules`` after one ``command`` run of ``payload``."""
+    cfg = write_config(tmp_path, f"{command}.json", payload)
+    return _fresh_modules(f"import frechet.cli\n"
+                          f"assert frechet.cli.main([{command!r}, '--config', {cfg!r}, "
+                          f"'--out', {str(tmp_path / command)!r}]) == 0")
+
+
 def test_a_mean_call_loads_no_further_frechet_module(tmp_path):
-    cfg = write_config(tmp_path, "m.json", {
+    loaded = _modules_after_call(tmp_path, "mean", {
         "space": {"type": "euclidean", "dim": 1},
         "measure": {"support": [[1.0], [2.0], [3.0]]}, "p": 2.0, "grid_step": 0.01})
-    call = (f"import frechet.cli\n"
-            f"assert frechet.cli.main(['mean', '--config', {cfg!r}, "
-            f"'--out', {str(tmp_path / 'm')!r}]) == 0")
-    assert _fresh_modules(call)["frechet"] == START_UP
+    assert loaded["frechet"] == START_UP
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("slln", SLLN), ("ergodic", ERGODIC),
+    ("ldp", {**LDP, "mode": "monte-carlo", "replications": 20})],
+    ids=["slln-normal", "ergodic", "ldp-monte-carlo"])
+def test_experiments_load_no_scipy(tmp_path, command, payload):
+    # The normal sampler's quantile is a numpy port of scipy's ndtri.
+    assert SLLN["sampler"]["distribution"] == "normal"
+    loaded = _modules_after_call(tmp_path, command, payload)["other"]
+    assert "numpy" in loaded and not [m for m in loaded if m.startswith("scipy")]
+
+
+def test_exact_binomial_ldp_loads_scipy_stats(tmp_path):
+    # The README names it as one of the two scipy users.
+    loaded = _modules_after_call(tmp_path, "ldp", {**LDP, "mode": "exact-binomial"})
+    assert "scipy.stats" in loaded["other"]
 
 
 class TestParserAndSidecar:

@@ -24,9 +24,13 @@ from frechet import core, solvers
 
 from oracles import grid_band_full_sweep
 
-_SPACES = [EuclideanSpace(1), EuclideanSpace(2), EuclideanSpace(3),
+_SPACES = [EuclideanSpace(1), EuclideanSpace(2), EuclideanSpace(3), EuclideanSpace(4),
            LqSequenceSpace(truncation=1, q=3.0), LqSequenceSpace(truncation=2, q=1.5),
-           LqSequenceSpace(truncation=2, q=3.0)]
+           LqSequenceSpace(truncation=2, q=3.0), LqSequenceSpace(truncation=4, q=1.5)]
+
+# Grid steps by dimension; from 3-D up a cell splits into 3 or 2 index
+# ranges per axis, not 16 or 4.
+_STEPS = {1: 0.05, 2: 0.1, 3: 0.25, 4: 0.5}
 
 
 def _length(space):
@@ -74,7 +78,7 @@ class TestSameBandAsFullSweep:
                 atoms = np.repeat(atoms[:1], n, axis=0)
         p = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]), label="p")
         eps = data.draw(st.sampled_from([0.0, 0.0, 1e-3, 0.1, 0.4]), label="epsilon")
-        step = {1: 0.05, 2: 0.1}.get(dim, 0.25)
+        step = _STEPS[dim]
         pad = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="pad")
         if data.draw(st.booleans(), label="uniform"):
             mu = DiscreteMeasure.uniform(space, list(atoms))
@@ -96,6 +100,20 @@ class TestSameBandAsFullSweep:
         _assert_same_band(band, grid_band_full_sweep(line, mu, config, 0.01, 1.0))
         if p == 1.0:
             assert len(band.points) == 301
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_four_dimensions(self, monkeypatch, p):
+        # Two index ranges per axis: 16 children per cell, not 4**4 = 256.
+        space = EuclideanSpace(4)
+        rng = np.random.default_rng(4)
+        mu = DiscreteMeasure.uniform(space, list(rng.standard_t(3, size=(30, 4)).clip(-3, 3)))
+        config = FrechetConfig(p=p, epsilon=0.01)
+        sweep = _CountedSweep(monkeypatch)
+        band = grid_mean_set(space, mu, config, 0.25, 0.5)
+        monkeypatch.undo()
+        full = grid_band_full_sweep(space, mu, config, 0.25, 0.5)
+        _assert_same_band(band, full)
+        assert sweep.rows < 0.1 * np.prod(space.grid_box(mu, 0.25, 0.5)[1])
 
     def test_origin_does_not_matter(self):
         plane = EuclideanSpace(2)
@@ -127,7 +145,7 @@ class TestSameBandAsFullSweep:
 class TestWork:
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["euclidean", "lq"])
     def test_one_origin_shift_per_search(self, monkeypatch, kind, dim, p, eps):
         # The shift is the same at every level: it is computed once and
@@ -137,7 +155,7 @@ class TestWork:
         rng = np.random.default_rng(dim * 100 + int(10 * p))
         mu = DiscreteMeasure.uniform(space, list(rng.standard_t(2, size=(7, dim)).clip(-2, 2)))
         config = FrechetConfig(p=p, epsilon=eps)
-        step = {1: 0.02, 2: 0.1, 3: 0.25}[dim]
+        step = {1: 0.02, 2: 0.1, 3: 0.25, 4: 0.5}[dim]
         calls = []
         original = solvers.origin_shift
 
