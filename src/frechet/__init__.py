@@ -25,8 +25,8 @@ _EXPORTS = {
                 "grid_oracle", "weiszfeld_median"),
     "convergence": ("ConvergenceReport", "gamma_convergence_probe", "one_sided_hausdorff"),
     "stochastics": ("ExperimentConfig", "LdpResult", "SamplerSpec", "ergodic_experiment",
-                    "ldp_experiment", "ldp_rate_function", "relative_entropy",
-                    "sample_empirical", "slln_experiment"),
+                    "ldp_experiment", "ldp_rate_function", "sample_empirical",
+                    "slln_experiment"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -83,25 +84,45 @@ def _measure_from_json(space, spec: dict) -> DiscreteMeasure:
     return DiscreteMeasure.from_weights(space, points, np.asarray(weights, dtype=float))
 
 
+def _is_json_number(value, kind=(int, float)) -> bool:
+    """True for a number of the given kinds; a bool is none."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _number(config: dict, key: str, default: float | None, low: float,
+            strict: bool = False) -> float:
+    """``config[key]`` (``default`` when absent): a JSON number, finite and
+    at least ``low`` (above it when ``strict``), refused by name otherwise."""
+    value = config.get(key, default)
+    number = value if _is_json_number(value) else math.nan
+    # Both comparisons are false on a NaN.
+    if not (low < number if strict else low <= number) or number == math.inf:
+        raise ConfigurationError(
+            f"{key} must be a finite number {'>' if strict else '>='} {low:g}, got {value!r}")
+    return float(number)
+
+
+def _integer(config: dict, key: str, default: int | None = None) -> int:
+    """``config[key]`` (``default`` when absent): a JSON integer, refused by
+    name otherwise."""
+    value = config.get(key, default)
+    if not _is_json_number(value, int):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _n_grid(config: dict) -> list[int]:
+    """``n_grid``: a list of JSON integers, refused by name otherwise."""
+    sizes = config["n_grid"]
+    if not (isinstance(sizes, list) and all(_is_json_number(n, int) for n in sizes)):
+        raise ConfigurationError(f"n_grid must be a list of integers, got {sizes!r}")
+    return sizes
+
+
 def _grid_keys(config: dict) -> dict[str, float]:
     """``grid_step`` (finite, > 0) and ``grid_pad`` (finite, >= 0), refused by name."""
-    step, pad = float(config.get("grid_step", 0.01)), float(config.get("grid_pad", 1.0))
-    if not 0 < step < np.inf:  # false on a NaN
-        raise ConfigurationError(f"grid_step must be finite and > 0, got {step}")
-    if not 0 <= pad < np.inf:
-        raise ConfigurationError(f"grid_pad must be finite and >= 0, got {pad}")
-    return {"grid_step": step, "grid_pad": pad}
-
-
-def _threshold(config: dict) -> float | None:
-    """``threshold``: absent, null, or a finite number > 0, refused by name."""
-    value = config.get("threshold")
-    if value is None:
-        return None
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and 0 < value <= sys.float_info.max):  # false on a NaN
-        raise ConfigurationError(f"threshold must be null or a finite number > 0, got {value!r}")
-    return float(value)
+    return {"grid_step": _number(config, "grid_step", 0.01, 0.0, strict=True),
+            "grid_pad": _number(config, "grid_pad", 1.0, 0.0)}
 
 
 def _experiment_config(config: dict, space):
@@ -112,16 +133,17 @@ def _experiment_config(config: dict, space):
                     for obj in config.get("target_points", []))
     threads = int(os.environ.get("FRECHET_THREADS", "1"))
     solver_config = SolverConfig(
-        max_iterations=int(config.get("max_iterations", 500)),
-        step_tolerance=float(config.get("step_tolerance", 1e-10)),
-        value_tolerance=float(config.get("value_tolerance", 1e-9)),
+        max_iterations=_integer(config, "max_iterations", 500),
+        step_tolerance=_number(config, "step_tolerance", 1e-10, 0.0, strict=True),
+        value_tolerance=_number(config, "value_tolerance", 1e-9, 0.0, strict=True),
     )
     return ExperimentConfig(
         solver=config.get("solver", "grid"),
-        epsilon=float(config.get("epsilon", 0.0)),
+        epsilon=_number(config, "epsilon", 0.0, 0.0),
         **_grid_keys(config),
         target_points=targets,
-        threshold=_threshold(config),
+        threshold=(None if config.get("threshold") is None
+                   else _number(config, "threshold", None, 0.0, strict=True)),
         max_workers=max(threads, 1),
         solver_config=solver_config,
     )
@@ -169,8 +191,8 @@ def _cmd_mean(config: dict) -> tuple[dict, list[dict] | None, str]:
     _require(config, "space", "measure", "p")
     space = space_from_json(config["space"])
     mu = _measure_from_json(space, config["measure"])
-    fc = FrechetConfig(p=float(config["p"]),
-                       epsilon=float(config.get("epsilon", 0.0)))
+    fc = FrechetConfig(p=_number(config, "p", None, 1.0),
+                       epsilon=_number(config, "epsilon", 0.0, 0.0))
     scheme = config.get("scheme", "grid")
     if scheme == "ball-grid":
         raise ConfigurationError("the ball-grid scheme needs a centre and a radius, "
@@ -196,11 +218,11 @@ def _cmd_prefix(config: dict, command: str) -> tuple[dict, list[dict] | None, st
     space = space_from_json(config["space"])
     sampler = stochastics.sampler_from_json(config["sampler"])
     if "seed" in config:
-        sampler = sampler.with_seed(int(config["seed"]))
-    args = (space, sampler, float(config["p"]), [int(n) for n in config["n_grid"]])
+        sampler = sampler.with_seed(_integer(config, "seed"))
+    args = (space, sampler, _number(config, "p", None, 1.0), _n_grid(config))
     exp = _experiment_config(config, space)
     if command == "slln":
-        report = stochastics.slln_experiment(*args, int(config.get("replications", 1)), exp)
+        report = stochastics.slln_experiment(*args, _integer(config, "replications", 1), exp)
     else:
         report = stochastics.ergodic_experiment(*args, exp)
     return report.to_json_dict(), report.rows(), f"final_dvec={report.dvec[-1]:.6g}"
@@ -214,12 +236,11 @@ def _cmd_ldp(config: dict) -> tuple[dict, list[dict] | None, str]:
     mu = _measure_from_json(space, config["measure"])
     events = [space.point_from_json(obj) for obj in config["event_points"]]
     result = stochastics.ldp_experiment(
-        space, mu, float(config["p"]), events,
-        [int(n) for n in config["n_grid"]],
+        space, mu, _number(config, "p", None, 1.0), events, _n_grid(config),
         mode=config.get("mode", "exact-binomial"),
-        replications=int(config.get("replications", 1000)),
-        seed=int(config.get("seed", 0)),
-        simplex_step=float(config.get("simplex_step", 1e-3)))
+        replications=_integer(config, "replications", 1000),
+        seed=_integer(config, "seed", 0),
+        simplex_step=_number(config, "simplex_step", 1e-3, 0.0, strict=True))
     summary = f"theoretical_rate={result.theoretical_rate:.6g}"
     return result.to_json_dict(), result.rows(), summary
 
@@ -233,23 +254,23 @@ def _cmd_gamma(config: dict) -> tuple[dict, list[dict] | None, str]:
     limit = _measure_from_json(space, config["limit"])
     eps = config.get("eps_sequence") or [1.0 / (i + 1) for i in range(len(seq))]
     report = convergence.gamma_convergence_probe(
-        space, seq, limit, float(config["p"]), [float(e) for e in eps],
-        **_grid_keys(config), seed=int(config.get("seed", 0)))
+        space, seq, limit, _number(config, "p", None, 1.0), [float(e) for e in eps],
+        **_grid_keys(config), seed=_integer(config, "seed", 0))
     return report.to_json_dict(), report.rows(), f"final_dvec={report.dvec[-1]:.6g}"
 
 
 def _cmd_diag(config: dict) -> tuple[dict, list[dict] | None, str]:
     _require(config, "space")
     space = space_from_json(config["space"])
-    seed = int(config.get("seed", 0))
-    trials = int(config.get("trials", 1000))
+    seed = _integer(config, "seed", 0)
+    trials = _integer(config, "trials", 1000)
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     axioms = metric_axiom_violations(space, rng, trials=trials)
 
     # Functional algebra on random single-point measures and triples.
-    p = float(config.get("p", 2.0))
+    p = _number(config, "p", 2.0, 1.0)
     worst_cocycle = worst_renorm = worst_power = 0.0
     for _ in range(min(trials, 200)):
         pts = [space.sample_point(rng) for _ in range(5)]

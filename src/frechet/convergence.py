@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import DiscreteMeasure, FrechetConfig, MeanSetApprox, Space, moment
-from .solvers import grid_mean_set, grid_oracle
+from .solvers import grid_mean_set
 
 __all__ = [
     "ConvergenceReport",
@@ -83,16 +83,14 @@ def gamma_convergence_probe(space: Space, mu_sequence: Sequence[DiscreteMeasure]
                             mu_limit: DiscreteMeasure, p: float,
                             eps_sequence: Sequence[float], *,
                             grid_step: float, grid_pad: float = 1.0,
-                            candidate_fn: Callable | None = None,
-                            limit_candidates: Sequence | None = None,
                             seed: int = 0) -> ConvergenceReport:
     """Track relaxed mean sets of a measure sequence against the limit set.
 
     For each measure in the sequence, the epsilon-relaxed mean-set band is
-    computed over a grid (or over candidates supplied by ``candidate_fn``)
-    and its one-sided Hausdorff distance into the limit's mean-set
-    approximation is recorded. The verdict asserts that the final distance
-    drops below the combined resolution of the two approximations.
+    computed over a grid (``grid_mean_set``) and its one-sided Hausdorff
+    distance into the limit's mean-set approximation is recorded. The
+    verdict asserts that the final distance drops below the combined
+    resolution of the two approximations.
     """
     if len(mu_sequence) == 0:
         raise ValueError("need at least one measure in the sequence")
@@ -102,16 +100,9 @@ def gamma_convergence_probe(space: Space, mu_sequence: Sequence[DiscreteMeasure]
         raise ValueError("relaxation levels must be nonnegative")
 
     def band_for(mu: DiscreteMeasure, eps: float) -> MeanSetApprox:
-        cfg = FrechetConfig(p=p, epsilon=eps)
-        if candidate_fn is None:
-            return grid_mean_set(space, mu, cfg, grid_step, grid_pad)
-        return grid_oracle(space, mu, cfg, candidate_fn(mu), resolution=grid_step)
+        return grid_mean_set(space, mu, FrechetConfig(p=p, epsilon=eps), grid_step, grid_pad)
 
-    if limit_candidates is not None:
-        limit_band = grid_oracle(space, mu_limit, FrechetConfig(p=p),
-                                 list(limit_candidates), resolution=grid_step)
-    else:
-        limit_band = band_for(mu_limit, 0.0)
+    limit_band = band_for(mu_limit, 0.0)
 
     sizes, dvecs, moments_, runtimes = [], [], [], []
     origin = mu_limit.support[0]

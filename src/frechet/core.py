@@ -219,21 +219,16 @@ class DiscreteMeasure:
 
     @classmethod
     def from_weights(cls, space: Space, points: Sequence[Point],
-                     weights: Sequence[float], normalize: bool = False) -> "DiscreteMeasure":
-        w = np.asarray(weights, dtype=float)
-        if normalize:
-            total = float(w.sum())
-            if total <= 0:
-                raise ValueError("weights must have positive total mass")
-            w = w / total
-        return cls(space, as_sequence(points), w)
+                     weights: Sequence[float]) -> "DiscreteMeasure":
+        return cls(space, as_sequence(points), weights)
 
-    def is_degenerate(self, tol: float = 1e-12) -> bool:
-        """True when all support points coincide (a single atom)."""
+    def is_degenerate(self) -> bool:
+        """True when all support points lie within 1e-12 of the first (a
+        single atom)."""
         if len(self.support) == 1:
             return True
         row = self.space.pairwise_distances(self.stacked[:1], self.stacked)
-        return bool(np.max(row) <= tol)
+        return bool(np.max(row) <= 1e-12)
 
 
 @dataclass(frozen=True)

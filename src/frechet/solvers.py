@@ -56,8 +56,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.step_tolerance <= 0 or self.value_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        # Written so that a NaN tolerance fails the check.
+        if not (0 < self.step_tolerance < math.inf and 0 < self.value_tolerance < math.inf):
+            raise ValueError("tolerances must be finite and positive")
 
 
 def grid_oracle(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
@@ -378,14 +379,12 @@ def _pmoment(ys: np.ndarray, w: np.ndarray, x: np.ndarray, p: float) -> float:
 
 
 def euclidean_pmean(space: EuclideanSpace, mu: DiscreteMeasure, p: float,
-                    config: SolverConfig | None = None,
-                    callback=None) -> np.ndarray:
+                    config: SolverConfig | None = None) -> np.ndarray:
     """Minimizer of the p-th distance moment on R^d.
 
     The objective is convex for p >= 1. p = 2 is the weighted average in
     closed form; p = 1 delegates to the median iteration; anything else
     runs backtracking gradient descent from the weighted average.
-    ``callback(x)`` is invoked on each iterate.
     """
     if not isinstance(space, EuclideanSpace):
         raise ConfigurationError("this solver runs on Euclidean spaces")
@@ -399,11 +398,9 @@ def euclidean_pmean(space: EuclideanSpace, mu: DiscreteMeasure, p: float,
     if p == 2.0:
         return ys.T @ w
     if p == 1.0:
-        return weiszfeld_median(space, mu, config, callback=callback)
+        return weiszfeld_median(space, mu, config)
 
     x = ys.T @ w
-    if callback is not None:
-        callback(x.copy())
     scale = 1.0 + float(np.max(np.linalg.norm(ys - x, axis=1)))
     f = _pmoment(ys, w, x, p)
     lr = 1.0
@@ -428,11 +425,7 @@ def euclidean_pmean(space: EuclideanSpace, mu: DiscreteMeasure, p: float,
         stalled = f - f_try <= config.value_tolerance * (1.0 + abs(f_try))
         x, f = x_try, f_try
         if stalled:
-            if callback is not None:
-                callback(x.copy())
             return x
-        if callback is not None:
-            callback(x.copy())
         lr = min(step * 4.0, 1e6)
         if moved <= config.step_tolerance * scale:
             return x
@@ -458,15 +451,13 @@ def _clamped_root_pair(sigma: np.ndarray, floor_ratio: float = 1e-12):
 
 
 def bw_barycenter(space: BuresWassersteinSpace, mu: DiscreteMeasure,
-                  config: SolverConfig | None = None,
-                  callback=None) -> np.ndarray:
+                  config: SolverConfig | None = None) -> np.ndarray:
     """Order-2 mean of covariance matrices by the fixed-point iteration.
 
     Starting from the Euclidean average, each step maps the current
     matrix S to S^{-1/2} (sum_i w_i (S^{1/2} Sigma_i S^{1/2})^{1/2})^2 S^{-1/2}.
     Iteration stops once one more step moves the iterate by less than the
-    step tolerance in the space's own metric. ``callback(S)`` is invoked
-    on each iterate.
+    step tolerance in the space's own metric.
     """
     if not isinstance(space, BuresWassersteinSpace):
         raise ConfigurationError("this solver runs on Bures-Wasserstein spaces")
@@ -477,8 +468,6 @@ def bw_barycenter(space: BuresWassersteinSpace, mu: DiscreteMeasure,
         return mats[0].copy()
 
     current = sum(wi * m for wi, m in zip(w, mats))
-    if callback is not None:
-        callback(current.copy())
     scale = 1.0 + float(np.trace(current))
     for _ in range(config.max_iterations):
         root, inv_root = _clamped_root_pair(current)
@@ -488,8 +477,6 @@ def bw_barycenter(space: BuresWassersteinSpace, mu: DiscreteMeasure,
             mixed += wi * matrix_sqrt(space, (inner + inner.T) / 2.0)
         nxt = inv_root @ mixed @ mixed @ inv_root
         nxt = (nxt + nxt.T) / 2.0
-        if callback is not None:
-            callback(nxt.copy())
         # The Frobenius gap of the roots upper-bounds the metric step and
         # stays numerically meaningful near the fixed point, where the
         # metric formula reduces to the square root of round-off noise.

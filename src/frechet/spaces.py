@@ -500,8 +500,7 @@ class Wasserstein1D(Space):
 
     def candidates(self, mu: DiscreteMeasure, scheme: str = "support", *,
                    step: float | None = None, pad: float = 0.0,
-                   atom_count: int = 2, levels: int = 256,
-                   **kwargs) -> list:
+                   atom_count: int = 2, **kwargs) -> list:
         if scheme == "grid":
             if step is None:
                 raise ValueError("grid scheme needs a step")
@@ -510,7 +509,7 @@ class Wasserstein1D(Space):
         if scheme == "solver-seeded":
             seeds = self.dedup(mu.support)
             if self.q == 2.0:
-                seeds.append(quantile_barycenter(self, mu, levels=levels))
+                seeds.append(quantile_barycenter(self, mu))
             return self.dedup(seeds)
         return super().candidates(mu, scheme)
 
@@ -531,24 +530,24 @@ class Wasserstein1D(Space):
 
 
 def quantile_barycenter(space: Wasserstein1D, mu: DiscreteMeasure,
-                        p: float = 2.0, levels: int = 256) -> Measure1D:
+                        p: float = 2.0) -> Measure1D:
     """Weighted quantile average of the member measures.
 
     Exact order-2 mean in one dimension up to the quantile grid: members
-    are resampled at ``levels`` midpoint quantile levels and averaged
-    levelwise, which is exact whenever every member has equally weighted
-    atoms whose count divides ``levels``.
+    are resampled at 256 midpoint quantile levels and averaged levelwise,
+    which is exact whenever every member has equally weighted atoms whose
+    count divides 256.
     """
     if not isinstance(space, Wasserstein1D):
         raise ConfigurationError("quantile barycenter needs a 1-D Wasserstein space")
     if p != 2.0 or space.q != 2.0:
         raise ConfigurationError("quantile averaging is exact only for p = q = 2")
     _check_pair(space, mu)
-    u = (np.arange(levels) + 0.5) / levels
-    avg = np.zeros(levels)
+    u = (np.arange(256) + 0.5) / 256
+    avg = np.zeros(256)
     for member, w in zip(mu.support, mu.weights):
         avg += w * member.quantile(u)
-    return Measure1D(avg, np.full(levels, 1.0 / levels))
+    return Measure1D(avg, np.full(256, 1.0 / 256))
 
 
 def _symmetric_stack(space: "BuresWassersteinSpace", sigma) -> np.ndarray:

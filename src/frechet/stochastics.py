@@ -35,12 +35,11 @@ from .core import (
 from .convergence import ConvergenceReport, one_sided_hausdorff
 from .solvers import (
     SolverConfig,
-    bw_barycenter,
     euclidean_pmean,
     grid_mean_set,
     weiszfeld_median,
 )
-from .spaces import EuclideanSpace, quantile_barycenter
+from .spaces import EuclideanSpace
 
 __all__ = [
     "SamplerSpec",
@@ -49,7 +48,6 @@ __all__ = [
     "sample_empirical",
     "slln_experiment",
     "ergodic_experiment",
-    "relative_entropy",
     "ldp_rate_function",
     "ldp_experiment",
     "sampler_from_json",
@@ -60,12 +58,11 @@ _IID_DISTRIBUTIONS = ("normal", "uniform", "pareto", "cauchy", "finite")
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """Seeded source of points in a target space.
+    """Seeded source of points on the line.
 
     ``kind`` is "iid" with a named distribution or "markov-chain" with a
-    row-stochastic kernel over finitely many states. ``embed`` maps raw
-    draws (reals, finite atoms or chain states) to space points; by
-    default the draws are the rows of one (n, 1) float array.
+    row-stochastic kernel over finitely many real states. A draw is the
+    rows of one (n, 1) float array.
     """
 
     kind: str
@@ -77,7 +74,6 @@ class SamplerSpec:
     kernel: tuple = ()
     states: tuple = ()
     initial_state: int = 0
-    embed: Callable | None = None
 
     def __post_init__(self):
         if self.kind == "iid":
@@ -124,20 +120,6 @@ class SamplerSpec:
     def with_seed(self, seed: int) -> "SamplerSpec":
         return replace(self, seed=seed)
 
-    def _points(self, values):
-        """Space points for an array of raw draws: a list of embedded
-        points, or by default the rows of one (n, 1) float array."""
-        if self.embed is not None:
-            return [self.embed(v) for v in values]
-        return np.asarray(values, dtype=float).reshape(len(values), 1)
-
-    def _points_at(self, values: tuple, idx: np.ndarray):
-        """Space points for draws given as indices into ``values``."""
-        if self.embed is not None:
-            table = [self.embed(v) for v in values]
-            return [table[i] for i in idx]
-        return self._points(np.asarray(values, dtype=float)[idx])
-
     def _draw_iid(self, rng: np.random.Generator, n: int):
         """n draws by the inverse CDF of one uniform stream. The normal
         quantile is ``_ndtri``, a numpy port of Cephes' ``ndtri`` that equals
@@ -156,8 +138,8 @@ class SamplerSpec:
         elif dist == "cauchy":
             vals = p[0] + p[1] * np.tan(math.pi * (u - 0.5))
         else:  # finite
-            return self._points_at(self.atoms, _finite_indices(np.cumsum(self.probs), u))
-        return self._points(vals)
+            vals = np.asarray(self.atoms, dtype=float)[_finite_indices(np.cumsum(self.probs), u)]
+        return _column(vals)
 
     def _draw_chain(self, rng: np.random.Generator, n: int):
         cum = np.cumsum(np.asarray(self.kernel, dtype=float), axis=1)
@@ -173,12 +155,12 @@ class SamplerSpec:
             for k in range(len(succ[0])):
                 path.append(state)
                 state = succ[state][k]
-        return self._points_at(self.states, np.array(path, dtype=np.intp))
+        return _column(np.asarray(self.states, dtype=float)[np.array(path, dtype=np.intp)])
 
     def draw(self, n: int):
-        """First n points of the stream; a prefix of any longer draw. With
-        the default embedding they are the rows of one (n, 1) array, and a
-        measure on a slice of it keeps that slice as its stacked support."""
+        """First n points of the stream, the rows of one (n, 1) array; a
+        prefix of any longer draw. A measure on a slice of it keeps that
+        slice as its stacked support."""
         rng = np.random.default_rng(self.seed)
         if self.kind == "iid":
             return self._draw_iid(rng, n)
@@ -257,6 +239,11 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _column(values) -> np.ndarray:
+    """Real draws as the rows of one (n, 1) float array."""
+    return np.asarray(values, dtype=float).reshape(len(values), 1)
+
+
 def _finite_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF atom indices of uniforms ``u`` under the cumulative
     probabilities ``cum``."""
@@ -289,8 +276,7 @@ def sample_empirical(sampler: SamplerSpec, n: int, space: Space | None = None) -
     if n < 1:
         raise ValueError("need at least one sample")
     pts = sampler.draw(n)
-    target = space if space is not None else EuclideanSpace(dim=len(pts[0]))
-    return DiscreteMeasure.uniform(target, pts)
+    return DiscreteMeasure.uniform(space if space is not None else EuclideanSpace(1), pts)
 
 
 @dataclass(frozen=True)
@@ -326,10 +312,6 @@ def _solve_mean_set(space: Space, mu: DiscreteMeasure, p: float,
         pt = weiszfeld_median(space, mu, config.solver_config)
     elif name == "subgradient":
         pt = euclidean_pmean(space, mu, p, config.solver_config)
-    elif name == "quantile":
-        pt = quantile_barycenter(space, mu, p=p)
-    elif name == "bw-fixed-point":
-        pt = bw_barycenter(space, mu, config.solver_config)
     else:
         raise ConfigurationError(f"unknown solver {name!r}")
     value = frechet_functional(space, mu, pt, mu.support[0], p)
@@ -525,7 +507,7 @@ def ergodic_experiment(space: Space, markov: SamplerSpec, p: float,
     The empirical measure over the window {0, ..., n-1} of a single
     trajectory is compared against the mean set of the stationary law;
     for an irreducible chain the distance must vanish. The target defaults
-    to the stationary average of the embedded states when p = 2 on a
+    to the stationary average of the states when p = 2 on a
     Euclidean space, otherwise it must be supplied.
 
     The cells are those of ``slln_experiment`` on one trajectory, drawn at
@@ -537,8 +519,7 @@ def ergodic_experiment(space: Space, markov: SamplerSpec, p: float,
     if config.target_points:
         target = list(config.target_points)
     elif p == 2.0 and isinstance(space, EuclideanSpace):
-        pts = markov._points(markov.states)
-        target = [sum(w * np.asarray(pt, dtype=float) for w, pt in zip(pi, pts))]
+        target = [sum(w * pt for w, pt in zip(pi, _column(markov.states)))]
     else:
         raise ConfigurationError("supply target_points unless p = 2 on a Euclidean space")
 
@@ -554,40 +535,12 @@ def ergodic_experiment(space: Space, markov: SamplerSpec, p: float,
                              verdicts=verdicts, seed=markov.seed)
 
 
-def relative_entropy(nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
-    """sum nu_i log(nu_i / mu_i), with 0 log 0 = 0.
-
-    Returns ``math.inf`` when nu places mass where mu has none; infinity
-    is a value here, not an error. One equality scan over mu's support
-    followed by nu's groups the atoms of both: an atom of nu is matched
-    to the first distinct atom of mu that it equals.
-    """
-    m = len(mu.support)
-    owner = mu.space.first_equal([*mu.support, *nu.support])
-    mu_w = _sum_by_owner(owner[:m], mu.weights)
-    total = 0.0
-    for key, w in _sum_by_owner(owner[m:], nu.weights).items():
-        if w <= 0.0:
-            continue
-        match = mu_w.get(key, 0.0)
-        if match <= 0.0:
-            return math.inf
-        total += w * math.log(w / match)
-    return max(total, 0.0)
-
-
-def _sum_by_owner(owner: list[int], weights) -> dict[int, float]:
-    """Weights summed per owner, in order of first appearance; each sum
-    adds the weights in support order."""
-    sums: dict[int, float] = {}
-    for key, w in zip(owner, weights):
-        sums[key] = sums[key] + float(w) if key in sums else float(w)
-    return sums
-
-
 def _aggregate(mu: DiscreteMeasure) -> tuple[list, list]:
-    """Distinct support points with summed weights."""
-    sums = _sum_by_owner(mu.space.first_equal(mu.support), mu.weights)
+    """Distinct support points, in order of first appearance, with their
+    weights summed in support order."""
+    sums: dict[int, float] = {}
+    for key, w in zip(mu.space.first_equal(mu.support), mu.weights):
+        sums[key] = sums[key] + float(w) if key in sums else float(w)
     return [mu.support[i] for i in sums], list(sums.values())
 
 
@@ -692,10 +645,10 @@ class LdpResult:
     probabilities: list[float]
     empirical_rates: list[float]
     theoretical_rate: float
-    tie_probabilities: list[float] = field(default_factory=list)
-    censored: list[bool] = field(default_factory=list)
-    mode: str = "exact-binomial"
-    seed: int = 0
+    tie_probabilities: list[float]
+    censored: list[bool]
+    mode: str
+    seed: int
 
     def __post_init__(self):
         for prob in self.probabilities:
@@ -703,13 +656,12 @@ class LdpResult:
                 raise ValueError("probabilities must lie in [0, 1]")
 
     def rows(self) -> list[dict]:
-        ties = self.tie_probabilities or [float("nan")] * len(self.n_values)
-        cens = self.censored or [False] * len(self.n_values)
         return [{"n": n, "probability": p_, "empirical_rate": r,
                  "tie_probability": t, "censored": c,
                  "theoretical_rate": self.theoretical_rate}
                 for n, p_, r, t, c in zip(self.n_values, self.probabilities,
-                                          self.empirical_rates, ties, cens)]
+                                          self.empirical_rates, self.tie_probabilities,
+                                          self.censored)]
 
     def to_json_dict(self) -> dict:
         return {

@@ -302,11 +302,11 @@ def dedup_scalar(space, points):
 
 
 def draw_per_point(sampler, n):
-    """A sampler's first n points, embedding one draw at a time."""
+    """A sampler's first n points, one draw at a time, each a (1,) float array."""
     from scipy.special import ndtri
 
-    def embed(value):
-        return sampler.embed(value) if sampler.embed is not None else np.array([float(value)])
+    def point(value):
+        return np.array([float(value)])
 
     rng = np.random.default_rng(sampler.seed)
     if sampler.kind == "markov-chain":
@@ -314,7 +314,7 @@ def draw_per_point(sampler, n):
         u = rng.uniform(size=n)
         state, out = sampler.initial_state, []
         for i in range(n):
-            out.append(embed(sampler.states[state]))
+            out.append(point(sampler.states[state]))
             state = min(int(np.searchsorted(cum[state], u[i], side="right")),
                         len(sampler.states) - 1)
         return out
@@ -323,14 +323,14 @@ def draw_per_point(sampler, n):
     if dist == "finite":
         idx = np.minimum(np.searchsorted(np.cumsum(sampler.probs), u, side="right"),
                          len(sampler.atoms) - 1)
-        return [embed(sampler.atoms[i]) for i in idx]
+        return [point(sampler.atoms[i]) for i in idx]
     vals = {
         "normal": lambda: p[0] + p[1] * ndtri(u),
         "uniform": lambda: p[0] + (p[1] - p[0]) * u,
         "pareto": lambda: p[1] * (1.0 - u) ** (-1.0 / p[0]),
         "cauchy": lambda: p[0] + p[1] * np.tan(math.pi * (u - 0.5)),
     }[dist]()
-    return [embed(v) for v in vals]
+    return [point(v) for v in vals]
 
 
 def _derived_seed(seed, index):
@@ -383,8 +383,7 @@ def ergodic_prefix_loop(space, markov, p, n_grid, config):
     if config.target_points:
         target = list(config.target_points)
     elif p == 2.0 and isinstance(space, EuclideanSpace):
-        pts = markov._points(markov.states)
-        target = [sum(w * np.asarray(pt, dtype=float) for w, pt in zip(pi, pts))]
+        target = [sum(w * np.array([float(state)]) for w, state in zip(pi, markov.states))]
     else:
         raise ValueError("no target")
     trajectory = markov.draw(max(n_grid))
@@ -412,23 +411,6 @@ def _aggregate(space, points, weights):
             pts.append(pt)
             ws.append(float(w))
     return pts, ws
-
-
-def relative_entropy_scalar(nu, mu):
-    """sum nu_i log(nu_i / mu_i) after aggregating both measures, matching
-    each atom of nu to the first atom of mu it equals, one pair at a time."""
-    space = nu.space
-    mu_pts, mu_w = _aggregate(space, mu.support, mu.weights)
-    total = 0.0
-    for pt, w in zip(*_aggregate(space, nu.support, nu.weights)):
-        if w <= 0.0:
-            continue
-        match = next((mw for mp, mw in zip(mu_pts, mu_w)
-                      if space.points_equal(pt, mp)), 0.0)
-        if match <= 0.0:
-            return math.inf
-        total += w * math.log(w / match)
-    return max(total, 0.0)
 
 
 def event_flags_scalar(space, atoms, events):

@@ -79,6 +79,19 @@ def test_summary_step_runs_always(name, reports):
     assert reports in run and run.endswith('>> "$GITHUB_STEP_SUMMARY"')
 
 
+def test_source_size_step_lists_every_module_and_the_total(tmp_path):
+    # The step's own command, run as the runner would.
+    run = re.search(r"^\s*run:\s*(.+)$", _step("Source size"), re.M).group(1)
+    summary = tmp_path / "summary.md"
+    subprocess.run(["bash", "-c", run], cwd=ROOT, check=True, timeout=60,
+                   env=dict(os.environ, GITHUB_STEP_SUMMARY=str(summary)))
+    counts = {name: int(n) for n, name in
+              re.findall(r"^\s*(\d+) (\S+)$", summary.read_text(), re.M)}
+    modules = {f"src/frechet/{path.name}": path.read_text().count("\n")
+               for path in (ROOT / "src" / "frechet").glob("*.py")}
+    assert counts == {**modules, "total": sum(modules.values())}
+
+
 def test_start_up_step_lists_the_loaded_frechet_modules():
     run = re.search(r"^\s*run:\s*(.+)$", _step("Start-up"), re.M).group(1)
     assert run.startswith("PYTHONPATH=src python -c ") and "sys.modules" in run

@@ -30,6 +30,27 @@ ERGODIC = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0,
 LDP = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0,
        "measure": {"support": [[0.0], [1.0]], "weights": [0.7, 0.3]},
        "n_grid": [20], "event_points": [[1.0]], "simplex_step": 0.25}
+MEAN = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0,
+        "measure": {"support": [[0.0], [1.0]]}, "grid_step": 0.1}
+GAMMA = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0, "grid_step": 0.1,
+         "measures": [{"support": [[0.0], [1.5]]}], "limit": {"support": [[0.0], [1.0]]}}
+DIAG = {"space": {"type": "spider", "legs": 3}, "trials": 1}
+_CONFIGS = {"mean": MEAN, "slln": SLLN, "ergodic": ERGODIC, "ldp": LDP, "gamma": GAMMA,
+            "diag": DIAG}
+# (command, key, value): each value must be refused by name.
+_BAD_KEYS = [
+    ("slln", "p", math.nan), ("slln", "p", math.inf), ("slln", "p", 0.5), ("slln", "p", "2"),
+    ("slln", "p", None), ("slln", "epsilon", math.nan), ("slln", "epsilon", -1.0),
+    ("slln", "step_tolerance", math.nan), ("slln", "value_tolerance", math.nan),
+    ("slln", "value_tolerance", math.inf), ("ergodic", "p", math.nan),
+    ("ergodic", "step_tolerance", 0.0), ("ldp", "p", math.nan), ("mean", "p", math.inf),
+    ("mean", "epsilon", math.nan), ("gamma", "p", math.nan), ("diag", "p", math.inf),
+    ("slln", "replications", 2.5), ("slln", "replications", "3"),
+    ("slln", "replications", True), ("slln", "n_grid", [20.7]), ("slln", "n_grid", 20),
+    ("slln", "max_iterations", 2.5), ("slln", "seed", 1.5), ("ergodic", "n_grid", [True]),
+    ("ldp", "replications", 2.5), ("ldp", "n_grid", [5.5]), ("ldp", "seed", 1.5),
+    ("gamma", "seed", 1.5), ("diag", "trials", 2.5), ("diag", "seed", "0"),
+]
 
 
 def run(tmp_path, command, config, out_name="out", extra=()):
@@ -286,10 +307,16 @@ class TestErrorPaths:
         assert not os.path.exists(out + ".json")
 
     @pytest.mark.parametrize("command,payload", [
-        ("slln", SLLN), ("ergodic", ERGODIC), ("ldp", LDP),
-        ("diag", {"space": {"type": "spider", "legs": 3}, "trials": 1})])
+        ("slln", SLLN), ("ergodic", ERGODIC), ("ldp", LDP), ("diag", DIAG), ("mean", MEAN),
+        ("gamma", GAMMA),
+        *[pytest.param(command, {**_CONFIGS[command], key: value},
+                       id=f"{command}-{key}-{value!r}") for command, key, value in [
+            ("slln", "p", 1), ("slln", "epsilon", 0), ("ergodic", "epsilon", 0.0),
+            ("ldp", "p", 1.0), ("mean", "p", 1), ("mean", "epsilon", 0.0), ("gamma", "p", 1),
+            ("diag", "p", 1.0), ("slln", "seed", 0), ("diag", "trials", 2)]]])
     def test_the_configs_varied_below_run(self, tmp_path, command, payload):
-        # So each refusal below is owed to the one key it changes.
+        # So each refusal below is owed to the one key it changes; the
+        # boundary values at the end still run.
         code, _ = run(tmp_path, command, write_config(tmp_path, "k.json", payload))
         assert code == EXIT_OK
 
@@ -307,18 +334,23 @@ class TestErrorPaths:
         ("ldp", {**LDP, "simplex_step": 0.3}, "simplex_step"),
         ("diag", {"space": {"type": "spider", "legs": 3}, "trials": -5}, "trials"),
         ("diag", {"space": {"type": "spider", "legs": 3}, "trials": 0}, "trials"),
+        *[(command, {**_CONFIGS[command], key: value}, key) for command, key, value in _BAD_KEYS],
     ], ids=["slln-empty-grid", "ergodic-empty-grid", "ldp-empty-grid", "ldp-zero-n",
             "ldp-negative-n", "ldp-monte-carlo-zero-n", "step-zero", "step-nan",
-            "step-negative", "step-not-dividing", "diag-negative-trials", "diag-no-trials"])
+            "step-negative", "step-not-dividing", "diag-negative-trials", "diag-no-trials",
+            *[f"{command}-{key}-{value!r}" for command, key, value in _BAD_KEYS]])
     def test_degenerate_experiment_keys_are_config_errors(self, tmp_path, capsys, command,
                                                           payload, key):
         # Unchecked, these end in a traceback, in a message that names no
-        # key, or in a run that reports nothing (no rows, or passed=True
-        # after zero trials).
+        # key, in a run that reports nothing (no rows, or passed=True after
+        # zero trials), or in a run on a value that should be refused: a NaN
+        # or infinite p, epsilon or tolerance exited 0 (an ldp with p NaN
+        # reported theoretical_rate inf), and int() truncated a count of 2.5
+        # to 2 and parsed "3".
         code, out = run(tmp_path, command, write_config(tmp_path, "k.json", payload))
         assert code == EXIT_CONFIG
         err = json.loads(capsys.readouterr().out)
-        assert err["error"] == "config" and key in err["message"]
+        assert err["error"] == "config" and err["message"].startswith(f"{key} ")
         assert not os.path.exists(out + ".csv")
 
     @pytest.mark.parametrize("command,payload", [("slln", SLLN), ("ergodic", ERGODIC)],

@@ -280,7 +280,8 @@ class TestValidation:
         with pytest.raises(ValueError, match="weights"):
             DiscreteMeasure(line, (pt(0.0), pt(1.0)), np.array(weights))
         with pytest.raises(ValueError, match="weights"):
-            DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0)], weights, normalize=True)
+            DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0)],
+                                         np.divide(weights, np.sum(weights)))
 
     def test_config_bounds(self):
         with pytest.raises(ValueError):

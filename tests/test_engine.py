@@ -2,7 +2,6 @@
 the per-driver and pair-at-a-time loops they replaced (``oracles.py``)."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from frechet import (
     SolverConfig,
     Wasserstein1D,
     ergodic_experiment,
-    relative_entropy,
 )
 from frechet import spaces
 from frechet.cli import EXIT_SOLVER, SCHEMA_VERSION, main
@@ -28,7 +26,7 @@ from frechet.constructions import sign_flip_group
 from frechet.stochastics import _aggregate, _equals_any
 
 from oracles import _aggregate as aggregate_scalar
-from oracles import ergodic_prefix_loop, event_flags_scalar, relative_entropy_scalar
+from oracles import ergodic_prefix_loop, event_flags_scalar
 
 _SPACES = [
     EuclideanSpace(1),
@@ -112,70 +110,6 @@ class TestEqualityScan:
         pts = [np.array([float(v)]) for v in range(300)]
         assert EuclideanSpace(1).first_equal(pts) == list(range(300))
         assert copies[0] <= 300
-
-
-class TestRelativeEntropy:
-    @pytest.mark.parametrize("space", _SPACES[:4], ids=_IDS[:4])
-    @given(seed=st.integers(0, 2 ** 32 - 1), nu_picks=_picks, mu_picks=_picks,
-           nu_counts=_counts, mu_counts=_counts)
-    @settings(max_examples=40, deadline=None)
-    def test_equals_pairwise_loop(self, space, seed, nu_picks, mu_picks, nu_counts,
-                                  mu_counts):
-        pool = _pool(space, seed)
-        nu = _measure(space, pool, nu_picks, nu_counts)
-        mu = _measure(space, pool, mu_picks, mu_counts)
-        value = relative_entropy(nu, mu)
-        assert _bits([value]) == _bits([relative_entropy_scalar(nu, mu)])
-
-    @pytest.mark.parametrize("space", _SPACES[:4], ids=_IDS[:4])
-    def test_disjoint_supports_are_infinite(self, space):
-        pool = _pool(space, 3)
-        nu = _measure(space, pool, [0, 1, 0], [1, 2, 0])
-        mu = _measure(space, pool, [2, 3], [1, 1])
-        assert relative_entropy(nu, mu) == relative_entropy_scalar(nu, mu) == math.inf
-
-    @pytest.mark.parametrize("nu_rows,mu_rows,want", [
-        ([0.0, 1.0, 2.0], [0.0, 0.0, 5.0], math.inf),
-        ([0.0, 0.0, 5.0], [5.0, 0.0, 0.0], 0.0),
-        ([0.0, 0.0, 5.0], [0.0, 5.0, 5.0], None),
-    ])
-    def test_stream_slices_of_equal_length(self, nu_rows, mu_rows, want):
-        # Measures on slices of one stream keep the arrays as their
-        # supports; joining the supports must not add them row by row.
-        line = EuclideanSpace(1)
-        stream = np.array(nu_rows + mu_rows).reshape(-1, 1)
-        nu = DiscreteMeasure.uniform(line, stream[:3])
-        mu = DiscreteMeasure.uniform(line, stream[3:])
-        value = relative_entropy(nu, mu)
-        assert _bits([value]) == _bits([relative_entropy_scalar(nu, mu)])
-        if want is not None:
-            assert value == want
-
-    def test_zero_weight_atoms_outside_mu_count_nothing(self):
-        line = EuclideanSpace(1)
-        nu = DiscreteMeasure.from_weights(line, [np.array([0.0]), np.array([5.0])],
-                                          [1.0, 0.0])
-        mu = DiscreteMeasure.from_weights(line, [np.array([0.0]), np.array([1.0])],
-                                          [0.5, 0.5])
-        assert relative_entropy(nu, mu) == relative_entropy_scalar(nu, mu) == math.log(2.0)
-
-    def test_work_is_linear_in_kernel_rows(self, monkeypatch):
-        # 1,000 distinct atoms: one equality scan over both supports, one
-        # kernel row per point and no single-pair distance.
-        calls = {"distance": 0, "pairwise_distances": 0}
-        for name in calls:
-            original = getattr(EuclideanSpace, name)
-
-            def counted(self, *args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(self, *args)
-
-            monkeypatch.setattr(EuclideanSpace, name, counted)
-        line = EuclideanSpace(1)
-        mu = DiscreteMeasure.uniform(line, np.arange(1000.0).reshape(-1, 1))
-        assert relative_entropy(mu, mu) == 0.0
-        assert calls["distance"] == 0
-        assert calls["pairwise_distances"] <= 2000
 
 
 def _chain(seed, states):

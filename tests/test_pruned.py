@@ -84,7 +84,7 @@ class TestSameBandAsFullSweep:
             mu = DiscreteMeasure.uniform(space, list(atoms))
         else:
             w = rng.uniform(0.2, 1.0, size=n)
-            mu = DiscreteMeasure.from_weights(space, list(atoms), w, normalize=True)
+            mu = DiscreteMeasure.from_weights(space, list(atoms), w / float(w.sum()))
         config = FrechetConfig(p=p, epsilon=eps)
         _assert_same_band(grid_mean_set(space, mu, config, step, pad),
                           grid_band_full_sweep(space, mu, config, step, pad))

@@ -230,3 +230,12 @@ class TestOracleDominance:
             grid = space.candidates(mu, "grid", step=0.05, pad=0.5)
             band = grid_oracle(space, mu, FrechetConfig(p=p), grid, resolution=0.05)
             assert value <= band.achieved_value + 1e-6 * (1.0 + abs(band.achieved_value))
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("key", ["step_tolerance", "value_tolerance"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1e-9])
+    def test_tolerances_must_be_finite_and_positive(self, key, value):
+        # A NaN fails every comparison, so the check is written to fail on it.
+        with pytest.raises(ValueError, match="tolerances"):
+            SolverConfig(**{key: value})

@@ -140,7 +140,7 @@ class TestQuantileBarycenter:
     def test_single_member_identity(self):
         w = Wasserstein1D(q=2.0)
         member = Measure1D([0.0, 1.0, 4.0], [0.25, 0.25, 0.5])
-        bar = quantile_barycenter(w, DiscreteMeasure.dirac(w, member), levels=256)
+        bar = quantile_barycenter(w, DiscreteMeasure.dirac(w, member))
         assert w.distance(bar, member) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_atom_members(self):

@@ -19,7 +19,6 @@ from frechet import (
     ergodic_experiment,
     ldp_experiment,
     ldp_rate_function,
-    relative_entropy,
     sample_empirical,
     slln_experiment,
 )
@@ -242,44 +241,6 @@ class TestErgodicExperiment:
         assert report.dvec == [0.0, 0.0]
 
 
-class TestRelativeEntropy:
-    def test_identical_measures(self, line):
-        mu = DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0)], [0.3, 0.7])
-        assert relative_entropy(mu, mu) == 0.0
-
-    def test_bernoulli_closed_form(self, line):
-        nu = DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0)], [0.5, 0.5])
-        mu = DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0)], [0.7, 0.3])
-        expected = kl_divergence([0.5, 0.5], [0.7, 0.3])
-        assert expected == pytest.approx(0.0871766, abs=1e-6)
-        assert relative_entropy(nu, mu) == pytest.approx(expected, abs=1e-12)
-
-    def test_absolute_continuity_failure(self, line):
-        nu = DiscreteMeasure.from_weights(line, [pt(0.0), pt(2.0)], [0.5, 0.5])
-        mu = DiscreteMeasure.dirac(line, pt(0.0))
-        assert relative_entropy(nu, mu) == math.inf
-
-    def test_nonnegative_and_zero_iff_equal(self, line):
-        rng = np.random.default_rng(14)
-        atoms = [pt(v) for v in (0.0, 1.0, 2.0)]
-        for _ in range(50):
-            a = rng.uniform(0.05, 1.0, size=3); a /= a.sum(); a[-1] = 1 - a[:-1].sum()
-            b = rng.uniform(0.05, 1.0, size=3); b /= b.sum(); b[-1] = 1 - b[:-1].sum()
-            nu = DiscreteMeasure.from_weights(line, atoms, a)
-            mu = DiscreteMeasure.from_weights(line, atoms, b)
-            h = relative_entropy(nu, mu)
-            assert h >= 0.0
-            if np.allclose(a, b):
-                assert h == pytest.approx(0.0, abs=1e-12)
-            else:
-                assert h > 0.0
-
-    def test_aggregates_duplicate_atoms(self, line):
-        nu = DiscreteMeasure.uniform(line, [pt(0.0), pt(0.0), pt(1.0), pt(1.0)])
-        mu = DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0)], [0.5, 0.5])
-        assert relative_entropy(nu, mu) == pytest.approx(0.0, abs=1e-12)
-
-
 class TestRateFunction:
     def test_zero_at_own_mean(self, line):
         mu = DiscreteMeasure.from_weights(line, [pt(0.0), pt(1.0)], [0.7, 0.3])
@@ -418,18 +379,6 @@ class TestArrayDraws:
             assert len(rows) == len(points) == n
             assert all(a.shape == b.shape == (1,) and a.dtype == b.dtype
                        and a.tobytes() == b.tobytes() for a, b in zip(rows, points))
-
-    @pytest.mark.parametrize("kind", ["finite", "markov-chain"])
-    def test_custom_embed_matches_per_point_embed(self, kind):
-        if kind == "finite":
-            sampler = SamplerSpec(kind="iid", distribution="finite", atoms=(0.5, 2.0),
-                                  probs=(0.3, 0.7), seed=37, embed=lambda v: (1, v))
-        else:
-            sampler = SamplerSpec(kind="markov-chain", states=(0.5, 2.0),
-                                  kernel=((0.3, 0.7), (0.6, 0.4)), seed=38,
-                                  embed=lambda v: (1, v))
-        assert sampler.draw(300) == draw_per_point(sampler, 300)
-
 
 class TestSllnSingleDraw:
     @pytest.mark.parametrize("solver,sampler,p", [
