@@ -2,10 +2,12 @@
 experiment suites, with machine-readable JSON/CSV results.
 
 Every run is driven by one JSON config file (stamped with a schema
-version) plus optional key=value overrides. Result JSON re-parses under
-the same schema; CSV bodies are byte-identical across reruns with the
-same seed and config, with timestamps confined to a metadata sidecar
-field.
+version) plus optional key=value overrides. Its numbers, counts and
+lists, down to the space, sampler and measure keys, are read here by
+name, and a malformed value is refused under its key's name; each space
+decodes its own points. Result JSON re-parses under the same schema; CSV
+bodies are byte-identical across reruns with the same seed and config,
+with timestamps confined to a metadata sidecar field.
 
 Importing this module loads ``core``, ``spaces`` and ``solvers``, which
 ``dist``, ``mean`` and ``diag`` need. The experiment commands import the
@@ -20,7 +22,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 
@@ -38,7 +39,8 @@ from .core import (
     renorm_bound_slack,
 )
 from .solvers import SolverConfig, grid_mean_set, grid_oracle
-from .spaces import space_from_json
+from .spaces import (BuresWassersteinSpace, EuclideanSpace, LqSequenceSpace,
+                     PersistenceDiagramSpace, SpiderSpace, Wasserstein1D)
 
 SCHEMA_VERSION = 1
 
@@ -76,17 +78,11 @@ def _require(config: dict, *keys: str) -> None:
         raise ConfigurationError(f"config is missing required keys: {missing}")
 
 
-def _measure_from_json(space, spec: dict) -> DiscreteMeasure:
-    points = [space.point_from_json(obj) for obj in spec["support"]]
-    weights = spec.get("weights")
-    if weights is None:
-        return DiscreteMeasure.uniform(space, points)
-    return DiscreteMeasure.from_weights(space, points, np.asarray(weights, dtype=float))
-
-
-def _is_json_number(value, kind=(int, float)) -> bool:
-    """True for a number of the given kinds; a bool is none."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _in_range(value, low: float, strict: bool = False, kind=(int, float)) -> bool:
+    """``value`` is a JSON number of the given kinds (no bool), finite as a
+    float and at least ``low`` (above it when ``strict``); NaN fails."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max and (low < value if strict else low <= value))
 
 
 def _number(config: dict, key: str, default: float | None, low: float,
@@ -94,29 +90,79 @@ def _number(config: dict, key: str, default: float | None, low: float,
     """``config[key]`` (``default`` when absent): a JSON number, finite and
     at least ``low`` (above it when ``strict``), refused by name otherwise."""
     value = config.get(key, default)
-    number = value if _is_json_number(value) else math.nan
-    # Both comparisons are false on a NaN.
-    if not (low < number if strict else low <= number) or number == math.inf:
+    if not _in_range(value, low, strict):
         raise ConfigurationError(
             f"{key} must be a finite number {'>' if strict else '>='} {low:g}, got {value!r}")
-    return float(number)
+    return float(value)
 
 
 def _integer(config: dict, key: str, default: int | None = None) -> int:
     """``config[key]`` (``default`` when absent): a JSON integer, refused by
     name otherwise."""
     value = config.get(key, default)
-    if not _is_json_number(value, int):
+    if not _in_range(value, -math.inf, kind=int):
         raise ConfigurationError(f"{key} must be an integer, got {value!r}")
     return value
 
 
-def _n_grid(config: dict) -> list[int]:
-    """``n_grid``: a list of JSON integers, refused by name otherwise."""
-    sizes = config["n_grid"]
-    if not (isinstance(sizes, list) and all(_is_json_number(n, int) for n in sizes)):
-        raise ConfigurationError(f"n_grid must be a list of integers, got {sizes!r}")
-    return sizes
+def _list(config: dict, key: str, default: list | None = None, *, integer: bool = False,
+          low: float = -math.inf, rows: bool = False) -> list:
+    """``config[key]`` (``default`` when absent): a list of finite JSON
+    numbers (integers when ``integer``) at least ``low``, or with ``rows``
+    a list of such lists; refused by name otherwise."""
+    value = config.get(key, default)
+    kind = int if integer else (int, float)
+    lists = value if rows and isinstance(value, list) else [value]
+    if not all(isinstance(v, list) and all(_in_range(x, low, kind=kind) for x in v)
+               for v in lists):
+        what = f"{'lists of ' if rows else ''}{'integers' if integer else 'finite numbers'}"
+        bound = "" if low == -math.inf else f" >= {low:g}"
+        raise ConfigurationError(f"{key} must be a list of {what}{bound}, got {value!r}")
+    return value
+
+
+_SPACE_BUILDERS = {
+    "euclidean": lambda spec: EuclideanSpace(dim=_integer(spec, "dim")),
+    "lq": lambda spec: LqSequenceSpace(truncation=_integer(spec, "truncation"),
+                                       q=_number(spec, "q", None, 1.0)),
+    "spider": lambda spec: SpiderSpace(legs=_integer(spec, "legs")),
+    "wasserstein1d": lambda spec: Wasserstein1D(q=_number(spec, "q", 2.0, 1.0)),
+    "bures-wasserstein": lambda spec: BuresWassersteinSpace(dim=_integer(spec, "dim")),
+    "persistence-diagram": lambda spec: PersistenceDiagramSpace(q=_number(spec, "q", 2.0, 1.0)),
+}
+
+
+def space_from_json(spec: dict):
+    """The space of a ``space`` config, read by name."""
+    kind = spec.get("type")
+    if kind not in _SPACE_BUILDERS:
+        raise ConfigurationError(f"unknown space type {kind!r}")
+    return _SPACE_BUILDERS[kind](spec)
+
+
+def sampler_from_config(spec: dict):
+    """The ``stochastics.SamplerSpec`` of a ``sampler`` config, read by name."""
+    from .stochastics import SamplerSpec
+
+    kind, dist = spec.get("kind"), spec.get("distribution")
+    if kind == "iid":
+        keys = ("atoms", "probs") if dist == "finite" else ("params",)
+        fields = {"distribution": dist, **{k: tuple(_list(spec, k)) for k in keys}}
+    elif kind == "markov-chain":
+        fields = {"kernel": tuple(map(tuple, _list(spec, "kernel", rows=True))),
+                  "states": tuple(_list(spec, "states")),
+                  "initial_state": _integer(spec, "initial_state", 0)}
+    else:
+        raise ConfigurationError(f"unknown sampler kind {kind!r}")
+    return SamplerSpec(kind=kind, seed=_integer(spec, "seed", 0), **fields)
+
+
+def _measure_from_json(space, spec: dict) -> DiscreteMeasure:
+    points = [space.point_from_json(obj) for obj in spec["support"]]
+    if spec.get("weights") is None:
+        return DiscreteMeasure.uniform(space, points)
+    return DiscreteMeasure.from_weights(space, points,
+                                        np.asarray(_list(spec, "weights"), dtype=float))
 
 
 def _grid_keys(config: dict) -> dict[str, float]:
@@ -129,23 +175,18 @@ def _experiment_config(config: dict, space):
     """The ``stochastics.ExperimentConfig`` of an slln or ergodic config."""
     from .stochastics import ExperimentConfig
 
-    targets = tuple(space.point_from_json(obj)
-                    for obj in config.get("target_points", []))
-    threads = int(os.environ.get("FRECHET_THREADS", "1"))
-    solver_config = SolverConfig(
-        max_iterations=_integer(config, "max_iterations", 500),
-        step_tolerance=_number(config, "step_tolerance", 1e-10, 0.0, strict=True),
-        value_tolerance=_number(config, "value_tolerance", 1e-9, 0.0, strict=True),
-    )
     return ExperimentConfig(
         solver=config.get("solver", "grid"),
         epsilon=_number(config, "epsilon", 0.0, 0.0),
         **_grid_keys(config),
-        target_points=targets,
+        target_points=tuple(space.point_from_json(obj)
+                            for obj in config.get("target_points", [])),
         threshold=(None if config.get("threshold") is None
                    else _number(config, "threshold", None, 0.0, strict=True)),
-        max_workers=max(threads, 1),
-        solver_config=solver_config,
+        solver_config=SolverConfig(
+            max_iterations=_integer(config, "max_iterations", 500),
+            step_tolerance=_number(config, "step_tolerance", 1e-10, 0.0, strict=True),
+            value_tolerance=_number(config, "value_tolerance", 1e-9, 0.0, strict=True)),
     )
 
 
@@ -216,10 +257,11 @@ def _cmd_prefix(config: dict, command: str) -> tuple[dict, list[dict] | None, st
 
     _require(config, "space", "sampler", "p", "n_grid")
     space = space_from_json(config["space"])
-    sampler = stochastics.sampler_from_json(config["sampler"])
+    sampler = sampler_from_config(config["sampler"])
     if "seed" in config:
         sampler = sampler.with_seed(_integer(config, "seed"))
-    args = (space, sampler, _number(config, "p", None, 1.0), _n_grid(config))
+    args = (space, sampler, _number(config, "p", None, 1.0),
+            _list(config, "n_grid", integer=True))
     exp = _experiment_config(config, space)
     if command == "slln":
         report = stochastics.slln_experiment(*args, _integer(config, "replications", 1), exp)
@@ -236,7 +278,8 @@ def _cmd_ldp(config: dict) -> tuple[dict, list[dict] | None, str]:
     mu = _measure_from_json(space, config["measure"])
     events = [space.point_from_json(obj) for obj in config["event_points"]]
     result = stochastics.ldp_experiment(
-        space, mu, _number(config, "p", None, 1.0), events, _n_grid(config),
+        space, mu, _number(config, "p", None, 1.0), events,
+        _list(config, "n_grid", integer=True),
         mode=config.get("mode", "exact-binomial"),
         replications=_integer(config, "replications", 1000),
         seed=_integer(config, "seed", 0),
@@ -252,7 +295,7 @@ def _cmd_gamma(config: dict) -> tuple[dict, list[dict] | None, str]:
     space = space_from_json(config["space"])
     seq = [_measure_from_json(space, spec) for spec in config["measures"]]
     limit = _measure_from_json(space, config["limit"])
-    eps = config.get("eps_sequence") or [1.0 / (i + 1) for i in range(len(seq))]
+    eps = _list(config, "eps_sequence", [1.0 / (i + 1) for i in range(len(seq))], low=0.0)
     report = convergence.gamma_convergence_probe(
         space, seq, limit, _number(config, "p", None, 1.0), [float(e) for e in eps],
         **_grid_keys(config), seed=_integer(config, "seed", 0))

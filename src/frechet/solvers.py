@@ -32,8 +32,8 @@ from .core import (
     origin_shift,
     relaxed_mean_set,
 )
-from .spaces import (BuresWassersteinSpace, EuclideanSpace, Wasserstein1D, _VectorSpace,
-                     matrix_sqrt)
+from .spaces import (BuresWassersteinSpace, EuclideanSpace, Wasserstein1D, _spectral_root,
+                     _VectorSpace, matrix_sqrt)
 
 __all__ = [
     "SolverConfig",
@@ -433,21 +433,17 @@ def euclidean_pmean(space: EuclideanSpace, mu: DiscreteMeasure, p: float,
                              last_point=x, iterations=config.max_iterations, value=f)
 
 
-def _clamped_root_pair(sigma: np.ndarray, floor_ratio: float = 1e-12):
-    """Square root and inverse square root with a strict positivity clamp."""
-    lam, vec = np.linalg.eigh((sigma + sigma.T) / 2.0)
-    top = float(lam[-1]) if float(lam[-1]) > 0 else 1.0
-    floor = floor_ratio * top
-    clamped = np.maximum(lam, floor)
+def _positive_clamp(lam: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Eigenvalues raised to at least 1e-12 times the largest one (times 1
+    when that is not positive), so that the inverse square root exists."""
+    floor = 1e-12 * np.where(top > 0, top, 1.0)
     if np.any(lam < floor):
         import logging
 
         logging.getLogger(__name__).warning(
             "clamped %d eigenvalue(s) to keep an iterate positive definite",
             int(np.sum(lam < floor)))
-    root = (vec * np.sqrt(clamped)) @ vec.T
-    inv_root = (vec / np.sqrt(clamped)) @ vec.T
-    return root, inv_root
+    return np.maximum(lam, floor)
 
 
 def bw_barycenter(space: BuresWassersteinSpace, mu: DiscreteMeasure,
@@ -470,7 +466,8 @@ def bw_barycenter(space: BuresWassersteinSpace, mu: DiscreteMeasure,
     current = sum(wi * m for wi, m in zip(w, mats))
     scale = 1.0 + float(np.trace(current))
     for _ in range(config.max_iterations):
-        root, inv_root = _clamped_root_pair(current)
+        root, lam, vec = _spectral_root(current, _positive_clamp)
+        inv_root = (vec / np.sqrt(lam)) @ vec.T
         mixed = np.zeros_like(current)
         for wi, m in zip(w, mats):
             inner = root @ m @ root

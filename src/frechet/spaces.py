@@ -30,7 +30,6 @@ __all__ = [
     "PersistenceDiagramSpace",
     "matrix_sqrt",
     "quantile_barycenter",
-    "space_from_json",
 ]
 
 
@@ -199,7 +198,8 @@ class SpiderSpace(Space):
             leg, t = x
         except (TypeError, ValueError):
             return False
-        return 0 <= int(leg) < self.legs and float(t) >= 0.0 and math.isfinite(float(t))
+        return (isinstance(leg, (int, np.integer)) and not isinstance(leg, bool)
+                and 0 <= leg < self.legs and float(t) >= 0.0 and math.isfinite(float(t)))
 
     def candidates(self, mu, scheme="support", *, step=None, pad: float = 0.0,
                    **kwargs) -> list:
@@ -221,7 +221,11 @@ class SpiderSpace(Space):
         return [int(x[0]), float(x[1])]
 
     def point_from_json(self, obj):
-        return (int(obj[0]), float(obj[1]))
+        point = (obj[0], float(obj[1]))
+        if not self.contains(point):
+            raise ConfigurationError(f"leg must be an integer in [0, {self.legs}) and t a "
+                                     f"finite number >= 0, got {obj!r}")
+        return point
 
 
 class Measure1D:
@@ -560,6 +564,16 @@ def _symmetric_stack(space: "BuresWassersteinSpace", sigma) -> np.ndarray:
     return sigma
 
 
+def _spectral_root(sigma: np.ndarray, clamp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V sqrt(c) V^T for the symmetric part V diag(lam) V^T of each matrix
+    of a stack (..., n, n), where c = ``clamp(lam, top)`` and ``top`` is
+    the matrix's largest eigenvalue, kept as an axis of length one.
+    Returns the root, c and V."""
+    lam, vec = np.linalg.eigh((sigma + np.swapaxes(sigma, -1, -2)) / 2.0)
+    lam = clamp(lam, lam[..., -1:])
+    return (vec * np.sqrt(lam)[..., None, :]) @ np.swapaxes(vec, -1, -2), lam, vec
+
+
 def matrix_sqrt(space: "BuresWassersteinSpace", sigma: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via spectral decomposition.
 
@@ -568,12 +582,8 @@ def matrix_sqrt(space: "BuresWassersteinSpace", sigma: np.ndarray) -> np.ndarray
     one (including round-off negatives) are clamped to zero before
     rooting; fixed-point iterations routinely graze the PSD boundary.
     """
-    sigma = _symmetric_stack(space, sigma)
-    lam, vec = np.linalg.eigh((sigma + np.swapaxes(sigma, -1, -2)) / 2.0)
-    top = lam[..., -1:]
-    cutoff = np.where(top > 0, 1e-12 * top, 0.0)
-    lam = np.where(lam > cutoff, lam, 0.0)
-    return (vec * np.sqrt(lam)[..., None, :]) @ np.swapaxes(vec, -1, -2)
+    return _spectral_root(_symmetric_stack(space, sigma), lambda lam, top: np.where(
+        lam > np.where(top > 0, 1e-12 * top, 0.0), lam, 0.0))[0]
 
 
 @dataclass(frozen=True)
@@ -724,25 +734,3 @@ class PersistenceDiagramSpace(Space):
 
     def point_from_json(self, obj):
         return tuple((float(b), float(d)) for b, d in obj)
-
-
-# ---------------------------------------------------------------------------
-# JSON space descriptions (used by experiment configs and the CLI).
-# ---------------------------------------------------------------------------
-
-_SPACE_BUILDERS = {
-    "euclidean": lambda spec: EuclideanSpace(dim=int(spec["dim"])),
-    "lq": lambda spec: LqSequenceSpace(truncation=int(spec["truncation"]), q=float(spec["q"])),
-    "spider": lambda spec: SpiderSpace(legs=int(spec["legs"])),
-    "wasserstein1d": lambda spec: Wasserstein1D(q=float(spec.get("q", 2.0))),
-    "bures-wasserstein": lambda spec: BuresWassersteinSpace(dim=int(spec["dim"])),
-    "persistence-diagram": lambda spec: PersistenceDiagramSpace(q=float(spec.get("q", 2.0))),
-}
-
-
-def space_from_json(spec: dict) -> Space:
-    kind = spec.get("type")
-    if kind not in _SPACE_BUILDERS:
-        raise ConfigurationError(f"unknown space type {kind!r}")
-    return _SPACE_BUILDERS[kind](spec)
-

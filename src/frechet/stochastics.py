@@ -3,9 +3,8 @@ numbers for mean sets, a single-trajectory ergodic check, and large
 deviations with the relative-entropy rate.
 
 All randomness flows through inverse-CDF transforms of one seeded uniform
-stream, so every experiment is bit-reproducible given (seed, config) and
-replications can run concurrently on derived seeds without changing the
-merged output.
+stream, so every experiment is bit-reproducible given (seed, config);
+replication r draws from the derived seed of (seed, r).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +49,6 @@ __all__ = [
     "ergodic_experiment",
     "ldp_rate_function",
     "ldp_experiment",
-    "sampler_from_json",
 ]
 
 _IID_DISTRIBUTIONS = ("normal", "uniform", "pareto", "cauchy", "finite")
@@ -289,7 +287,6 @@ class ExperimentConfig:
     grid_pad: float = 1.0
     target_points: tuple = ()
     threshold: float | None = None
-    max_workers: int = 1
     solver_config: SolverConfig = field(default_factory=SolverConfig)
 
 
@@ -317,16 +314,6 @@ def _solve_mean_set(space: Space, mu: DiscreteMeasure, p: float,
     value = frechet_functional(space, mu, pt, mu.support[0], p)
     res = max(config.solver_config.step_tolerance, 1e-12)
     return MeanSetApprox((pt,), res, value)
-
-
-def _replication_map(fn: Callable, count: int, max_workers: int) -> list:
-    """Run fn(0..count-1), possibly concurrently; order fixed by index."""
-    if max_workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(max_workers, count)) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def _sample_sizes(n_grid: Sequence[int]) -> list[int]:
@@ -390,11 +377,9 @@ def slln_experiment(space: Space, sampler: SamplerSpec, p: float,
     if replications < 1:
         raise ValueError("need at least one replication")
 
-    def one_rep(rep: int) -> tuple[list, list, list, list]:
-        stream = sampler.with_seed(_derived_seed(sampler.seed, rep)).draw(max(n_grid))
-        return _prefix_experiment(space, stream, n_grid, p, config, target)
-
-    per_rep = _replication_map(one_rep, replications, config.max_workers)
+    per_rep = [_prefix_experiment(
+        space, sampler.with_seed(_derived_seed(sampler.seed, rep)).draw(max(n_grid)),
+        n_grid, p, config, target) for rep in range(replications)]
 
     dvec_max, moment_mean, runtimes, failure_count = [], [], [], 0
     for j in range(len(n_grid)):
@@ -765,26 +750,3 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
             rates.append(-math.log(prob) / n)
     return LdpResult(n_grid, probabilities, rates, theoretical,
                      tie_probabilities=ties, censored=censored, mode=mode, seed=seed)
-
-
-
-def sampler_from_json(spec: dict) -> SamplerSpec:
-    """Build a sampler from its JSON description."""
-    kind = spec.get("kind")
-    if kind == "iid":
-        dist = spec.get("distribution")
-        if dist == "finite":
-            return SamplerSpec(kind="iid", distribution="finite",
-                               atoms=tuple(spec["atoms"]),
-                               probs=tuple(spec["probs"]),
-                               seed=int(spec.get("seed", 0)))
-        return SamplerSpec(kind="iid", distribution=dist,
-                           params=tuple(spec.get("params", ())),
-                           seed=int(spec.get("seed", 0)))
-    if kind == "markov-chain":
-        return SamplerSpec(kind="markov-chain",
-                           kernel=tuple(tuple(row) for row in spec["kernel"]),
-                           states=tuple(spec["states"]),
-                           initial_state=int(spec.get("initial_state", 0)),
-                           seed=int(spec.get("seed", 0)))
-    raise ConfigurationError(f"unknown sampler kind {kind!r}")

@@ -40,10 +40,6 @@ def test_pytest_step_is_the_tier1_verify_command():
     assert _verify_command() in _run_lines()
 
 
-def test_pytest_step_runs_again_on_two_threads():
-    assert "FRECHET_THREADS=2 " + _verify_command() in _run_lines()
-
-
 def test_install_step_covers_the_test_extra_and_the_dependencies():
     wanted = {_package_name(r) for r in _requirements("test") + _requirements("dependencies")}
     assert {"pytest", "hypothesis", "numpy", "scipy"} <= wanted

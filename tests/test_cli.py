@@ -53,6 +53,68 @@ _BAD_KEYS = [
 ]
 
 
+DIST_LQ = {"space": {"type": "lq", "truncation": 2, "q": 3.0}, "x": [0.0, 0.0], "y": [1.0, 1.0]}
+DIST_EUCLID = {"space": {"type": "euclidean", "dim": 2}, "x": [0.0, 0.0], "y": [3.0, 4.0]}
+DIST_SPIDER = {"space": {"type": "spider", "legs": 3}, "x": [1, 0.5], "y": [0, 1.0]}
+MEAN_SPIDER = {"space": {"type": "spider", "legs": 3}, "p": 2.0, "grid_step": 0.1,
+               "measure": {"support": [[2, 0.5], [0, 1.0]]}}
+FINITE = {**SLLN, "sampler": {"kind": "iid", "distribution": "finite", "atoms": [0.0, 1.0],
+                              "probs": [0.5, 0.5], "seed": 1}}
+# (command, config, key path, value, key): entries below the top level of a
+# config, and eps_sequence, each refused by the name of ``key``. Read with
+# int(), float() or tuple(), each of these ran (2.5 as 2, "3" as 3.0, an
+# infinite level as any other), ended in a traceback, or was refused under
+# another key's name.
+_BAD_ENTRIES = [
+    ("slln", SLLN, ("sampler", "seed"), 2.5, "seed"),
+    ("slln", SLLN, ("sampler", "seed"), "1", "seed"),
+    ("slln", SLLN, ("sampler", "params"), ["0", "1"], "params"),
+    ("slln", SLLN, ("sampler", "params"), [0.0, math.inf], "params"),
+    ("slln", SLLN, ("space", "dim"), 1.7, "dim"),
+    ("slln", FINITE, ("sampler", "atoms"), ["0", "1"], "atoms"),
+    ("slln", FINITE, ("sampler", "probs"), ["0.5", "0.5"], "probs"),
+    ("ergodic", ERGODIC, ("sampler", "initial_state"), 1.7, "initial_state"),
+    ("ergodic", ERGODIC, ("sampler", "kernel"), [["0.6", "0.4"], ["0.4", "0.6"]], "kernel"),
+    ("ergodic", ERGODIC, ("sampler", "kernel"), [0.6, 0.4], "kernel"),
+    ("ergodic", ERGODIC, ("sampler", "states"), ["0", "3"], "states"),
+    ("mean", MEAN, ("measure", "weights"), ["0.5", "0.5"], "weights"),
+    ("dist", DIST_LQ, ("space", "q"), "3", "q"),
+    ("dist", DIST_LQ, ("space", "truncation"), 2.0, "truncation"),
+    ("diag", DIAG, ("space", "legs"), 3.5, "legs"),
+    ("gamma", GAMMA, ("eps_sequence",), [math.inf], "eps_sequence"),
+    ("gamma", GAMMA, ("eps_sequence",), [math.nan], "eps_sequence"),
+    ("gamma", GAMMA, ("eps_sequence",), [-0.5], "eps_sequence"),
+    ("dist", DIST_SPIDER, ("x", 0), 1.7, "leg"),
+    ("dist", DIST_SPIDER, ("x", 0), 3, "leg"),
+    ("mean", MEAN_SPIDER, ("measure", "support", 0, 0), 2.9, "leg"),
+]
+# The same entries at values that must still run, with the configs above.
+_GOOD_ENTRIES = [
+    ("dist", DIST_LQ, ("space", "q"), 3),
+    ("dist", DIST_EUCLID, ("space", "dim"), 2),
+    ("slln", SLLN, ("sampler", "params"), [0, 1]),
+    ("slln", FINITE, ("sampler", "atoms"), [0, 1]),
+    ("ergodic", ERGODIC, ("sampler", "states"), [0, 3]),
+    ("ergodic", ERGODIC, ("sampler", "initial_state"), 1),
+    ("ergodic", ERGODIC, ("sampler", "kernel"), [[0, 1], [1, 0]]),
+    ("mean", MEAN, ("measure", "weights"), [0.5, 0.5]),
+    ("gamma", GAMMA, ("eps_sequence",), [0]),
+    ("diag", DIAG, ("space", "legs"), 2),
+    ("dist", DIST_SPIDER, ("x", 0), 2),
+    ("mean", MEAN_SPIDER, ("measure", "support", 0, 0), 1),
+]
+
+
+def _with_entry(config: dict, path: tuple, value) -> dict:
+    """A copy of ``config`` whose entry at the key path ``path`` is ``value``."""
+    config = json.loads(json.dumps(config))
+    node = config
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = value
+    return config
+
+
 def run(tmp_path, command, config, out_name="out", extra=()):
     out = str(tmp_path / out_name)
     code = main([command, "--config", config, "--out", out, *extra])
@@ -187,20 +249,6 @@ class TestExperimentCommands:
         payload = json.loads(open(out + ".json").read())
         assert payload["result"]["passed"] is True
 
-    def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, "s.json", {
-            "space": {"type": "euclidean", "dim": 1},
-            "sampler": {"kind": "iid", "distribution": "normal",
-                        "params": [0.0, 1.0], "seed": 6},
-            "p": 2.0, "n_grid": [30, 120], "replications": 4,
-            "solver": "subgradient", "target_points": [[0.0]]})
-        _, serial = run(tmp_path, "slln", cfg, out_name="serial")
-        monkeypatch.setenv("FRECHET_THREADS", "4")
-        _, threaded = run(tmp_path, "slln", cfg, out_name="threaded")
-        a = json.loads(open(serial + ".json").read())["result"]["dvec"]
-        b = json.loads(open(threaded + ".json").read())["result"]["dvec"]
-        assert a == b
-
     def test_solver_nonconvergence_exits_3_with_partial_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "e.json", {
             "space": {"type": "euclidean", "dim": 1},
@@ -313,7 +361,10 @@ class TestErrorPaths:
                        id=f"{command}-{key}-{value!r}") for command, key, value in [
             ("slln", "p", 1), ("slln", "epsilon", 0), ("ergodic", "epsilon", 0.0),
             ("ldp", "p", 1.0), ("mean", "p", 1), ("mean", "epsilon", 0.0), ("gamma", "p", 1),
-            ("diag", "p", 1.0), ("slln", "seed", 0), ("diag", "trials", 2)]]])
+            ("diag", "p", 1.0), ("slln", "seed", 0), ("diag", "trials", 2)]],
+        *[pytest.param(command, _with_entry(config, path, value),
+                       id=f"{command}-{'.'.join(map(str, path))}-{value!r}")
+          for command, config, path, value in _GOOD_ENTRIES]])
     def test_the_configs_varied_below_run(self, tmp_path, command, payload):
         # So each refusal below is owed to the one key it changes; the
         # boundary values at the end still run.
@@ -334,11 +385,17 @@ class TestErrorPaths:
         ("ldp", {**LDP, "simplex_step": 0.3}, "simplex_step"),
         ("diag", {"space": {"type": "spider", "legs": 3}, "trials": -5}, "trials"),
         ("diag", {"space": {"type": "spider", "legs": 3}, "trials": 0}, "trials"),
+        ("mean", {**MEAN, "p": 10 ** 400}, "p"),
         *[(command, {**_CONFIGS[command], key: value}, key) for command, key, value in _BAD_KEYS],
+        *[(command, _with_entry(config, path, value), key)
+          for command, config, path, value, key in _BAD_ENTRIES],
     ], ids=["slln-empty-grid", "ergodic-empty-grid", "ldp-empty-grid", "ldp-zero-n",
             "ldp-negative-n", "ldp-monte-carlo-zero-n", "step-zero", "step-nan",
             "step-negative", "step-not-dividing", "diag-negative-trials", "diag-no-trials",
-            *[f"{command}-{key}-{value!r}" for command, key, value in _BAD_KEYS]])
+            "mean-p-beyond-float",
+            *[f"{command}-{key}-{value!r}" for command, key, value in _BAD_KEYS],
+            *[f"{command}-{'.'.join(map(str, path))}-{value!r}"
+              for command, _, path, value, _ in _BAD_ENTRIES]])
     def test_degenerate_experiment_keys_are_config_errors(self, tmp_path, capsys, command,
                                                           payload, key):
         # Unchecked, these end in a traceback, in a message that names no
@@ -346,7 +403,8 @@ class TestErrorPaths:
         # zero trials), or in a run on a value that should be refused: a NaN
         # or infinite p, epsilon or tolerance exited 0 (an ldp with p NaN
         # reported theoretical_rate inf), and int() truncated a count of 2.5
-        # to 2 and parsed "3".
+        # to 2 and parsed "3". float() of a 400-digit integer p raised
+        # OverflowError (a traceback).
         code, out = run(tmp_path, command, write_config(tmp_path, "k.json", payload))
         assert code == EXIT_CONFIG
         err = json.loads(capsys.readouterr().out)
@@ -428,15 +486,15 @@ class TestErrorPaths:
         assert "timestamp" in payload["metadata"]
 
 
-def _fresh_modules(code: str) -> dict:
-    """The modules a fresh interpreter holds after running ``code``: the
-    ``frechet`` ones, and which of numpy, scipy and the stdlib modules that
-    only some commands use were loaded."""
+def _fresh_modules(code: str, **env: str) -> dict:
+    """The modules a fresh interpreter, with the variables ``env`` set,
+    holds after running ``code``: the ``frechet`` ones, and which of numpy,
+    scipy and the stdlib modules that only some commands use were loaded."""
     report = ("import json, sys; print(json.dumps({"
               "'frechet': sorted(m for m in sys.modules if m.split('.')[0] == 'frechet'), "
               "'other': sorted(m for m in sys.modules if m in ('logging', 'csv', "
               "'concurrent.futures', 'numpy') or m.split('.')[0] == 'scipy')}))")
-    out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=fresh_env(),
+    out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=fresh_env(**env),
                          capture_output=True, text=True, check=True, timeout=120)
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -446,8 +504,8 @@ START_UP = ["frechet", "frechet.cli", "frechet.core", "frechet.solvers", "freche
 
 def test_cli_import_loads_no_scipy():
     # Starting the CLI loads what dist, mean and diag need and no more:
-    # scipy, the experiment modules, logging, csv and the thread pool are
-    # imported where they are used.
+    # scipy, the experiment modules, logging and csv are imported where they
+    # are used.
     loaded = _fresh_modules("import frechet.cli")
     assert loaded["frechet"] == START_UP
     assert loaded["other"] == ["numpy"]
@@ -457,12 +515,12 @@ def test_bare_package_import_loads_no_submodule():
     assert _fresh_modules("import frechet") == {"frechet": ["frechet"], "other": []}
 
 
-def _modules_after_call(tmp_path, command: str, payload: dict) -> dict:
+def _modules_after_call(tmp_path, command: str, payload: dict, **env: str) -> dict:
     """``_fresh_modules`` after one ``command`` run of ``payload``."""
     cfg = write_config(tmp_path, f"{command}.json", payload)
     return _fresh_modules(f"import frechet.cli\n"
                           f"assert frechet.cli.main([{command!r}, '--config', {cfg!r}, "
-                          f"'--out', {str(tmp_path / command)!r}]) == 0")
+                          f"'--out', {str(tmp_path / command)!r}]) == 0", **env)
 
 
 def test_a_mean_call_loads_no_further_frechet_module(tmp_path):
@@ -481,6 +539,16 @@ def test_experiments_load_no_scipy(tmp_path, command, payload):
     assert SLLN["sampler"]["distribution"] == "normal"
     loaded = _modules_after_call(tmp_path, command, payload)["other"]
     assert "numpy" in loaded and not [m for m in loaded if m.startswith("scipy")]
+
+
+@pytest.mark.parametrize("threads", ["4", "abc"])
+def test_replications_start_no_thread_pool(tmp_path, threads):
+    # Replications run one after another in index order. FRECHET_THREADS,
+    # which once sized a thread pool, is read by nothing: "abc" used to stop
+    # every slln and ergodic run with an int() error.
+    loaded = _modules_after_call(tmp_path, "slln", {**SLLN, "replications": 4},
+                                 FRECHET_THREADS=threads)
+    assert "numpy" in loaded["other"] and "concurrent.futures" not in loaded["other"]
 
 
 def test_exact_binomial_ldp_loads_scipy_stats(tmp_path):

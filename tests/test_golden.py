@@ -15,7 +15,6 @@ results, and say so in the change log.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -82,8 +81,7 @@ def render_csv(name: str, workdir: Path) -> bytes:
 
 
 @pytest.mark.parametrize("command", sorted(CONFIGS))
-def test_csv_body_matches_golden(command, tmp_path, monkeypatch):
-    monkeypatch.setenv("FRECHET_THREADS", "1")
+def test_csv_body_matches_golden(command, tmp_path):
     assert render_csv(command, tmp_path) == (GOLDEN / f"{command}.csv").read_bytes()
 
 
@@ -93,13 +91,12 @@ def test_cold_start_csv_matches_golden(command, tmp_path):
     # because another test loaded its module first, or that is circular,
     # fails here.
     subprocess.run([sys.executable, "-m", "frechet.cli", *_arguments(command, tmp_path)],
-                   env=fresh_env(FRECHET_THREADS="1"), capture_output=True, check=True,
+                   env=fresh_env(), capture_output=True, check=True,
                    timeout=300)
     assert (tmp_path / f"{command}.csv").read_bytes() == (GOLDEN / f"{command}.csv").read_bytes()
 
 
 if __name__ == "__main__":
-    os.environ["FRECHET_THREADS"] = "1"
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CONFIGS):

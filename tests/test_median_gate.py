@@ -26,7 +26,8 @@ from frechet import (
     weiszfeld_median,
 )
 from frechet import solvers
-from frechet.stochastics import _derived_seed, _drawn_atoms, _finite_indices, sampler_from_json
+from frechet.cli import sampler_from_config
+from frechet.stochastics import _derived_seed, _drawn_atoms, _finite_indices
 
 from oracles import (
     chain_indices_bisect,
@@ -192,7 +193,7 @@ class TestBenchmarkCells:
         calls = _benchmark_workloads().generate("experiments", seed)
         config = next(c for command, c in calls
                       if command == "slln" and c["solver"] == "weiszfeld")
-        sampler = sampler_from_json(config["sampler"]).with_seed(int(config["seed"]))
+        sampler = sampler_from_config(config["sampler"]).with_seed(int(config["seed"]))
         for rep in range(config["replications"]):
             stream = sampler.with_seed(_derived_seed(sampler.seed, rep)).draw(
                 max(config["n_grid"]))

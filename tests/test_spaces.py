@@ -29,7 +29,7 @@ from frechet.constructions import (
     sign_flip_group,
 )
 from frechet.core import Space, metric_axiom_violations
-from frechet.spaces import space_from_json
+from frechet.cli import space_from_json
 
 from conftest import all_spaces, pt
 from oracles import (

@@ -1,5 +1,4 @@
 import math
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -141,36 +140,6 @@ class TestSllnExperiment:
         r2 = slln_experiment(line, sampler, 2.0, [10, 100], 4, config)
         assert r1.dvec == r2.dvec
         assert r1.moments == r2.moments
-
-    def test_concurrent_replications_match_serial(self, line):
-        sampler = SamplerSpec(kind="iid", distribution="normal", params=(0.0, 1.0), seed=10)
-        serial = ExperimentConfig(solver="subgradient", target_points=(pt(0.0),),
-                                  max_workers=1)
-        threaded = ExperimentConfig(solver="subgradient", target_points=(pt(0.0),),
-                                    max_workers=4)
-        r1 = slln_experiment(line, sampler, 2.0, [20, 200], 6, serial)
-        r2 = slln_experiment(line, sampler, 2.0, [20, 200], 6, threaded)
-        assert r1.dvec == r2.dvec
-
-    def test_concurrent_median_replications_match_serial(self, line):
-        # Each median call owns its distance buffers, so threads share none;
-        # a short switch interval makes threads interleave inside a call.
-        sampler = SamplerSpec(kind="iid", distribution="cauchy", params=(0.0, 1.0), seed=11)
-
-        def dvec(workers):
-            config = ExperimentConfig(solver="weiszfeld", target_points=(pt(0.0),),
-                                      max_workers=workers)
-            report = slln_experiment(line, sampler, 1.0, [300, 1000, 3000], 16, config)
-            return np.array(report.dvec).tobytes()
-
-        serial = dvec(1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = [dvec(4) for _ in range(3)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded == [serial] * 3
 
     def test_missing_target_rejected(self, line):
         sampler = bernoulli_sampler(0.5)
