@@ -157,8 +157,28 @@ def sampler_from_config(spec: dict):
     return SamplerSpec(kind=kind, seed=_integer(spec, "seed", 0), **fields)
 
 
+_JSON_NUMBER_TYPES = frozenset((int, float))
+
+
+def _json_numbers(obj) -> bool:
+    """No string and no bool in ``obj`` or, at any depth, its lists and objects."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):  # a flat list passes on its types alone
+        return _JSON_NUMBER_TYPES.issuperset(map(type, obj)) or all(map(_json_numbers, obj))
+    return not isinstance(obj, (str, bool))
+
+
+def _point(space, obj, key: str):
+    """``space.point_from_json(obj)``, refused under ``key`` when ``obj`` holds
+    a string or a bool (``np.asarray`` and ``float`` parse "1", read True as 1)."""
+    if not _json_numbers(obj):
+        raise ConfigurationError(f"{key} must hold JSON numbers only, got {obj!r}")
+    return space.point_from_json(obj)
+
+
 def _measure_from_json(space, spec: dict) -> DiscreteMeasure:
-    points = [space.point_from_json(obj) for obj in spec["support"]]
+    points = [_point(space, obj, "support") for obj in spec["support"]]
     if spec.get("weights") is None:
         return DiscreteMeasure.uniform(space, points)
     return DiscreteMeasure.from_weights(space, points,
@@ -179,7 +199,7 @@ def _experiment_config(config: dict, space):
         solver=config.get("solver", "grid"),
         epsilon=_number(config, "epsilon", 0.0, 0.0),
         **_grid_keys(config),
-        target_points=tuple(space.point_from_json(obj)
+        target_points=tuple(_point(space, obj, "target_points")
                             for obj in config.get("target_points", [])),
         threshold=(None if config.get("threshold") is None
                    else _number(config, "threshold", None, 0.0, strict=True)),
@@ -220,8 +240,8 @@ def _write_outputs(out: str, command: str, config: dict, result: dict,
 def _cmd_dist(config: dict) -> tuple[dict, list[dict] | None, str]:
     _require(config, "space", "x", "y")
     space = space_from_json(config["space"])
-    x = space.point_from_json(config["x"])
-    y = space.point_from_json(config["y"])
+    x = _point(space, config["x"], "x")
+    y = _point(space, config["y"], "y")
     if not (space.contains(x) and space.contains(y)):
         raise ConfigurationError("x and y must be points of the space")
     value = space.distance(x, y)
@@ -276,7 +296,7 @@ def _cmd_ldp(config: dict) -> tuple[dict, list[dict] | None, str]:
     _require(config, "space", "measure", "p", "n_grid", "event_points")
     space = space_from_json(config["space"])
     mu = _measure_from_json(space, config["measure"])
-    events = [space.point_from_json(obj) for obj in config["event_points"]]
+    events = [_point(space, obj, "event_points") for obj in config["event_points"]]
     result = stochastics.ldp_experiment(
         space, mu, _number(config, "p", None, 1.0), events,
         _list(config, "n_grid", integer=True),

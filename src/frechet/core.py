@@ -14,14 +14,16 @@ Mean sets are represented by finite candidate enumeration: a candidate
 scheme (grid, support-derived, or solver-seeded) produces a finite point
 list with a known covering radius, and the epsilon-band of near-minimal
 candidates approximates the true compact minimizer set. The band sweep
-here (``relaxed_mean_set``) evaluates every candidate; on the box grids
-of the vector spaces, ``solvers.grid_mean_set`` reaches the same band
-while skipping the cells that a Lipschitz bound rules out.
+here (``relaxed_mean_set``) evaluates every candidate; on the grids that
+a space charts as index tuples (vector boxes, the Wasserstein-1D cone),
+``solvers.grid_mean_set`` reaches the same band while skipping the cells
+that a Lipschitz bound rules out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -90,15 +92,16 @@ class Space:
 
     def stack(self, points: Sequence[Point]):
         """The points as the kernels read them fastest: unchanged here, one
-        (n, dim) float array in the vector spaces, one ``QuantileTable`` in
-        the Wasserstein-1D space; a list of indices picks rows of either."""
+        float array in the vector and Bures-Wasserstein spaces, one
+        ``QuantileTable`` in the Wasserstein-1D space; a list of indices
+        picks rows of either."""
         return points
 
     def contains_all(self, points: Sequence[Point]) -> bool:
         """True when every point belongs to the space.
 
-        Loops over ``contains``; vector spaces override it with one
-        stacked check.
+        Loops over ``contains``; the vector and Bures-Wasserstein spaces
+        override it with one check on their stack.
         """
         return all(self.contains(x) for x in points)
 
@@ -222,13 +225,16 @@ class DiscreteMeasure:
                      weights: Sequence[float]) -> "DiscreteMeasure":
         return cls(space, as_sequence(points), weights)
 
+    @cached_property
+    def first_distances(self) -> np.ndarray:
+        """The distances from the first support point to every support
+        point: one kernel row, computed once and shared (do not write)."""
+        return self.space.pairwise_distances(self.stacked[:1], self.stacked)[0]
+
     def is_degenerate(self) -> bool:
         """True when all support points lie within 1e-12 of the first (a
         single atom)."""
-        if len(self.support) == 1:
-            return True
-        row = self.space.pairwise_distances(self.stacked[:1], self.stacked)
-        return bool(np.max(row) <= 1e-12)
+        return len(self.support) == 1 or bool(np.max(self.first_distances) <= 1e-12)
 
 
 @dataclass(frozen=True)
@@ -314,8 +320,8 @@ def moment(space: Space, mu: DiscreteMeasure, r: float, x: Point) -> float:
 def origin_shift(space: Space, mu: DiscreteMeasure, config: FrechetConfig) -> float:
     """sum_i w_i d(origin, y_i)**p, the constant the band sweep subtracts;
     the origin defaults to the first support atom."""
-    origin = config.origin if config.origin is not None else mu.support[0]
-    ref = space.pairwise_distances([origin], mu.stacked)[0]
+    ref = (mu.first_distances if config.origin is None
+           else space.pairwise_distances([config.origin], mu.stacked)[0])
     return float(np.dot(mu.weights, ref ** config.p))
 
 
@@ -379,8 +385,8 @@ def relaxed_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     A measure concentrated on a single atom short-circuits to that atom
     when epsilon is zero (``degenerate_band``). Candidates may be any
     sequence of points, such as one stacked array; every candidate is
-    evaluated. ``solvers.grid_mean_set`` reaches the same band over a box
-    grid while evaluating only the candidates it cannot rule out.
+    evaluated. ``solvers.grid_mean_set`` reaches the same band over a
+    charted grid while evaluating only the candidates it cannot rule out.
     """
     _check_pair(space, mu)
     candidates = as_sequence(candidates)

@@ -4,9 +4,10 @@ Every solver here is validated against ``grid_oracle``, the brute-force
 candidate sweep that serves as ground truth: a solver's achieved objective
 value must never exceed the oracle band minimum by more than the value
 tolerance. ``grid_mean_set`` returns the oracle's band over the ``grid``
-scheme; on the box grids of the vector spaces it gets there coarse to
-fine, evaluating only the grid points that a Lipschitz bound cannot rule
-out.
+scheme; on a grid that a space charts as integer index tuples (the box
+grids of the vector spaces, the Wasserstein-1D cone) it gets there coarse
+to fine, evaluating only the grid points that a Lipschitz bound cannot
+rule out.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .core import (
     origin_shift,
     relaxed_mean_set,
 )
-from .spaces import (BuresWassersteinSpace, EuclideanSpace, Wasserstein1D, _spectral_root,
-                     _VectorSpace, matrix_sqrt)
+from .spaces import (BuresWassersteinSpace, EuclideanSpace, GridChart, Wasserstein1D,
+                     _spectral_root, _VectorSpace, matrix_sqrt)
 
 __all__ = [
     "SolverConfig",
@@ -83,66 +84,68 @@ def grid_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
 
     The result is ``grid_oracle`` over ``space.candidates(mu, "grid",
     step=step, pad=pad)`` with ``resolution=step``: the same points in the
-    same order, the same achieved value bit for bit. On the box grids of
-    the Euclidean and l_q spaces the grid is never built; it is searched
-    coarse to fine (``_pruned_box_band``). Every other space sweeps the
-    whole grid; a Wasserstein-1D grid stays one ``QuantileTable``
-    (``Wasserstein1D.grid_table``) and only its band rows become
-    ``Measure1D`` objects.
+    same order, the same achieved value bit for bit. A space with a
+    ``grid_chart`` (Euclidean and l_q boxes, the Wasserstein-1D cone) is
+    searched coarse to fine (``_pruned_band``) and its grid is never
+    built. A Bures-Wasserstein grid is swept whole as one stacked array
+    (``BuresWassersteinSpace.grid_stack``); every other space sweeps its
+    candidate list.
     """
-    if not isinstance(space, _VectorSpace):
-        grid = (space.grid_table(mu, step, pad) if isinstance(space, Wasserstein1D)
+    if not isinstance(space, (_VectorSpace, Wasserstein1D)):
+        grid = (space.grid_stack(mu, step, pad) if isinstance(space, BuresWassersteinSpace)
                 else space.candidates(mu, "grid", step=step, pad=pad))
         return grid_oracle(space, mu, config, grid, resolution=step)
     _check_pair(space, mu)
     short = degenerate_band(space, mu, config, step)
     if short is not None:
         return short
-    return _pruned_box_band(space, mu, config, *space.grid_box(mu, step, pad), step)
+    return _pruned_band(space, mu, config, space.grid_chart(mu, step, pad), step)
 
 
-def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetConfig,
-                     lows: np.ndarray, sizes: list[int], step: float) -> MeanSetApprox:
-    """The epsilon-band over the box grid of ``_VectorSpace.grid_box``, by
-    splitting cells into up to ``splits`` index ranges per axis and level;
-    grid points are computed from their indices when needed.
+def _pruned_band(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
+                 chart: GridChart, step: float) -> MeanSetApprox:
+    """The epsilon-band over the grid of a ``GridChart``, by splitting index
+    cells into up to ``splits`` ranges per axis and level; grid points are
+    built from their indices (``chart.rows``) when needed.
 
-    A cell is a box of index ranges [lo, hi) over the axis grids. Its
-    representative c is its middle grid point and its radius r is the
-    distance from c to its farthest corner, so every grid point x of the
-    cell has d(x, c) <= r. Writing S(x) = sum_i w_i d(x, y_i)**p,
+    A cell is a box of index ranges [lo, hi), cut by ``chart.clip`` to the
+    grid points it holds. Its representative c is its middle index tuple
+    and ``chart.radius`` bounds d(x, c) by r for every grid point x of the
+    cell. Writing S(x) = sum_i w_i d(x, y_i)**p,
 
         |S(x) - S(c)| <= p r sum_i w_i (d(c, y_i) + r)**(p - 1)
                       <= p r (S(c)**(1/p) + r)**(p - 1)
 
     (the mean value theorem, then Jensen and Minkowski for weights summing
     to one), so the second form needs only c's value. Each level evaluates
-    the representatives with ``_band_values``, drops every cell whose
-    lower bound exceeds the cut of the best value seen so far, and splits
-    each axis of the rest into up to ``splits`` nonempty index ranges of
-    near equal length (about 16 children per cell in any dimension). The
+    the representatives with ``_band_values`` and drops every cell whose
+    lower bound exceeds the cut of the best value seen so far. Before
+    that, starting from the whole box, it splits each axis of every cell
+    into up to ``splits`` nonempty index ranges of near equal length
+    (about 16 children per cell in any dimension). The
     best value seen is never below the grid minimum and ``band_cut``
     increases with it, so that cut is at least the final one and no band
     point is ever dropped.
-    Single points are final: their values, ordered by flat index
-    (``itertools.product`` order), give the band with the cut of
-    ``relaxed_mean_set``. Values do not depend on which rows are swept
-    together, so both equal the full sweep's bit for bit.
+    Single points are final: their values, ordered by index tuple (flat
+    index, ``itertools.product`` order on a box and
+    ``combinations_with_replacement`` order on a cone), give the band with
+    the cut of ``relaxed_mean_set``. Values do not depend on which rows
+    are swept together, so both equal the full sweep's bit for bit.
     """
-    p, eps, n, dim = config.p, config.epsilon, len(mu.support), len(sizes)
+    p, eps, n, dim = config.p, config.epsilon, len(mu.support), len(chart.sizes)
     shift = origin_shift(space, mu, config)
     # Rounding margin. With u = 2**-53, a kernel distance carries a relative
-    # error below (dim + 3) u, a term w_i d_i**p below (p (dim + 3) + 2) u,
-    # and the sum of n terms adds at most (n - 1) u times the sum of the
-    # terms, in any summation order; subtracting the shift adds u |v|. So a
-    # computed value v is within kappa u S + u |v| of its exact value. With
-    # size = |v(c)| + |shift| and L the bound above, S <= size + L and
-    # |v| <= 2 size + L over the cell, so the errors at c and at x add up
-    # to less than (2 kappa + 3) u (size + L). The margin,
+    # error below e u (e = ``chart.rounding``), a term w_i d_i**p below
+    # (p e + 2) u, and the sum of n terms adds at most (n - 1) u times the
+    # sum of the terms, in any summation order; subtracting the shift adds
+    # u |v|. So a computed value v is within kappa u S + u |v| of its exact
+    # value. With size = |v(c)| + |shift| and L the bound above,
+    # S <= size + L and |v| <= 2 size + L over the cell, so the errors at c
+    # and at x add up to less than (2 kappa + 3) u (size + L). The margin,
     # 4 kappa u (size + L + |threshold| + 1), also covers the rounding of L
     # and of the threshold, each a few u of its own size.
     ulp = 2.0 ** -53
-    kappa = p * (dim + 3) + n + 3
+    kappa = p * chart.rounding + n + 3
     # Weights sum to one within 1e-12; the Jensen and Minkowski steps then
     # lose at most this factor.
     weight_slack = (1.0 + 2e-12) ** p
@@ -150,32 +153,10 @@ def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetCo
     # line, 4 in the plane, 3 in 3-D and 2 from 4-D up (not 4**dim children).
     splits = max(2, round(16 ** (1 / dim)))
     lo = np.zeros((1, dim), dtype=np.intp)
-    hi = np.array([sizes], dtype=np.intp)
+    hi = np.array([chart.sizes], dtype=np.intp)
     best = math.inf
     found_at, found_values = [], []
-    # Grid points are lows + step * index, the floats of ``_box_grid``.
     while len(lo):
-        rep = (lo + hi - 1) // 2
-        c = lows + step * rep
-        values = _band_values(space, mu, config, c, shift)
-        best = min(best, float(values.min()))
-        threshold = band_cut(best, eps)
-        single = np.all(hi - lo == 1, axis=1)
-        found_at.append(rep[single])
-        found_values.append(values[single])
-        lo, hi, c, values = lo[~single], hi[~single], c[~single], values[~single]
-        if not len(lo):
-            break
-        # The farthest corner's offset from c along each axis.
-        corner = np.maximum(c - (lows + step * lo), lows + step * (hi - 1) - c)
-        r = space.pairwise_distances(corner, np.zeros((1, dim)))[:, 0]
-        size = np.abs(values) + abs(shift)
-        # An upper bound of S(c).
-        s_up = np.maximum(values + abs(shift), 0.0) + 2.0 * kappa * ulp * size
-        lipschitz = p * r * (s_up ** (1.0 / p) + r) ** (p - 1.0) * weight_slack
-        margin = 4.0 * kappa * ulp * (size + lipschitz + abs(threshold) + 1.0)
-        keep = values - lipschitz - margin <= threshold
-        lo, hi = lo[keep], hi[keep]
         for k in range(dim):
             # Row j of ``cuts`` bounds the index ranges cell j splits into.
             span = hi[:, k, None] - lo[:, k, None]
@@ -184,14 +165,34 @@ def _pruned_box_band(space: _VectorSpace, mu: DiscreteMeasure, config: FrechetCo
             lo, hi = lo[cell], hi[cell]
             lo[:, k] = cuts[cell, part]
             hi[:, k] = cuts[cell, part + 1]
+        if chart.clip is not None:
+            lo, hi = chart.clip(lo, hi)
+        rep = (lo + hi - 1) // 2
+        values = _band_values(space, mu, config, chart.rows(rep), shift)
+        best = min(best, float(values.min()))
+        threshold = band_cut(best, eps)
+        single = np.all(hi - lo == 1, axis=1)
+        found_at.append(rep[single])
+        found_values.append(values[single])
+        lo, hi, rep, values = lo[~single], hi[~single], rep[~single], values[~single]
+        if not len(lo):
+            break
+        r = chart.radius(lo, hi, rep)
+        size = np.abs(values) + abs(shift)
+        # An upper bound of S(c).
+        s_up = np.maximum(values + abs(shift), 0.0) + 2.0 * kappa * ulp * size
+        lipschitz = p * r * (s_up ** (1.0 / p) + r) ** (p - 1.0) * weight_slack
+        margin = 4.0 * kappa * ulp * (size + lipschitz + abs(threshold) + 1.0)
+        keep = values - lipschitz - margin <= threshold
+        lo, hi = lo[keep], hi[keep]
 
     at = np.concatenate(found_at)
     values = np.concatenate(found_values)
-    order = np.lexsort(at.T[::-1])  # flat-index order, first axis slowest
+    order = np.lexsort(at.T[::-1])  # index-tuple order, first axis slowest
     at, values = at[order], values[order]
     achieved = float(values.min())
     kept = np.flatnonzero(values <= band_cut(achieved, eps))
-    return MeanSetApprox(tuple(lows + step * at[kept]), step, achieved)
+    return MeanSetApprox(tuple(chart.rows(at[kept])), step, achieved)
 
 
 @dataclass(frozen=True)

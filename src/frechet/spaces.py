@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,6 +53,32 @@ def _box_grid(lows: np.ndarray, sizes: list[int], step: float) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
 
 
+def _float_stack(points, shape: tuple):
+    """The points as one float array of shape (n, *shape); unchanged when
+    they are ragged, non-numeric or stack to another shape."""
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        return points
+    return arr if arr.shape == (len(points), *shape) else points
+
+
+@dataclass(frozen=True)
+class GridChart:
+    """A grid as index tuples 0 <= i < ``sizes``: ``rows(index)`` builds
+    their points, ``radius(lo, hi, rep)`` bounds the distance from ``rep``
+    to each point of the cell [lo, hi), ``clip(lo, hi)`` (if set) cuts
+    cells to the boxes of their points, and a kernel distance is within
+    ``rounding`` 2**-53 of its exact value, relatively. Searched by
+    ``solvers._pruned_band``."""
+
+    sizes: list[int]
+    rows: Callable
+    radius: Callable
+    rounding: float
+    clip: Callable | None = None
+
+
 class _VectorSpace(Space):
     """Float vectors of one length, ``_length``. The Euclidean and l_q
     spaces share all of this and differ only in their metric."""
@@ -62,13 +88,7 @@ class _VectorSpace(Space):
         return arr.shape == (self._length,) and bool(np.all(np.isfinite(arr)))
 
     def stack(self, points):
-        """The points as one (n, length) float array; unchanged when they
-        are ragged, non-numeric or stack to another shape."""
-        try:
-            arr = np.asarray(points, dtype=float)
-        except (TypeError, ValueError):
-            return points
-        return arr if arr.shape == (len(points), self._length) else points
+        return _float_stack(points, (self._length,))
 
     def contains_all(self, points) -> bool:
         """One isfinite check on the stack, or the per-point loop (same
@@ -121,6 +141,18 @@ class _VectorSpace(Space):
         points along each axis. Point k of axis j is lows[j] + step * k."""
         lows, highs = mu.stacked.min(axis=0) - pad, mu.stacked.max(axis=0) + pad
         return lows, [_axis_size(float(lo), float(hi), step) for lo, hi in zip(lows, highs)]
+
+    def grid_chart(self, mu: DiscreteMeasure, step: float, pad: float = 0.0) -> GridChart:
+        """The ``grid`` scheme as its index box (``grid_box``); a cell's
+        radius is the distance from its point to its farthest corner."""
+        lows, sizes = self.grid_box(mu, step, pad)
+
+        def radius(lo, hi, rep):
+            c = lows + step * rep
+            corner = np.maximum(c - (lows + step * lo), lows + step * (hi - 1) - c)
+            return self.pairwise_distances(corner, np.zeros((1, len(sizes))))[:, 0]
+
+        return GridChart(sizes, lambda index: lows + step * index, radius, self._length + 3)
 
     def sample_point(self, rng: np.random.Generator, scale: float = 1.0):
         return rng.normal(scale=scale, size=self._length)
@@ -351,18 +383,27 @@ class QuantileTable:
 
 def _grid_table(axis: np.ndarray, k: int) -> QuantileTable:
     """``[Measure1D(list(c)) for c in combinations_with_replacement(axis, k)]``
-    as one table, bit for bit, without building a measure.
+    as one table, bit for bit, without building a measure (``_grid_rows``
+    of every nondecreasing index tuple)."""
+    if k < 1:
+        raise ValueError("a 1-D measure needs at least one atom")
+    n = math.comb(len(axis) + k - 1, k)
+    return _grid_rows(axis, np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(len(axis)), k)),
+        dtype=np.intp, count=n * k).reshape(n, k))
+
+
+def _grid_rows(axis: np.ndarray, index: np.ndarray) -> QuantileTable:
+    """The equal-weight measures on ``axis[index]``, one per row of an
+    (n, k) array of nondecreasing index tuples, as one table; row by row
+    the bits of ``Measure1D(list(axis[i]))``.
 
     Each row is sorted already, as the axis ascends. Duplicates merge as in
     ``Measure1D.__init__``: an atom within 1e-12 of its run's first atom
     joins the run, and the run's weights of 1/k are added left to right.
     """
-    if k < 1:
-        raise ValueError("a 1-D measure needs at least one atom")
-    n = math.comb(len(axis) + k - 1, k)
-    raw = axis[np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(range(len(axis)), k)),
-        dtype=np.intp, count=n * k).reshape(n, k)]
+    n, k = index.shape
+    raw = axis[index]
     w = 1.0 / k
     start = np.ones((n, k), dtype=bool)
     run_weight = np.full((n, k), w)  # of the run so far, at each column
@@ -383,17 +424,26 @@ def _grid_table(axis: np.ndarray, k: int) -> QuantileTable:
     return QuantileTable._padded(atoms, weights, cum, counts, real)
 
 
+def _cone_clip(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index cells [lo, hi) cut to the cone i_1 <= ... <= i_k: running
+    maxima of lo, running minima of hi from the right; empty cells go."""
+    lo = np.maximum.accumulate(lo, axis=1)
+    hi = np.minimum.accumulate(hi[:, ::-1], axis=1)[:, ::-1]
+    keep = np.all(lo < hi, axis=1)
+    return lo[keep], hi[keep]
+
+
 def _size_groups(table: QuantileTable) -> list:
     """Row indices of a table with their atoms and breakpoints, grouped by
-    atom count within a factor of two and cut to the group's widest row,
-    so padding at most doubles a pair's cost."""
+    atom count (one group when all counts are within a factor of two, else
+    one per bit length) and cut to the group's widest row."""
     lo = int(table.counts.min(initial=table.atoms.shape[1]))
     hi = int(table.counts.max(initial=1))
-    if lo.bit_length() == hi.bit_length():  # one group: views, no copies
+    if hi <= 2 * lo:  # one group: views, no copies
         return [(np.arange(len(table)), table.atoms[:, :hi], table.cum[:, :hi])]
     bits = np.frexp(table.counts)[1]
     groups = []
-    for b in np.unique(bits):
+    for b in np.flatnonzero(np.bincount(bits)):  # np.unique would load numpy.ma
         index = np.flatnonzero(bits == b)
         k = table.counts[index].max()
         groups.append((index, table.atoms[index, :k], table.cum[index, :k]))
@@ -447,8 +497,13 @@ def _quantile_gap_integrals(atoms_x, cum_x, atoms_y, cum_y, q: float) -> np.ndar
         levels.sort(axis=-1)
         widths = levels.copy()
         widths[..., 1:] -= levels[..., :-1]
-        gap = np.abs(atoms_x[rows, ix[of]] - atoms_y[cols, iy[of]])
-        out[block] = (gap ** q * widths[of]).cumsum(axis=-1)[..., -1]
+        # In one buffer: fresh temporaries of this size page-fault on every call.
+        gap = atoms_x[rows, ix[of]]
+        gap -= atoms_y[cols, iy[of]]
+        np.abs(gap, out=gap)
+        gap **= q
+        gap *= widths[of]
+        out[block] = gap.cumsum(axis=-1, out=gap)[..., -1]
     return out
 
 
@@ -493,14 +548,37 @@ class Wasserstein1D(Space):
     def contains(self, x) -> bool:
         return isinstance(x, Measure1D)
 
-    def grid_table(self, mu: DiscreteMeasure, step: float, pad: float = 0.0,
-                   atom_count: int = 2) -> QuantileTable:
-        """The ``grid`` scheme as one table: equal-weight measures of
-        ``atom_count`` atoms drawn with repetition from a 1-D grid spanning
-        the member supports, in ``combinations_with_replacement`` order."""
+    def _grid_axis(self, mu: DiscreteMeasure, step: float, pad: float) -> np.ndarray:
+        """The 1-D grid spanning the member supports, widened by ``pad``."""
         atoms = mu.stacked.atoms
-        return _grid_table(_axis_grid(float(atoms.min()) - pad, float(atoms.max()) + pad,
-                                      step), atom_count)
+        return _axis_grid(float(atoms.min()) - pad, float(atoms.max()) + pad, step)
+
+    def grid_chart(self, mu: DiscreteMeasure, step: float, pad: float = 0.0,
+                   atom_count: int = 2) -> GridChart:
+        """The ``grid`` scheme (k = ``atom_count`` atoms from ``_grid_axis``)
+        as the cone i_1 <= ... <= i_k of a k-dim index box, whose
+        flat-index order is ``combinations_with_replacement`` order.
+
+        A tuple a has Q(u) = a_j on ((j - 1)/k, j/k], so tuples lie
+        k**(-1/q) ||a - b||_q apart: a cell's radius is k**(-1/q) times the
+        l_q norm of its farthest corner's offsets, plus twice a row's L^q
+        distance from its tuple. That is below 2e-12 (a merged atom is its
+        run's first) plus the axis span times the 1/q-th power of
+        4 k (k - 1) 2**-53, the measure on which breakpoints rounded to
+        within 2 k 2**-53 of j/k can change an atom's index."""
+        if atom_count < 1:
+            raise ValueError("a 1-D measure needs at least one atom")
+        axis, k, q = self._grid_axis(mu, step, pad), atom_count, self.q
+        slack = 2.0 * (2e-12 + (axis[-1] - axis[0]) * (4 * k * (k - 1) * 2.0 ** -53) ** (1 / q))
+
+        def radius(lo, hi, rep):
+            h = np.maximum(axis[rep] - axis[lo], axis[hi - 1] - axis[rep])
+            return (np.sum(h ** q, axis=1) / k) ** (1 / q) + slack
+
+        # Relative error of a kernel distance: k + m breakpoint intervals
+        # (m the widest member), each a rounded gap power times a width.
+        return GridChart([len(axis)] * k, lambda index: _grid_rows(axis, index), radius,
+                         k + mu.stacked.atoms.shape[1] + 4, _cone_clip)
 
     def candidates(self, mu: DiscreteMeasure, scheme: str = "support", *,
                    step: float | None = None, pad: float = 0.0,
@@ -509,7 +587,7 @@ class Wasserstein1D(Space):
             if step is None:
                 raise ValueError("grid scheme needs a step")
             # A list, as callers concatenate it.
-            return list(self.grid_table(mu, step, pad, atom_count))
+            return list(_grid_table(self._grid_axis(mu, step, pad), atom_count))
         if scheme == "solver-seeded":
             seeds = self.dedup(mu.support)
             if self.q == 2.0:
@@ -622,38 +700,54 @@ class BuresWassersteinSpace(Space):
 
     def contains(self, x) -> bool:
         arr = np.asarray(x, dtype=float)
-        if arr.shape != (self.dim, self.dim) or not np.all(np.isfinite(arr)):
+        return arr.shape == (self.dim, self.dim) and self.contains_all(arr[None])
+
+    def stack(self, points):
+        return _float_stack(points, (self.dim, self.dim))
+
+    def contains_all(self, points) -> bool:
+        """Finite, symmetric within 1e-10 (``np.allclose``) and PSD within
+        1e-10 of the largest eigenvalue's size (at least 1): one check on
+        the stack, or the per-point loop for points that do not stack."""
+        arr = self.stack(points)
+        if getattr(arr, "shape", None) != (len(points), self.dim, self.dim):
+            return Space.contains_all(self, points)
+        flip = np.swapaxes(arr, -1, -2)
+        if not (np.all(np.isfinite(arr)) and np.allclose(arr, flip, atol=1e-10)):
             return False
-        if not np.allclose(arr, arr.T, atol=1e-10):
-            return False
-        lam = np.linalg.eigvalsh((arr + arr.T) / 2.0)
-        return bool(lam[0] >= -1e-10 * max(1.0, abs(lam[-1])))
+        lam = np.linalg.eigvalsh((arr + flip) / 2.0)
+        return bool(np.all(lam[:, 0] >= -1e-10 * np.maximum(1.0, np.abs(lam[:, -1]))))
+
+    def grid_stack(self, mu: DiscreteMeasure, step: float, pad: float = 0.0) -> np.ndarray:
+        """The ``grid`` scheme as one (N, dim, dim) array: the PSD matrices
+        of the entry-wise box of the members widened by ``pad``."""
+        return self._psd_grid(mu.stacked.min(axis=0) - pad, mu.stacked.max(axis=0) + pad, step)
+
+    def _psd_grid(self, lows: np.ndarray, highs: np.ndarray, step) -> np.ndarray:
+        if self.dim > 2:
+            raise ConfigurationError("matrix grids are only feasible for dim <= 2")
+        if step is None:
+            raise ValueError("grid schemes need a step")
+        # a, then c, then |b| <= sqrt(ac) vary.
+        diag = [_axis_grid(max(float(lows[i, i]), 0.0), float(highs[i, i]), step)
+                for i in range(self.dim)]
+        if self.dim == 1:
+            return diag[0].reshape(-1, 1, 1)
+        a, c2, b = np.meshgrid(*diag, _axis_grid(float(lows[0, 1]), float(highs[0, 1]), step),
+                               indexing="ij")
+        keep = np.abs(b) <= np.sqrt(np.maximum(a * c2, 0.0)) + 1e-12
+        return np.stack([a, b, b, c2], axis=-1)[keep].reshape(-1, 2, 2)
 
     def candidates(self, mu, scheme="support", *, step=None, center=None,
                    radius=None, pad: float = 0.0, **kwargs) -> list:
-        if scheme in ("grid", "ball-grid"):
-            if self.dim > 2:
-                raise ConfigurationError("matrix grids are only feasible for dim <= 2")
-            if step is None:
-                raise ValueError("grid schemes need a step")
-            if scheme == "ball-grid":
-                if center is None or radius is None:
-                    raise ValueError("ball-grid scheme needs center, radius and step")
-                c = np.asarray(center, dtype=float)
-                lows, highs = c - radius, c + radius
-            else:
-                arr = np.asarray(mu.stacked, dtype=float)
-                lows = arr.min(axis=0) - pad
-                highs = arr.max(axis=0) + pad
-            # A list, as callers concatenate it; a, then c, then |b| <= sqrt(ac) vary.
-            diag = [_axis_grid(max(float(lows[i, i]), 0.0), float(highs[i, i]), step)
-                    for i in range(self.dim)]
-            if self.dim == 1:
-                return list(diag[0].reshape(-1, 1, 1))
-            a, c2, b = np.meshgrid(*diag, _axis_grid(float(lows[0, 1]), float(highs[0, 1]), step),
-                                   indexing="ij")
-            keep = np.abs(b) <= np.sqrt(np.maximum(a * c2, 0.0)) + 1e-12
-            return list(np.stack([a, b, b, c2], axis=-1)[keep].reshape(-1, 2, 2))
+        # Lists, as callers concatenate them.
+        if scheme == "grid":
+            return list(self.grid_stack(mu, step, pad))
+        if scheme == "ball-grid":
+            if center is None or radius is None:
+                raise ValueError("ball-grid scheme needs center, radius and step")
+            c = np.asarray(center, dtype=float)
+            return list(self._psd_grid(c - radius, c + radius, step))
         return super().candidates(mu, scheme)
 
     def sample_point(self, rng, scale: float = 1.0):

@@ -728,7 +728,7 @@ def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,
                 # drew, in the order first drawn; replications are grouped
                 # by how many atoms that is.
                 sizes = np.count_nonzero(counts, axis=1)
-                for size in np.unique(sizes):
+                for size in np.flatnonzero(np.bincount(sizes)):  # np.unique would load numpy.ma
                     rows = sizes == size
                     support = order[rows, :size]
                     band = _support_bands(dp, support, mass[counts[rows, :size]])

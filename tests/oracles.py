@@ -11,7 +11,8 @@ stacking code that the stacked vector points replaced, the vector
 kernels as they summed from zeros, the full grid
 sweep that the pruned grid search replaced, the per-object
 Wasserstein-1D grid and per-measure LDP origin shifts that arrays
-replaced, and the median iteration,
+replaced, the quantile gap kernel with fresh temporaries, and the median
+iteration,
 LDP replication count and chain walk as they were before their sorted or
 per-call tables.
 """
@@ -540,8 +541,9 @@ def band_values_out_of_place(space, mu, p, candidates, origin):
 
 
 # ---------------------------------------------------------------------------
-# The full grid sweep replaced by the pruned grid search, and the per-object
-# Wasserstein-1D grid replaced by one quantile table.
+# The full grid sweep replaced by the pruned grid search, the per-object
+# Wasserstein-1D grid replaced by one quantile table, and the quantile gap
+# kernel before its temporaries were computed in place.
 # ---------------------------------------------------------------------------
 
 def w1d_grid_per_object(axis, k):
@@ -550,6 +552,34 @@ def w1d_grid_per_object(axis, k):
     from frechet import Measure1D
 
     return [Measure1D(list(c)) for c in itertools.combinations_with_replacement(axis, k)]
+
+
+def quantile_gap_integrals_out_of_place(atoms_x, cum_x, atoms_y, cum_y, q):
+    """``spaces._quantile_gap_integrals`` as it was before its temporaries
+    were computed in place: one fresh array per step of |x - y| ** q * width."""
+    from frechet.core import row_blocks
+    from frechet.spaces import _distinct_rows
+
+    kx, ky = cum_x.shape[1], cum_y.shape[1]
+    cols = np.arange(len(cum_y))[:, None]
+    span = np.arange(kx + ky)
+    out = np.empty((len(cum_x), len(cum_y)))
+    for block in row_blocks(len(cum_x), len(cum_y) * (kx + ky)):
+        rows = np.arange(len(cum_x))[block, None, None]
+        distinct, of = _distinct_rows(cum_x[block])
+        levels = np.empty((len(distinct), len(cum_y), kx + ky))
+        levels[..., :kx] = distinct[:, None, :]
+        levels[..., kx:] = cum_y
+        from_x = levels.argsort(axis=-1, kind="stable") < kx
+        ix = from_x.cumsum(axis=-1) - from_x
+        iy = np.minimum(span - ix, ky - 1)
+        np.minimum(ix, kx - 1, out=ix)
+        levels.sort(axis=-1)
+        widths = levels.copy()
+        widths[..., 1:] -= levels[..., :-1]
+        gap = np.abs(atoms_x[rows, ix[of]] - atoms_y[cols, iy[of]])
+        out[block] = (gap ** q * widths[of]).cumsum(axis=-1)[..., -1]
+    return out
 
 
 def grid_band_full_sweep(space, mu, config, step, pad):

@@ -56,6 +56,14 @@ _BAD_KEYS = [
 DIST_LQ = {"space": {"type": "lq", "truncation": 2, "q": 3.0}, "x": [0.0, 0.0], "y": [1.0, 1.0]}
 DIST_EUCLID = {"space": {"type": "euclidean", "dim": 2}, "x": [0.0, 0.0], "y": [3.0, 4.0]}
 DIST_SPIDER = {"space": {"type": "spider", "legs": 3}, "x": [1, 0.5], "y": [0, 1.0]}
+# A Wasserstein-1D grid mean, the shape of the benchmark's: members of 3
+# weighted atoms on [-1, 1], step 0.1 and pad 0.55.
+MEAN_W1D = {"space": {"type": "wasserstein1d", "q": 2.0}, "p": 2.0, "scheme": "grid",
+            "grid_step": 0.1, "grid_pad": 0.55, "measure": {"support": [
+                {"atoms": [-1.0, 0.12, 0.5], "weights": [0.3, 0.45, 0.25]},
+                {"atoms": [-0.4, 0.3, 1.0], "weights": [0.2, 0.5, 0.3]},
+                {"atoms": [-0.75, -0.1, 0.8], "weights": [0.35, 0.3, 0.35]},
+                {"atoms": [-0.2, 0.05, 0.6], "weights": [0.4, 0.4, 0.2]}]}}
 MEAN_SPIDER = {"space": {"type": "spider", "legs": 3}, "p": 2.0, "grid_step": 0.1,
                "measure": {"support": [[2, 0.5], [0, 1.0]]}}
 FINITE = {**SLLN, "sampler": {"kind": "iid", "distribution": "finite", "atoms": [0.0, 1.0],
@@ -87,6 +95,9 @@ _BAD_ENTRIES = [
     ("dist", DIST_SPIDER, ("x", 0), 1.7, "leg"),
     ("dist", DIST_SPIDER, ("x", 0), 3, "leg"),
     ("mean", MEAN_SPIDER, ("measure", "support", 0, 0), 2.9, "leg"),
+    ("mean", MEAN, ("measure", "support", 1), ["1"], "support"),
+    ("slln", SLLN, ("target_points", 0), [True], "target_points"),
+    ("ldp", LDP, ("event_points", 0), ["1"], "event_points"),
 ]
 # The same entries at values that must still run, with the configs above.
 _GOOD_ENTRIES = [
@@ -113,6 +124,13 @@ def _with_entry(config: dict, path: tuple, value) -> dict:
         node = node[part]
     node[path[-1]] = value
     return config
+
+
+def cold_mean_arguments(workdir: Path) -> list[str]:
+    """The CLI arguments that run ``MEAN_W1D`` into ``workdir``, for the
+    workflow's Cold mean step."""
+    return ["mean", "--config", write_config(workdir, "w1d.json", MEAN_W1D),
+            "--out", str(workdir / "w1d")]
 
 
 def run(tmp_path, command, config, out_name="out", extra=()):
@@ -153,6 +171,31 @@ class TestDist:
         assert code == EXIT_CONFIG
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "config" and "points of the space" in err["message"]
+
+    @pytest.mark.parametrize("space,x,y,bad", [
+        ({"type": "euclidean", "dim": 2}, ["0", "1"], [0.0, 0.0], "'0'"),
+        ({"type": "euclidean", "dim": 2}, [True, 1.0], [0.0, 0.0], "True"),
+        ({"type": "lq", "truncation": 2, "q": 3.0}, [0.0, "1"], [0.0, 0.0], "'1'"),
+        ({"type": "bures-wasserstein", "dim": 1}, ["1"], [2.0], "'1'"),
+        ({"type": "bures-wasserstein", "dim": 2}, [1.0, 0.0, 0.0, False], [1.0, 0.0, 0.0, 1.0],
+         "False"),
+        ({"type": "wasserstein1d", "q": 2.0}, {"atoms": ["0.5"]}, {"atoms": [1.0]}, "'0.5'"),
+        ({"type": "wasserstein1d", "q": 2.0}, {"atoms": [0.0, 1.0], "weights": ["0.5", 0.5]},
+         {"atoms": [1.0]}, "'0.5'"),
+        ({"type": "spider", "legs": 3}, [1, "0.5"], [0, 1.0], "'0.5'"),
+        ({"type": "spider", "legs": 3}, [1, True], [0, 1.0], "True"),
+        ({"type": "persistence-diagram", "q": 2.0}, [["0", 2.0]], [], "'0'"),
+    ], ids=["euclidean-string", "euclidean-bool", "lq", "bw-1", "bw-2-bool", "w1d-atoms",
+            "w1d-weights", "spider-string", "spider-bool", "diagram"])
+    def test_strings_and_bools_in_a_point_are_refused(self, tmp_path, capsys, space, x, y,
+                                                      bad):
+        # np.asarray(..., dtype=float) and float() parse "0" and read True
+        # as 1: the Euclidean ["0", "1"] ran at distance 1 from the origin.
+        cfg = write_config(tmp_path, "d.json", {"space": space, "x": x, "y": y})
+        code, _ = run(tmp_path, "dist", cfg)
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config" and bad in err["message"]
 
 
 class TestMean:
@@ -489,11 +532,12 @@ class TestErrorPaths:
 def _fresh_modules(code: str, **env: str) -> dict:
     """The modules a fresh interpreter, with the variables ``env`` set,
     holds after running ``code``: the ``frechet`` ones, and which of numpy,
-    scipy and the stdlib modules that only some commands use were loaded."""
+    numpy.ma, scipy and the stdlib modules that only some commands use were
+    loaded."""
     report = ("import json, sys; print(json.dumps({"
               "'frechet': sorted(m for m in sys.modules if m.split('.')[0] == 'frechet'), "
               "'other': sorted(m for m in sys.modules if m in ('logging', 'csv', "
-              "'concurrent.futures', 'numpy') or m.split('.')[0] == 'scipy')}))")
+              "'concurrent.futures', 'numpy', 'numpy.ma') or m.split('.')[0] == 'scipy')}))")
     out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=fresh_env(**env),
                          capture_output=True, text=True, check=True, timeout=120)
     return json.loads(out.stdout.splitlines()[-1])
@@ -530,6 +574,13 @@ def test_a_mean_call_loads_no_further_frechet_module(tmp_path):
     assert loaded["frechet"] == START_UP
 
 
+def test_a_wasserstein1d_mean_loads_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call (about 1.2 MB of RSS);
+    # the quantile kernel groups its rows without it.
+    loaded = _modules_after_call(tmp_path, "mean", MEAN_W1D)
+    assert loaded["frechet"] == START_UP and loaded["other"] == ["numpy"]
+
+
 @pytest.mark.parametrize("command,payload", [
     ("slln", SLLN), ("ergodic", ERGODIC),
     ("ldp", {**LDP, "mode": "monte-carlo", "replications": 20})],
@@ -539,6 +590,8 @@ def test_experiments_load_no_scipy(tmp_path, command, payload):
     assert SLLN["sampler"]["distribution"] == "normal"
     loaded = _modules_after_call(tmp_path, command, payload)["other"]
     assert "numpy" in loaded and not [m for m in loaded if m.startswith("scipy")]
+    # The Monte Carlo replications are grouped by support size without np.unique.
+    assert "numpy.ma" not in loaded
 
 
 @pytest.mark.parametrize("threads", ["4", "abc"])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frechet import (
+    BuresWassersteinSpace,
     ConfigurationError,
     DiscreteMeasure,
     EuclideanSpace,
@@ -78,12 +79,23 @@ class TestStackedMeasure:
         assert mu.support.base is stream and not mu.support.flags.writeable
 
     @pytest.mark.parametrize("space", [s for s in _dedup_spaces()[2:]
-                                       if not isinstance(s, Wasserstein1D)],
+                                       if not isinstance(s, (Wasserstein1D,
+                                                             BuresWassersteinSpace))],
                              ids=lambda s: type(s).__name__)
     def test_other_spaces_keep_their_support(self, space):
         rng = np.random.default_rng(4)
         mu = DiscreteMeasure.uniform(space, [space.sample_point(rng) for _ in range(3)])
         assert mu.stacked is mu.support
+
+    def test_bures_wasserstein_stacks_one_array(self):
+        space = BuresWassersteinSpace(dim=2)
+        rng = np.random.default_rng(4)
+        mu = DiscreteMeasure.uniform(space, [space.sample_point(rng) for _ in range(5)])
+        assert mu.stacked.shape == (5, 2, 2) and mu.stacked.dtype == float
+        assert space.stack(mu.stacked) is mu.stacked
+        assert np.array_equal(mu.stacked, np.asarray(mu.support))
+        ragged = [np.eye(2), np.eye(3)]
+        assert space.stack(ragged) is ragged
 
     def test_wasserstein1d_stacks_one_quantile_table(self):
         space = Wasserstein1D(q=2.0)
