@@ -7,7 +7,8 @@ tolerance. ``grid_mean_set`` returns the oracle's band over the ``grid``
 scheme; on a grid that a space charts as integer index tuples (the box
 grids of the vector spaces, the Wasserstein-1D cone) it gets there coarse
 to fine, evaluating only the grid points that a Lipschitz bound cannot
-rule out.
+rule out, and on a Bures-Wasserstein grid the kernel sees only the
+matrices that the 2x2 closed form, with its error bound, cannot rule out.
 """
 
 from __future__ import annotations
@@ -87,14 +88,19 @@ def grid_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     same order, the same achieved value bit for bit. A space with a
     ``grid_chart`` (Euclidean and l_q boxes, the Wasserstein-1D cone) is
     searched coarse to fine (``_pruned_band``) and its grid is never
-    built. A Bures-Wasserstein grid is swept whole as one stacked array
-    (``BuresWassersteinSpace.grid_stack``); every other space sweeps its
+    built. A Bures-Wasserstein grid (``BuresWassersteinSpace.grid_stack``)
+    is screened whole with the closed form (``_bw_screen``), and the kernel
+    sweeps only the rows kept, in grid order. Every other space sweeps its
     candidate list.
     """
+    if isinstance(space, BuresWassersteinSpace):
+        _check_pair(space, mu)
+        grid = space.grid_stack(mu, step, pad)
+        return grid_oracle(space, mu, config, grid[_bw_screen(space, mu, config, grid)],
+                           resolution=step)
     if not isinstance(space, (_VectorSpace, Wasserstein1D)):
-        grid = (space.grid_stack(mu, step, pad) if isinstance(space, BuresWassersteinSpace)
-                else space.candidates(mu, "grid", step=step, pad=pad))
-        return grid_oracle(space, mu, config, grid, resolution=step)
+        return grid_oracle(space, mu, config, space.candidates(mu, "grid", step=step, pad=pad),
+                           resolution=step)
     _check_pair(space, mu)
     short = degenerate_band(space, mu, config, step)
     if short is not None:
@@ -193,6 +199,29 @@ def _pruned_band(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     achieved = float(values.min())
     kept = np.flatnonzero(values <= band_cut(achieved, eps))
     return MeanSetApprox(tuple(chart.rows(at[kept])), step, achieved)
+
+
+def _bw_screen(space: BuresWassersteinSpace, mu: DiscreteMeasure, config: FrechetConfig,
+               grid: np.ndarray) -> np.ndarray:
+    """Indices, in grid order, of the grid matrices the 2x2 closed form
+    (``BuresWassersteinSpace.closed_form``) cannot rule out of the band.
+
+    With gap delta, |k**p - c**p| <= p delta (c + delta)**(p - 1), so the
+    sweep's value lies within ``width`` of the screen's: the lifts weighted
+    by |w_i| (weights may be -1e-15), plus four times the rounding of both
+    sums, each below (n + 3) u sum |w_i| (c_i + delta_i)**p + u |value|
+    (which also covers the cut's rounding). ``band_cut`` increases with the
+    minimum, so the minimizer and the band stay. NaNs are kept.
+    """
+    p, w = config.p, mu.weights
+    shift = origin_shift(space, mu, config)
+    dist, delta = space.closed_form(grid, mu.stacked)
+    values = dist ** p @ w - shift
+    size = (dist + delta) ** p @ np.abs(w) + abs(shift)
+    lift = (p * delta * (dist + delta) ** (p - 1.0)) @ np.abs(w)
+    width = lift + 8.0 * (len(w) + 4) * 2.0 ** -53 * (size + lift + 1.0)
+    cut = band_cut(float(np.min(values + width, initial=math.inf)), config.epsilon)
+    return np.flatnonzero(~(values - width > cut))
 
 
 @dataclass(frozen=True)

@@ -637,9 +637,36 @@ def _symmetric_stack(space: "BuresWassersteinSpace", sigma) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape[-2:] != (space.dim, space.dim):
         raise ValueError("matrix shape does not match the space dimension")
-    if not np.allclose(sigma, np.swapaxes(sigma, -1, -2), atol=1e-10):
+    if not _near_symmetric(sigma, np.swapaxes(sigma, -1, -2)):
         raise ValueError("matrix must be symmetric")
     return sigma
+
+
+def _near_symmetric(sigma: np.ndarray, flip: np.ndarray) -> bool:
+    """``np.allclose(sigma, flip, atol=1e-10)``, calling it only when the
+    stack is not exactly symmetric (exact equality, equal infinities
+    included, is always close; a NaN never is)."""
+    return bool((sigma == flip).all()) or np.allclose(sigma, flip, atol=1e-10)
+
+
+def _closed_form_parts(sigma) -> tuple:
+    """Per matrix, for ``BuresWassersteinSpace.closed_form``: a, b, c of
+    [[a, b], [b, c]], tau, eta, g = max(det, 0)^{1/2} and |g - (det X+)^{1/2}|."""
+    m = np.asarray(sigma, dtype=float)
+    a = m[:, 0, 0]
+    b, c = ((m[:, 0, 1] + m[:, 1, 0]) / 2.0, m[:, 1, 1]) if m.shape[-1] == 2 else (0 * a, 0 * a)
+    tau = np.abs(a) + np.abs(c) + 2.0 * np.abs(b)
+    eta = 2.0 * np.maximum(2.0 ** -51 * tau - (a + c) / 2.0 + np.hypot((a - c) / 2.0, b), 0.0)
+    g = np.sqrt(np.maximum(a * c - b * b, 0.0))
+    det_gap = 2.0 ** -52 * tau * tau + eta * eta / 4.0 + 2.0 ** -1070
+    return a, b, c, tau, eta, g, _root_gap(det_gap, g)
+
+
+def _root_gap(err: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """A bound on |r - x^{1/2}|, r the rounded root of y >= 0 and |y - x| <=
+    err: |x^{1/2} - y^{1/2}| <= |x - y| / (x^{1/2} + y^{1/2})."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 2.0 ** -53 * root + np.fmin(np.sqrt(err), err / root)
 
 
 def _spectral_root(sigma: np.ndarray, clamp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -698,6 +725,56 @@ class BuresWassersteinSpace(Space):
             out[block] = np.where(same, 0.0, np.sqrt(np.maximum(sq, 0.0)))
         return out
 
+    def closed_form(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+        """Distances between two stacks of dim <= 2 matrices from the 2x2
+        closed form (a 1x1 matrix padded with zeros, entries those of the
+        symmetric part), and per pair a bound delta on the gap to the
+        kernel's value (``pairwise_distances``).
+
+        For PSD A, B and M = A^{1/2} B A^{1/2}: tr M = tr AB, det M = det A
+        det B and (tr M^{1/2})^2 = tr M + 2 (det M)^{1/2}, so BW^2 = tr A +
+        tr B - 2 s^{1/2}, s = tr AB + 2 (det A det B)^{1/2} (Hubner, Phys.
+        Lett. A 1992), with determinants clipped at 0.
+
+        Bound: both computed squares are compared with BW(A+, B+)^2 <= tau_A
+        + tau_B, X+ being X with negative eigenvalues set to 0, tau_X =
+        sum |x_ij| >= ||X||_1, u = 2**-53 and eta_X = 2 max(4 u tau_X -
+        computed smallest eigenvalue, 0) >= ||X - X+||_1.
+        - Clamp: the kernel roots A', which zeroes A's eigenvalues below
+          1e-12 of its largest: ||A' - A+||_1 <= 1e-12 tau_A, so BW(A', A+)
+          <= r = (1e-12 tau_A)^{1/2} (Powers-Stormer) and the square moves
+          by r (2 (tau_A + tau_B)^{1/2} + r) <= 2e-6 (tau_A + (tau_A
+          tau_B)^{1/2}) + r^2, and by 1e-12 tau_A more through tr A.
+        - Non-PSD inputs (``contains_all`` allows -1e-10): traces move by
+          eta_A + eta_B. The kernel clips the eigenvalues of A'^{1/2} B
+          A'^{1/2}, which move by <= tau_A eta_B (Weyl), their roots by
+          (tau_A eta_B)^{1/2}. In the closed form tr AB moves by eta_A tau_B
+          + tau_A eta_B + eta_A eta_B, and max(det X, 0) by <= eta_X^2 / 4.
+        - Rounding: the closed form's by the standard model (each
+          determinant within 2 u tau^2, (det X+)^{1/2} <= tau / 2, s <=
+          1.5 tau_A tau_B; underflow adds 2**-1070). The kernel's inner
+          eigenvalues are taken to be within 2**10 u tau_A tau_B: this rests
+          on LAPACK's backward stability, not on a proof, so the constant is
+          generous.
+        Roots pass an error on as ``_root_gap``; delta doubles the last one
+        to cover the (1 + u) factors left out and the kernel's last root.
+        """
+        if self.dim > 2:
+            raise ConfigurationError("the closed form holds for dim <= 2 only")
+        u = 2.0 ** -53
+        a1, b1, c1, t1, n1, g1, e1 = _closed_form_parts(xs)
+        a2, b2, c2, t2, n2, g2, e2 = _closed_form_parts(ys)
+        cross = np.sqrt(np.maximum(np.stack([a1, 2.0 * b1, c1], 1) @ np.stack([a2, b2, c2])
+                                   + 2.0 * np.multiply.outer(g1, g2), 0.0))
+        dist = np.sqrt(np.maximum(np.add.outer(a1 + c1, a2 + c2) - 2.0 * cross, 0.0))
+        # |s - s+|, and the squares' gap but for s's root, as sums of products.
+        gap_s = np.stack([t1, n1, e1], 1) @ np.stack([16.0 * u * t2 + n2 + e2, t2 + n2,
+                                                      t2 + 2.0 * e2]) + 2.0 ** -1070
+        rest = np.stack([np.ones_like(t1), 2.0 * n1 + 2.1e-6 * t1, np.sqrt(t1)], 1) @ np.stack(
+            [2.0 * n2 + 16.0 * u * t2, np.ones_like(t2),
+             4.0 * np.sqrt(n2) + (2e-6 + 4.0 * (2.0 ** 10 * u) ** 0.5 + 32.0 * u) * np.sqrt(t2)])
+        return dist, 2.0 * _root_gap(rest + 2.0 * _root_gap(gap_s, cross), dist)
+
     def contains(self, x) -> bool:
         arr = np.asarray(x, dtype=float)
         return arr.shape == (self.dim, self.dim) and self.contains_all(arr[None])
@@ -713,7 +790,7 @@ class BuresWassersteinSpace(Space):
         if getattr(arr, "shape", None) != (len(points), self.dim, self.dim):
             return Space.contains_all(self, points)
         flip = np.swapaxes(arr, -1, -2)
-        if not (np.all(np.isfinite(arr)) and np.allclose(arr, flip, atol=1e-10)):
+        if not (np.all(np.isfinite(arr)) and _near_symmetric(arr, flip)):
             return False
         lam = np.linalg.eigvalsh((arr + flip) / 2.0)
         return bool(np.all(lam[:, 0] >= -1e-10 * np.maximum(1.0, np.abs(lam[:, -1]))))

@@ -64,6 +64,14 @@ MEAN_W1D = {"space": {"type": "wasserstein1d", "q": 2.0}, "p": 2.0, "scheme": "g
                 {"atoms": [-0.4, 0.3, 1.0], "weights": [0.2, 0.5, 0.3]},
                 {"atoms": [-0.75, -0.1, 0.8], "weights": [0.35, 0.3, 0.35]},
                 {"atoms": [-0.2, 0.05, 0.6], "weights": [0.4, 0.4, 0.2]}]}}
+# A 2x2 Bures-Wasserstein grid mean, the shape of the benchmark's: two of
+# 8 members pin the entry box (a, c in [0.5, 2], b in [-0.4, 0.4]); step
+# 0.25 and pad 0.3 give 631 PSD candidates.
+MEAN_BW = {"space": {"type": "bures-wasserstein", "dim": 2}, "p": 2.0, "scheme": "grid",
+           "grid_step": 0.25, "grid_pad": 0.3, "measure": {"support": [
+               [0.5, -0.4, -0.4, 0.5], [2.0, 0.4, 0.4, 2.0], [1.2, 0.3, 0.3, 0.9],
+               [0.7, -0.2, -0.2, 1.6], [1.8, 0.1, 0.1, 0.6], [1.0, -0.35, -0.35, 1.3],
+               [0.9, 0.25, 0.25, 1.9], [1.5, -0.05, -0.05, 1.1]]}}
 MEAN_SPIDER = {"space": {"type": "spider", "legs": 3}, "p": 2.0, "grid_step": 0.1,
                "measure": {"support": [[2, 0.5], [0, 1.0]]}}
 FINITE = {**SLLN, "sampler": {"kind": "iid", "distribution": "finite", "atoms": [0.0, 1.0],
@@ -131,6 +139,14 @@ def cold_mean_arguments(workdir: Path) -> list[str]:
     workflow's Cold mean step."""
     return ["mean", "--config", write_config(workdir, "w1d.json", MEAN_W1D),
             "--out", str(workdir / "w1d")]
+
+
+def cold_bw_mean_arguments(workdir: Path) -> list[str]:
+    """The CLI arguments that run ``MEAN_BW`` into ``workdir``, for the
+    workflow's Cold BW mean step; the sidecar is the last argument plus
+    ``.json``."""
+    return ["mean", "--config", write_config(workdir, "bw.json", MEAN_BW),
+            "--out", str(workdir / "bw")]
 
 
 def run(tmp_path, command, config, out_name="out", extra=()):
