@@ -7,7 +7,8 @@ tolerance. ``grid_mean_set`` returns the oracle's band over the ``grid``
 scheme; on a grid that a space charts as integer index tuples (the box
 grids of the vector spaces, the Wasserstein-1D cone) it gets there coarse
 to fine, evaluating only the grid points that a Lipschitz bound cannot
-rule out, and on a Bures-Wasserstein grid the kernel sees only the
+rule out (at p = 2 in a flat chart, from the box of a ball around the
+barycenter), and on a Bures-Wasserstein grid the kernel sees only the
 matrices that the 2x2 closed form, with its error bound, cannot rule out.
 """
 
@@ -88,10 +89,12 @@ def grid_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     same order, the same achieved value bit for bit. A space with a
     ``grid_chart`` (Euclidean and l_q boxes, the Wasserstein-1D cone) is
     searched coarse to fine (``_pruned_band``) and its grid is never
-    built. A Bures-Wasserstein grid (``BuresWassersteinSpace.grid_stack``)
-    is screened whole with the closed form (``_bw_screen``), and the kernel
-    sweeps only the rows kept, in grid order. Every other space sweeps its
-    candidate list.
+    built; at p = 2 the Euclidean box and the q = 2 cone start from the
+    box of a ball around their barycenter (``_center_box``), which at
+    epsilon = 0 holds one to three indices per axis. A Bures-Wasserstein
+    grid (``BuresWassersteinSpace.grid_stack``) is screened whole with the
+    closed form (``_bw_screen``), and the kernel sweeps only the rows
+    kept, in grid order. Every other space sweeps its candidate list.
     """
     if isinstance(space, BuresWassersteinSpace):
         _check_pair(space, mu)
@@ -126,10 +129,12 @@ def _pruned_band(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     to one), so the second form needs only c's value. Each level evaluates
     the representatives with ``_band_values`` and drops every cell whose
     lower bound exceeds the cut of the best value seen so far. Before
-    that, starting from the whole box, it splits each axis of every cell
-    into up to ``splits`` nonempty index ranges of near equal length
-    (about 16 children per cell in any dimension). The
-    best value seen is never below the grid minimum and ``band_cut``
+    that, starting from the whole box (at p = 2 in a chart with a
+    ``center``, from ``_center_box``'s box, with the value of its grid
+    point as the best seen), it splits each axis of every cell into up to
+    ``splits`` nonempty index ranges of near equal length (about 16
+    children per cell in any dimension).
+    The best value seen is never below the grid minimum and ``band_cut``
     increases with it, so that cut is at least the final one and no band
     point is ever dropped.
     Single points are final: their values, ordered by index tuple (flat
@@ -161,6 +166,8 @@ def _pruned_band(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     lo = np.zeros((1, dim), dtype=np.intp)
     hi = np.array([chart.sizes], dtype=np.intp)
     best = math.inf
+    if p == 2.0 and chart.center is not None:
+        lo, hi, best = _center_box(space, mu, config, chart, shift, kappa, lo, hi)
     found_at, found_values = [], []
     while len(lo):
         for k in range(dim):
@@ -199,6 +206,49 @@ def _pruned_band(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     achieved = float(values.min())
     kept = np.flatnonzero(values <= band_cut(achieved, eps))
     return MeanSetApprox(tuple(chart.rows(at[kept])), step, achieved)
+
+
+def _center_box(space: Space, mu: DiscreteMeasure, config: FrechetConfig, chart: GridChart,
+                shift: float, kappa: float, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The index box, within [lo, hi), of every band point of a p = 2
+    search in a chart whose ``center()`` is (c, scale, delta), and the
+    value of a grid point in it; [lo, hi) and no value if the bound
+    overflows.
+
+    The grid point i* rounds c. Its value v is at least the grid
+    minimum, so a band point x has v(x) <= cut = ``band_cut(v)``. With
+    the kernel's rounding as in ``_pruned_band`` and margin = 4 kappa u
+    (|v| + |cut| + |shift| + 1), the exact values obey S(x) <= B = cut +
+    shift + margin and S(x*) >= A = v + shift - margin. sqrt(S) is
+    sqrt(W)-Lipschitz (Minkowski) and row i lies within delta of e(i),
+    so with t = sqrt(W) delta, sqrt(S(e(i))) <= sqrt(B) + t and
+    sqrt(S(e(i*))) >= sqrt(A) - t. In S(e(a)) = W d(e(a), m)**2 + S(m)
+    the unknown S(m) cancels from the difference of the two squares:
+
+        d(e(i), m)**2 <= d(e(i*), m)**2 + G,
+        G = (B - A + 2 t (sqrt(B) + sqrt(A)) + t**2) / W,
+
+    and as d(e(a), m) and scale |a - c| differ by at most delta,
+    |i - c| <= (delta + sqrt((scale |i* - c| + delta)**2 + G)) / scale.
+    W is within 1e-12 of one, and 1e-12 relative and absolute covers the
+    rounding of this bound, whose terms are all nonnegative.
+    """
+    c, scale, delta = chart.center()
+    star = np.clip(np.rint(c), lo[0], hi[0] - 1).astype(np.intp)
+    v = float(_band_values(space, mu, config, chart.rows(star[None]), shift)[0])
+    cut = band_cut(v, config.epsilon)
+    margin = 4.0 * kappa * 2.0 ** -53 * (abs(v) + abs(cut) + abs(shift) + 1.0)
+    t = (1.0 + 1e-12) * delta
+    upper, lower = max(cut + shift + margin, 0.0), max(v + shift - margin, 0.0)
+    gap = (cut - v + 2.0 * margin + 2.0 * t * (math.sqrt(upper) + math.sqrt(lower))
+           + t * t) / (1.0 - 1e-12)
+    reach = (delta + math.sqrt((scale * float(np.linalg.norm(star - c)) + delta) ** 2 + gap)
+             ) / scale * (1.0 + 1e-12)
+    if not math.isfinite(reach):
+        return lo, hi, math.inf
+    reach = reach + 1e-12 * np.abs(c)
+    return (np.maximum(np.ceil(c - reach), lo).astype(np.intp),
+            np.minimum(np.floor(c + reach) + 1, hi).astype(np.intp), v)
 
 
 def _bw_screen(space: BuresWassersteinSpace, mu: DiscreteMeasure, config: FrechetConfig,

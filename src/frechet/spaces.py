@@ -53,6 +53,19 @@ def _box_grid(lows: np.ndarray, sizes: list[int], step: float) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
 
 
+def _box_center(mu: DiscreteMeasure, lows: np.ndarray, sizes: list[int], step: float) -> tuple:
+    """The ``GridChart.center`` of a Euclidean box: e(a) = lows + step a
+    and m = sum w_i y_i / W, whose computed value errs by at most
+    (2 n + 3) u sum |w_i| |y_i| per axis (u = 2**-53, dot product and
+    weight sum), its index by 2 u (|m| + |lows|) more and a row, lows +
+    step i rounded twice, by 2 u (|lows| + step i)."""
+    ys, w = mu.stacked, mu.weights
+    m = ys.T @ w / w.sum()
+    err = 2.0 ** -51 * ((len(w) + 4) * (np.abs(w) @ np.abs(ys)) + np.abs(lows)
+                        + step * np.asarray(sizes))
+    return (m - lows) / step, step, float(np.linalg.norm(err))
+
+
 def _float_stack(points, shape: tuple):
     """The points as one float array of shape (n, *shape); unchanged when
     they are ragged, non-numeric or stack to another shape."""
@@ -70,13 +83,20 @@ class GridChart:
     to each point of the cell [lo, hi), ``clip(lo, hi)`` (if set) cuts
     cells to the boxes of their points, and a kernel distance is within
     ``rounding`` 2**-53 of its exact value, relatively. Searched by
-    ``solvers._pruned_band``."""
+    ``solvers._pruned_band``.
+
+    ``center()`` (flat charts) gives (c, scale, slack): index tuples a
+    stand for ideal points e(a), ``scale`` |a - b| apart, on which the
+    order-2 functional is W d(e(a), m)**2 + S(m). ``c`` rounds to a grid
+    tuple, e(c) lies within ``slack`` of m and row i within ``slack`` of
+    e(i)."""
 
     sizes: list[int]
     rows: Callable
     radius: Callable
     rounding: float
     clip: Callable | None = None
+    center: Callable | None = None
 
 
 class _VectorSpace(Space):
@@ -152,7 +172,9 @@ class _VectorSpace(Space):
             corner = np.maximum(c - (lows + step * lo), lows + step * (hi - 1) - c)
             return self.pairwise_distances(corner, np.zeros((1, len(sizes))))[:, 0]
 
-        return GridChart(sizes, lambda index: lows + step * index, radius, self._length + 3)
+        flat = isinstance(self, EuclideanSpace)
+        return GridChart(sizes, lambda index: lows + step * index, radius, self._length + 3,
+                         center=(lambda: _box_center(mu, lows, sizes, step)) if flat else None)
 
     def sample_point(self, rng: np.random.Generator, scale: float = 1.0):
         return rng.normal(scale=scale, size=self._length)
@@ -424,6 +446,28 @@ def _grid_rows(axis: np.ndarray, index: np.ndarray) -> QuantileTable:
     return QuantileTable._padded(atoms, weights, cum, counts, real)
 
 
+def _cone_center(mu: DiscreteMeasure, axis: np.ndarray, k: int, step: float,
+                 row_gap: float) -> tuple:
+    """The ``GridChart.center`` of the k-atom cone at q = 2: e(a) puts 1/k
+    on each axis[0] + step a_j, and for nondecreasing a, S(e(a)) = sum_i
+    w_i int (Q_a - Q_i)**2 = (W / k) sum_j (a_j - m_j)**2 + C, with m_j =
+    (k / W) sum_i w_i int Q_i over ((j - 1)/k, j/k], nondecreasing. Those
+    integrals, sums over the breakpoints, the average and the index round
+    by less than k (N + 2 A + 20) u M (N members of at most A atoms,
+    |atoms| <= M, u = 2**-53); a running maximum keeps m nondecreasing
+    and no farther from the exact m. Rows lie within ``row_gap`` of their
+    tuple, the axis within 3 u M of lo + step i."""
+    table, w = mu.stacked, mu.weights
+    u = np.arange(k + 1) / k
+    left = np.concatenate([np.zeros((len(table), 1)), table.cum[:, :-1]], axis=1)
+    width = np.minimum(table.cum[..., None], u) - np.minimum(left[..., None], u)
+    blocks = np.diff(np.einsum("na,nau->nu", table.atoms, width), axis=1)
+    m = np.maximum.accumulate(k * (w @ blocks) / w.sum())
+    top = max(abs(float(axis[0])), abs(float(axis[-1])))
+    slack = row_gap + 8.0 * k * (len(w) + table.atoms.shape[1] + 4) * 2.0 ** -53 * top
+    return (m - axis[0]) / step, step / math.sqrt(k), slack
+
+
 def _cone_clip(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index cells [lo, hi) cut to the cone i_1 <= ... <= i_k: running
     maxima of lo, running minima of hi from the right; empty cells go."""
@@ -575,10 +619,11 @@ class Wasserstein1D(Space):
             h = np.maximum(axis[rep] - axis[lo], axis[hi - 1] - axis[rep])
             return (np.sum(h ** q, axis=1) / k) ** (1 / q) + slack
 
+        center = (lambda: _cone_center(mu, axis, k, step, slack / 2.0)) if q == 2.0 else None
         # Relative error of a kernel distance: k + m breakpoint intervals
         # (m the widest member), each a rounded gap power times a width.
         return GridChart([len(axis)] * k, lambda index: _grid_rows(axis, index), radius,
-                         k + mu.stacked.atoms.shape[1] + 4, _cone_clip)
+                         k + mu.stacked.atoms.shape[1] + 4, _cone_clip, center)
 
     def candidates(self, mu: DiscreteMeasure, scheme: str = "support", *,
                    step: float | None = None, pad: float = 0.0,
@@ -805,15 +850,22 @@ class BuresWassersteinSpace(Space):
             raise ConfigurationError("matrix grids are only feasible for dim <= 2")
         if step is None:
             raise ValueError("grid schemes need a step")
-        # a, then c, then |b| <= sqrt(ac) vary.
+        # a, then c, then b vary; kept are the matrices ``contains_all`` accepts.
         diag = [_axis_grid(max(float(lows[i, i]), 0.0), float(highs[i, i]), step)
                 for i in range(self.dim)]
         if self.dim == 1:
             return diag[0].reshape(-1, 1, 1)
         a, c2, b = np.meshgrid(*diag, _axis_grid(float(lows[0, 1]), float(highs[0, 1]), step),
                                indexing="ij")
-        keep = np.abs(b) <= np.sqrt(np.maximum(a * c2, 0.0)) + 1e-12
-        return np.stack([a, b, b, c2], axis=-1)[keep].reshape(-1, 2, 2)
+        box = np.stack([a, b, b, c2], axis=-1).reshape(-1, 2, 2)
+        # ac >= b**2 exactly where the rounded, finite products are this far
+        # apart: PSD, which a backward stable eigvalsh accepts with room to spare.
+        ac = a * c2
+        keep = ((ac >= b * b * (1.0 + 2.0 ** -50)) & (ac < math.inf)).reshape(-1)
+        unsure = np.flatnonzero(~keep)
+        lam = np.linalg.eigvalsh(box[unsure])
+        keep[unsure] = lam[:, 0] >= -1e-10 * np.maximum(1.0, np.abs(lam[:, -1]))
+        return box[keep]
 
     def candidates(self, mu, scheme="support", *, step=None, center=None,
                    radius=None, pad: float = 0.0, **kwargs) -> list:

@@ -29,6 +29,9 @@ from test_cli import write_config
 from test_median_gate import _benchmark_workloads
 from test_spaces import _psd_matrix
 
+MEAN_BW_MEMBER = {"space": {"type": "bures-wasserstein", "dim": 2}, "p": 2.0,
+                  "scheme": "grid", "grid_step": 0.25, "grid_pad": 0.0}
+
 _PAIRS = st.integers(1, 2).flatmap(lambda dim: st.tuples(
     st.lists(_psd_matrix(dim), min_size=1, max_size=4),
     st.lists(_psd_matrix(dim), min_size=1, max_size=4)))
@@ -117,12 +120,35 @@ class TestScreenedGrid:
         space, mats, w, config, step, pad = case
         mu = DiscreteMeasure(space, mats, w)
         grid = space.grid_stack(mu, step, pad)
-        if not len(grid):  # one member just outside the grid's PSD test
-            with pytest.raises(ValueError, match="nonempty"):
-                grid_mean_set(space, mu, config, step, pad)
-            return
+        # The grid keeps what the space accepts: the corner of largest
+        # diagonals and smallest b raises a member's diagonal.
+        assert space.contains_all(grid) and len(grid)
         want = grid_oracle(space, mu, config, grid, resolution=step)
         _same_band(grid_mean_set(space, mu, config, step, pad), want)
+
+    @pytest.mark.parametrize("low", [-0.5e-10, -0.999e-10])
+    def test_member_below_zero_gives_a_band(self, tmp_path, low):
+        # Eigenvalues (low, 1) on the diagonals' bisector: b is above
+        # sqrt(ac) by about -low, and with pad 0 the grid is the member.
+        vec = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
+        member = (vec * [low, 1.0]) @ vec.T
+        space = BuresWassersteinSpace(dim=2)
+        assert space.contains(member)
+        assert abs(member[0, 1]) > math.sqrt(member[0, 0] * member[1, 1])
+        mu = DiscreteMeasure.uniform(space, [member])
+        grid = space.grid_stack(mu, 0.25, 0.0)
+        assert grid.tobytes() == member[None].tobytes()
+        # The closed form's eta terms cover the candidate below zero.
+        dist, delta = space.closed_form(grid, grid)
+        assert abs(dist[0, 0] - space.pairwise_distances(grid, grid)[0, 0]) <= delta[0, 0]
+        config = FrechetConfig(p=2.0, epsilon=0.05)
+        _same_band(grid_mean_set(space, mu, config, 0.25, 0.0),
+                   grid_oracle(space, mu, config, grid, resolution=0.25))
+        payload = {**MEAN_BW_MEMBER, "measure": {"support": [member.reshape(-1).tolist()]}}
+        assert main(["mean", "--config", write_config(tmp_path, "bw.json", payload),
+                     "--out", str(tmp_path / "bw")]) == 0
+        got = json.loads((tmp_path / "bw.json").read_text())["result"]
+        assert got["mean_set"] == [member.reshape(-1).tolist()]
 
     @staticmethod
     def _benchmark_call(seed):

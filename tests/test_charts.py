@@ -26,7 +26,7 @@ from frechet import core, solvers
 from frechet.spaces import _cone_clip, _grid_rows, _quantile_gap_integrals
 
 from oracles import quantile_gap_integrals_out_of_place
-from test_pruned import _CountedSweep
+from test_pruned import _CountedSweep, _whole_box
 from test_quantile_table import _measure, _same_measure
 
 
@@ -97,10 +97,10 @@ class TestConeSearch:
         _assert_same_measures(band, _full_sweep(space, mu, config, 0.1, 0.3, 2))
         _assert_same_measures(band, _cone_band(space, mu, config, 0.1, 0.3, 2))
 
-    @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_benchmark_shape_evaluates_under_half_the_rows(self, monkeypatch, seed):
-        # 20 members of 3 weighted atoms rescaled onto [-1, 1], step 0.1 and
-        # pad 0.55: a 32-point axis, 528 candidates of 2 atoms.
+    @staticmethod
+    def _benchmark_members(seed):
+        """20 members of 3 weighted atoms rescaled onto [-1, 1], the shape
+        of the benchmark's call."""
         rng = np.random.default_rng(seed)
         atoms = rng.normal(size=(20, 3))
         atoms = -1.0 + 2.0 * (atoms - atoms.min()) / (atoms.max() - atoms.min())
@@ -110,8 +110,13 @@ class TestConeSearch:
             w = w / w.sum()
             w[-1] = 1.0 - float(w[:-1].sum())
             members.append(Measure1D(row, w))
+        return members
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_benchmark_shape_evaluates_under_half_the_rows(self, monkeypatch, seed):
+        # Step 0.1 and pad 0.55: a 32-point axis, 528 candidates of 2 atoms.
         space = Wasserstein1D(q=2.0)
-        mu = DiscreteMeasure.uniform(space, members)
+        mu = DiscreteMeasure.uniform(space, self._benchmark_members(seed))
         config = FrechetConfig(p=2.0)
         assert len(space.candidates(mu, "grid", step=0.1, pad=0.55)) == 528
         sweep = _CountedSweep(monkeypatch)
@@ -119,6 +124,20 @@ class TestConeSearch:
         monkeypatch.undo()
         assert 0 < sweep.rows < 0.5 * 528
         _assert_same_measures(band, _full_sweep(space, mu, config, 0.1, 0.55, 2))
+
+    @pytest.mark.parametrize("origin", [None, Measure1D([40.0])])
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_four_atoms_start_at_the_block_means(self, monkeypatch, seed, origin):
+        # k = 4 on the benchmark's members: 52,360 cone points, of which the
+        # search from the whole box evaluates thousands.
+        space = Wasserstein1D(q=2.0)
+        mu = DiscreteMeasure.uniform(space, self._benchmark_members(seed))
+        config = FrechetConfig(p=2.0, origin=origin)
+        sweep = _CountedSweep(monkeypatch)
+        band = _cone_band(space, mu, config, 0.1, 0.55, 4)
+        monkeypatch.undo()
+        assert 0 < sweep.rows < 50
+        _assert_same_measures(band, _whole_box(space, mu, config, 0.1, 0.55, atom_count=4))
 
     def test_fewer_than_one_atom_is_refused(self):
         space = Wasserstein1D(q=2.0)

@@ -69,6 +69,7 @@ def test_run_values_are_plain_yaml_scalars():
     ("Cold experiment", "frechet.cli.main"),
     ("Cold mean", "frechet.cli.main"),
     ("Cold BW mean", "frechet.cli.main"),
+    ("Cold heavy-tail grid SLLN", "frechet.cli.main"),
 ])
 def test_summary_step_runs_always(name, reports):
     step = _step(name)
@@ -136,4 +137,19 @@ def test_cold_bw_mean_step_reports_the_sidecar_runtime(tmp_path):
     subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
     report = summary.read_text().splitlines()[-1]
     assert re.fullmatch(r"BW mean exit 0, runtime_seconds = \d+\.\d{4}, "
+                        r"ru_maxrss = [\d.]+ MB", report), report
+
+
+def test_cold_heavy_tail_step_reports_the_sidecar_runtime(tmp_path):
+    # The step's own command, run as the runner would, with this
+    # interpreter first on PATH.
+    run = re.search(r"^\s*run:\s*(.+)$", _step("Cold heavy-tail grid SLLN"), re.M).group(1)
+    assert "test_cli.cold_heavy_tail_slln_arguments(" in run
+    assert "runtime_seconds" in run and "ru_maxrss" in run
+    summary = tmp_path / "summary.md"
+    env = dict(os.environ, RUNNER_TEMP=str(tmp_path), GITHUB_STEP_SUMMARY=str(summary),
+               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
+    subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
+    report = summary.read_text().splitlines()[-1]
+    assert re.fullmatch(r"heavy-tail slln exit 0, runtime_seconds = \d+\.\d{4}, "
                         r"ru_maxrss = [\d.]+ MB", report), report

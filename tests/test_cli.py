@@ -72,6 +72,13 @@ MEAN_BW = {"space": {"type": "bures-wasserstein", "dim": 2}, "p": 2.0, "scheme":
                [0.5, -0.4, -0.4, 0.5], [2.0, 0.4, 0.4, 2.0], [1.2, 0.3, 0.3, 0.9],
                [0.7, -0.2, -0.2, 1.6], [1.8, 0.1, 0.1, 0.6], [1.0, -0.35, -0.35, 1.3],
                [0.9, 0.25, 0.25, 1.9], [1.5, -0.05, -0.05, 1.1]]}}
+# The paper's heavy-tail regime on the grid: Pareto alpha = 1.5 has no
+# variance, p = 2, and at n = 1e5 the hull spans about 6e5 grid steps.
+SLLN_HEAVY_TAIL = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0,
+                   "sampler": {"kind": "iid", "distribution": "pareto", "params": [1.5, 1.0],
+                               "seed": 5},
+                   "n_grid": [1000, 10000, 100000], "solver": "grid", "grid_step": 0.01,
+                   "grid_pad": 1.0, "target_points": [[3.0]], "threshold": 0.5}
 MEAN_SPIDER = {"space": {"type": "spider", "legs": 3}, "p": 2.0, "grid_step": 0.1,
                "measure": {"support": [[2, 0.5], [0, 1.0]]}}
 FINITE = {**SLLN, "sampler": {"kind": "iid", "distribution": "finite", "atoms": [0.0, 1.0],
@@ -147,6 +154,14 @@ def cold_bw_mean_arguments(workdir: Path) -> list[str]:
     ``.json``."""
     return ["mean", "--config", write_config(workdir, "bw.json", MEAN_BW),
             "--out", str(workdir / "bw")]
+
+
+def cold_heavy_tail_slln_arguments(workdir: Path) -> list[str]:
+    """The CLI arguments that run ``SLLN_HEAVY_TAIL`` into ``workdir``, for
+    the workflow's Cold heavy-tail grid SLLN step; the sidecar is the last
+    argument plus ``.json``."""
+    return ["slln", "--config", write_config(workdir, "heavy_config.json", SLLN_HEAVY_TAIL),
+            "--out", str(workdir / "heavy")]
 
 
 def run(tmp_path, command, config, out_name="out", extra=()):

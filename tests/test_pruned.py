@@ -2,6 +2,7 @@
 replaced (``oracles.grid_band_full_sweep``): the same band point for point
 with a bit-equal achieved value, on a small share of the evaluations."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,8 +16,10 @@ from frechet import (
     ExperimentConfig,
     FrechetConfig,
     LqSequenceSpace,
+    Measure1D,
     SamplerSpec,
     SpiderSpace,
+    Wasserstein1D,
     grid_mean_set,
     slln_experiment,
 )
@@ -225,3 +228,69 @@ class TestWork:
         points = np.concatenate(band.points)
         assert 99 <= len(points) <= 103 and points.min() > -0.02 and points.max() < 1.02
         assert peak < 10e6
+
+
+def _whole_box(space, mu, config, step, pad, **chart_args):
+    """The pruned search from the whole index box: the chart without its
+    center."""
+    chart = dataclasses.replace(space.grid_chart(mu, step, pad, **chart_args), center=None)
+    return solvers._pruned_band(space, mu, config, chart, step)
+
+
+class TestCenteredStart:
+    """At p = 2 a flat chart's search starts from the box of a ball around
+    its barycenter (``solvers._center_box``)."""
+
+    def test_normal_cell_evaluates_at_most_four_rows(self, monkeypatch):
+        # The shape of the benchmark's normal SLLN cell: 3,000 atoms, step
+        # 0.01, pad 1; the whole-box search evaluates about 100 rows.
+        line = EuclideanSpace(1)
+        mu = DiscreteMeasure.uniform(line, np.random.default_rng(2).normal(size=(3000, 1)))
+        config = FrechetConfig(p=2.0)
+        sweep = _CountedSweep(monkeypatch)
+        band = grid_mean_set(line, mu, config, 0.01, 1.0)
+        monkeypatch.undo()
+        assert 1 <= sweep.rows <= 4
+        _assert_same_band(band, grid_band_full_sweep(line, mu, config, 0.01, 1.0))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.4])
+    @pytest.mark.parametrize("shape", ["integer", "real", "degenerate"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_far_origin_weights_and_ties(self, dim, shape, eps):
+        space = EuclideanSpace(dim)
+        rng = np.random.default_rng(dim * 10 + len(shape))
+        if shape == "integer":  # grid points tie at the barycenter's midpoints
+            atoms = rng.integers(-2, 3, size=(6, dim)).astype(float)
+        else:
+            atoms = rng.standard_t(3, size=(6, dim)).clip(-2, 2)
+            if shape == "degenerate":
+                atoms = np.repeat(atoms[:1], 6, axis=0)
+        w = rng.uniform(0.2, 1.0, size=6)
+        mu = DiscreteMeasure.from_weights(space, list(atoms), w / float(w.sum()))
+        for origin in (None, np.full(dim, 1e4)):
+            config = FrechetConfig(p=2.0, epsilon=eps, origin=origin)
+            _assert_same_band(grid_mean_set(space, mu, config, _STEPS[dim], 0.5),
+                              grid_band_full_sweep(space, mu, config, _STEPS[dim], 0.5))
+
+    def test_only_flat_charts_carry_a_center(self):
+        line = [np.array([0.0]), np.array([1.0])]
+        for space in (EuclideanSpace(1), LqSequenceSpace(truncation=1, q=3.0)):
+            chart = space.grid_chart(DiscreteMeasure.uniform(space, line), 0.1)
+            assert (chart.center is not None) is isinstance(space, EuclideanSpace)
+        for q in (1.0, 2.0, 3.0):
+            space = Wasserstein1D(q=q)
+            mu = DiscreteMeasure.uniform(space, [Measure1D([0.0, 1.0]), Measure1D([0.5])])
+            assert (space.grid_chart(mu, 0.1, atom_count=3).center is not None) is (q == 2.0)
+
+    def test_heavy_tail_at_n_1e5(self, monkeypatch):
+        # Pareto alpha = 1.5: a hull of about 5.9e3 and a grid of 5.9e5
+        # points at step 0.01, too many to sweep with 1e5 atoms each.
+        sampler = SamplerSpec(kind="iid", distribution="pareto", params=(1.5, 1.0), seed=3)
+        line = EuclideanSpace(1)
+        mu = DiscreteMeasure.uniform(line, sampler.draw(100_000))
+        config = FrechetConfig(p=2.0)
+        sweep = _CountedSweep(monkeypatch)
+        band = grid_mean_set(line, mu, config, 0.01, 1.0)
+        monkeypatch.undo()
+        assert sweep.rows <= 4
+        _assert_same_band(band, _whole_box(line, mu, config, 0.01, 1.0))
