@@ -5,9 +5,11 @@ Every run is driven by one JSON config file (stamped with a schema
 version) plus optional key=value overrides. Its numbers, counts and
 lists, down to the space, sampler and measure keys, are read here by
 name, and a malformed value is refused under its key's name; each space
-decodes its own points. Result JSON re-parses under the same schema; CSV
-bodies are byte-identical across reruns with the same seed and config,
-with timestamps confined to a metadata sidecar field.
+decodes its own points, a measure's support as one list. Result JSON
+re-parses under the same schema; CSV bodies are byte-identical across
+reruns with the same seed and config, with timestamps confined to a
+metadata sidecar field. Outputs are rewritten in place (``_rewrite``), and
+an ``--out`` that would overwrite the ``--config`` file is refused.
 
 Importing this module loads ``core``, ``spaces`` and ``solvers``, which
 ``dist``, ``mean`` and ``diag`` need. The experiment commands import the
@@ -20,8 +22,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -178,7 +182,13 @@ def _point(space, obj, key: str):
 
 
 def _measure_from_json(space, spec: dict) -> DiscreteMeasure:
-    points = [_point(space, obj, "support") for obj in spec["support"]]
+    """A support list of JSON numbers is decoded whole; any other support
+    point by point, refusing its first point with a string or a bool."""
+    support = spec["support"]
+    if type(support) is list and _json_numbers(support):
+        points = space.points_from_json(support)
+    else:
+        points = [_point(space, obj, "support") for obj in support]
     if spec.get("weights") is None:
         return DiscreteMeasure.uniform(space, points)
     return DiscreteMeasure.from_weights(space, points,
@@ -222,19 +232,28 @@ def _write_outputs(out: str, command: str, config: dict, result: dict,
                      "version": __version__},
     }
     # One compact dumps call runs the C encoder; ``indent`` would not.
-    with open(out + ".json", "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True))
+    _rewrite(out + ".json", json.dumps(payload, sort_keys=True))
     if rows:
         import csv
 
-        with open(out + ".csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            for row in rows:
-                # Wall-clock values would break byte-identical reruns; they
-                # live in the JSON metadata sidecar instead.
-                writer.writerow({k: ("" if k == "runtime" else v)
-                                 for k, v in row.items()})
+        text = io.StringIO(newline="")
+        writer = csv.DictWriter(text, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        for row in rows:
+            # Wall-clock values would break byte-identical reruns; they
+            # live in the JSON metadata sidecar instead.
+            writer.writerow({k: ("" if k == "runtime" else v) for k, v in row.items()})
+        _rewrite(out + ".csv", text.getvalue())
+
+
+def _rewrite(path: str, text: str) -> None:
+    """``open(path, "w").write(text)`` without truncating first: the bytes
+    go over the old ones, then the file is cut to their length (on ext4 a
+    truncation to zero starts writeback at close, several times the cost
+    of the write). Modes, links and errors are those of ``open``."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode())
+        fh.truncate()
 
 
 def _cmd_dist(config: dict) -> tuple[dict, list[dict] | None, str]:
@@ -393,6 +412,10 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config, args.overrides)
         if args.seed is not None:
             config["seed"] = args.seed
+        for path in (args.out + ".json", args.out + ".csv"):
+            if os.path.exists(path) and os.path.samefile(path, args.config):
+                raise ConfigurationError(
+                    f"--out {args.out!r} would overwrite the config {args.config!r} ({path})")
     except (OSError, json.JSONDecodeError, ConfigurationError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}))
         return EXIT_CONFIG

@@ -172,6 +172,12 @@ class Space:
     def point_from_json(self, obj) -> Point:
         raise NotImplementedError
 
+    def points_from_json(self, objs: list) -> Sequence[Point]:
+        """The decoded points of a JSON list, in the form a measure keeps:
+        ``point_from_json`` of each here; the vector and Wasserstein-1D
+        spaces decode the whole list into their stack at once."""
+        return [self.point_from_json(obj) for obj in objs]
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
@@ -181,8 +187,9 @@ class DiscreteMeasure:
     reference measures alike are finite lists of support points with
     nonnegative weights summing to one (within 1e-12). Support points may
     repeat; weights then add. ``support`` is a tuple of the points or, when
-    given as one array (a slice of a drawn stream, say), a read-only view of
-    it. Kernels read ``stacked``, ``space.stack(support)``: such an array
+    given as one stacked sequence, that sequence: an array (a slice of a
+    drawn stream, say) as a read-only view, a ``QuantileTable`` as it is.
+    Kernels read ``stacked``, ``space.stack(support)``: such a support
     stacks without a copy, so it must not be written to afterwards.
     """
 
@@ -194,10 +201,13 @@ class DiscreteMeasure:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
-        array = isinstance(self.support, np.ndarray)
-        object.__setattr__(self, "support", self.support.view() if array else tuple(self.support))
-        if array:
-            self.support.flags.writeable = False
+        support = self.support
+        if isinstance(support, np.ndarray):
+            support = support.view()
+            support.flags.writeable = False
+        elif isinstance(support, (list, tuple)) or not hasattr(support, "__getitem__"):
+            support = tuple(support)
+        object.__setattr__(self, "support", support)
         if len(self.support) == 0:
             raise ValueError("measure needs at least one support point")
         if w.shape != (len(self.support),):
@@ -241,8 +251,9 @@ class DiscreteMeasure:
 class FrechetConfig:
     """Order p >= 1, relaxation level epsilon >= 0, optional origin point.
 
-    The origin defaults to the first support atom of the measure at hand;
-    the minimizer set is the same for every choice.
+    The origin defaults to the first support atom, which the CLI always
+    uses. The minimizer set is the same for every choice; the band's tie
+    tolerance is not (``relaxed_mean_set``).
     """
 
     p: float
@@ -380,8 +391,10 @@ def relaxed_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
                      resolution: float | None = None) -> MeanSetApprox:
     """Candidates whose cost lies within epsilon of the candidate minimum.
 
-    The output point set is independent of the configured origin (the
-    objective shifts by a constant) and grows monotonically with epsilon.
+    The argmin does not depend on the configured origin (the objective
+    shifts by a constant), but the tie tolerance (``value_tolerance``) is
+    relative to S(x) - S(origin), so a far origin widens the band. The band
+    grows monotonically with epsilon.
     A measure concentrated on a single atom short-circuits to that atom
     when epsilon is zero (``degenerate_band``). Candidates may be any
     sequence of points, such as one stacked array; every candidate is

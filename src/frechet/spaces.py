@@ -71,7 +71,7 @@ def _float_stack(points, shape: tuple):
     they are ragged, non-numeric or stack to another shape."""
     try:
         arr = np.asarray(points, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return points
     return arr if arr.shape == (len(points), *shape) else points
 
@@ -184,6 +184,12 @@ class _VectorSpace(Space):
 
     def point_from_json(self, obj):
         return np.asarray(obj, dtype=float)
+
+    def points_from_json(self, objs: list):
+        """One (n, length) float array; ragged or other-shaped input takes
+        the per-point path, whose points the measure then refuses."""
+        arr = _float_stack(objs, (self._length,))
+        return arr if arr is not objs else super().points_from_json(objs)
 
 
 @dataclass(frozen=True)
@@ -654,6 +660,30 @@ class Wasserstein1D(Space):
 
     def point_from_json(self, obj) -> Measure1D:
         return Measure1D(obj["atoms"], obj.get("weights"))
+
+    def points_from_json(self, objs: list):
+        """The members as one ``QuantileTable``, row by row the bits of
+        ``point_from_json``. Members of unequal atom counts, with weights for
+        some only, that ``Measure1D`` refuses or would merge (two atoms
+        within 1e-12) take the per-member path and its errors."""
+        try:
+            atoms = np.array([obj["atoms"] for obj in objs], dtype=float)
+            weights = (np.full(atoms.shape, 1.0 / max(atoms.shape[-1], 1))
+                       if all(obj.get("weights") is None for obj in objs)
+                       else np.array([obj["weights"] for obj in objs], dtype=float))
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+            return super().points_from_json(objs)
+        if (atoms.ndim != 2 or atoms.size == 0 or weights.shape != atoms.shape
+                or not np.all(weights >= -1e-15)
+                or not np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)):
+            return super().points_from_json(objs)
+        order = np.argsort(atoms, axis=1, kind="stable")
+        atoms, weights = (np.take_along_axis(a, order, axis=1) for a in (atoms, weights))
+        if np.any(np.abs(np.diff(atoms, axis=1)) <= 1e-12):
+            return super().points_from_json(objs)
+        cum = np.cumsum(weights, axis=1)
+        cum[:, -1] = 1.0
+        return QuantileTable(atoms, weights, cum, np.full(len(atoms), atoms.shape[1]))
 
 
 def quantile_barycenter(space: Wasserstein1D, mu: DiscreteMeasure,

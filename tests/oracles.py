@@ -14,7 +14,7 @@ Wasserstein-1D grid and per-measure LDP origin shifts that arrays
 replaced, the quantile gap kernel with fresh temporaries, and the median
 iteration,
 LDP replication count and chain walk as they were before their sorted or
-per-call tables.
+per-call tables, and the CLI's point-by-point measure decoder.
 """
 
 from __future__ import annotations
@@ -682,3 +682,19 @@ def chain_indices_bisect(kernel, initial_state, u):
         idx[i] = state
         state = min(bisect.bisect_right(cum[state], v), last)
     return idx
+
+
+# ---------------------------------------------------------------------------
+# The CLI's measure decoder as it was before supports were decoded whole:
+# each support point checked for strings and bools, then decoded on its own.
+# ---------------------------------------------------------------------------
+
+def measure_from_json_per_point(space, spec):
+    from frechet.cli import _list, _point
+    from frechet.core import DiscreteMeasure
+
+    points = [_point(space, obj, "support") for obj in spec["support"]]
+    if spec.get("weights") is None:
+        return DiscreteMeasure.uniform(space, points)
+    return DiscreteMeasure.from_weights(space, points,
+                                        np.asarray(_list(spec, "weights"), dtype=float))

@@ -145,7 +145,7 @@ class TestScreenedGrid:
         _same_band(grid_mean_set(space, mu, config, 0.25, 0.0),
                    grid_oracle(space, mu, config, grid, resolution=0.25))
         payload = {**MEAN_BW_MEMBER, "measure": {"support": [member.reshape(-1).tolist()]}}
-        assert main(["mean", "--config", write_config(tmp_path, "bw.json", payload),
+        assert main(["mean", "--config", write_config(tmp_path, "bw_config.json", payload),
                      "--out", str(tmp_path / "bw")]) == 0
         got = json.loads((tmp_path / "bw.json").read_text())["result"]
         assert got["mean_set"] == [member.reshape(-1).tolist()]
@@ -158,7 +158,7 @@ class TestScreenedGrid:
     @pytest.mark.parametrize("seed", range(32))
     def test_benchmark_calls_equal_the_full_sweep(self, tmp_path, seed):
         config = self._benchmark_call(seed)
-        assert main(["mean", "--config", write_config(tmp_path, "bw.json", config),
+        assert main(["mean", "--config", write_config(tmp_path, "bw_config.json", config),
                      "--out", str(tmp_path / "bw")]) == 0
         got = json.loads((tmp_path / "bw.json").read_text())["result"]
         space = space_from_json(config["space"])

@@ -68,6 +68,7 @@ def test_run_values_are_plain_yaml_scalars():
     ("Start-up", "import frechet.cli"),
     ("Cold experiment", "frechet.cli.main"),
     ("Cold mean", "frechet.cli.main"),
+    ("Warm mean", "cli.main(a)"),
     ("Cold BW mean", "frechet.cli.main"),
     ("Cold heavy-tail grid SLLN", "frechet.cli.main"),
 ])
@@ -123,6 +124,21 @@ def test_cold_mean_step_reports_no_numpy_ma_for_a_wasserstein1d_mean(tmp_path):
     report = summary.read_text().splitlines()[-1]
     assert re.fullmatch(r"W1D mean exit 0, ru_maxrss = [\d.]+ MB, ru_minflt = \d+, "
                         r"0 numpy.ma modules loaded", report), report
+
+
+def test_warm_mean_step_reruns_one_out(tmp_path):
+    # The step's own command, run as the runner would, with this
+    # interpreter first on PATH.
+    run = re.search(r"^\s*run:\s*(.+)$", _step("Warm mean"), re.M).group(1)
+    assert "test_cli.cold_mean_arguments(" in run and "range(20)" in run
+    summary = tmp_path / "summary.md"
+    env = dict(os.environ, RUNNER_TEMP=str(tmp_path), GITHUB_STEP_SUMMARY=str(summary),
+               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
+    subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
+    report = summary.read_text().splitlines()
+    assert len(report) == 1, report
+    assert re.fullmatch(r"W1D mean x20 into one out, exits \[0\], median call = \d+\.\d{2} ms, "
+                        r"last result equals first = True", report[0]), report
 
 
 def test_cold_bw_mean_step_reports_the_sidecar_runtime(tmp_path):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from frechet.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, SCHEMA_VERSION, build_parser, main
+from frechet.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, SCHEMA_VERSION, _rewrite,
+                         build_parser, main)
 
 from conftest import fresh_env
 
@@ -143,8 +144,10 @@ def _with_entry(config: dict, path: tuple, value) -> dict:
 
 def cold_mean_arguments(workdir: Path) -> list[str]:
     """The CLI arguments that run ``MEAN_W1D`` into ``workdir``, for the
-    workflow's Cold mean step."""
-    return ["mean", "--config", write_config(workdir, "w1d.json", MEAN_W1D),
+    workflow's Cold mean step and its Warm mean step, which reruns them
+    into the same ``--out``; the sidecar is the last argument plus
+    ``.json``."""
+    return ["mean", "--config", write_config(workdir, "w1d_config.json", MEAN_W1D),
             "--out", str(workdir / "w1d")]
 
 
@@ -152,7 +155,7 @@ def cold_bw_mean_arguments(workdir: Path) -> list[str]:
     """The CLI arguments that run ``MEAN_BW`` into ``workdir``, for the
     workflow's Cold BW mean step; the sidecar is the last argument plus
     ``.json``."""
-    return ["mean", "--config", write_config(workdir, "bw.json", MEAN_BW),
+    return ["mean", "--config", write_config(workdir, "bw_config.json", MEAN_BW),
             "--out", str(workdir / "bw")]
 
 
@@ -592,7 +595,7 @@ def test_bare_package_import_loads_no_submodule():
 
 def _modules_after_call(tmp_path, command: str, payload: dict, **env: str) -> dict:
     """``_fresh_modules`` after one ``command`` run of ``payload``."""
-    cfg = write_config(tmp_path, f"{command}.json", payload)
+    cfg = write_config(tmp_path, f"{command}_config.json", payload)
     return _fresh_modules(f"import frechet.cli\n"
                           f"assert frechet.cli.main([{command!r}, '--config', {cfg!r}, "
                           f"'--out', {str(tmp_path / command)!r}]) == 0", **env)
@@ -666,3 +669,104 @@ class TestParserAndSidecar:
         assert code == EXIT_OK
         text = Path(out + ".json").read_text()
         assert text == json.dumps(json.loads(text), sort_keys=True)
+
+
+def _result(out) -> dict:
+    """The sidecar's result without the measured ``runtimes``."""
+    result = json.loads(Path(str(out) + ".json").read_text())["result"]
+    return {k: v for k, v in result.items() if k != "runtimes"}
+
+
+class TestRerunsAndOutputs:
+    @pytest.mark.parametrize("arguments", [cold_mean_arguments, cold_bw_mean_arguments,
+                                           cold_heavy_tail_slln_arguments])
+    def test_the_same_arguments_run_twice(self, tmp_path, arguments):
+        # The helpers once wrote the config where the run writes its
+        # sidecar, so the second call read a sidecar as its config.
+        argv = arguments(tmp_path)
+        assert main(argv) == EXIT_OK
+        first = _result(argv[-1])
+        assert main(argv) == EXIT_OK
+        assert _result(argv[-1]) == first
+
+    @pytest.mark.parametrize("config_name,out_name,command,payload", [
+        ("x.json", "x", "mean", MEAN), ("x.csv", "x", "slln", SLLN),
+        ("sub/../x.json", "x", "mean", MEAN)], ids=["sidecar", "csv", "other-spelling"])
+    def test_an_out_over_its_own_config_is_refused(self, tmp_path, capsys, config_name,
+                                                   out_name, command, payload):
+        (tmp_path / "sub").mkdir()
+        cfg = write_config(tmp_path, config_name, payload)
+        before = Path(cfg).read_bytes()
+        code, out = run(tmp_path, command, cfg, out_name=out_name)
+        assert code == EXIT_CONFIG
+        message = json.loads(capsys.readouterr().out)["message"]
+        assert cfg in message and out in message and "overwrite" in message
+        assert Path(cfg).read_bytes() == before
+        other = ".csv" if config_name.endswith(".json") else ".json"
+        assert not os.path.exists(out + other)
+
+    def test_an_out_linked_to_its_config_is_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "real.json", MEAN)
+        os.symlink(cfg, tmp_path / "link.json")
+        code, _ = run(tmp_path, "mean", cfg, out_name="link")
+        assert code == EXIT_CONFIG
+        assert "overwrite" in json.loads(capsys.readouterr().out)["message"]
+
+    def test_a_shorter_rewrite_leaves_no_tail(self, tmp_path):
+        cfg = write_config(tmp_path, "s.json", SLLN)
+        for suffix in (".json", ".csv"):
+            (tmp_path / f"out{suffix}").write_bytes(b"x" * 100_000)
+        inodes = [os.stat(tmp_path / f"out{suffix}").st_ino for suffix in (".json", ".csv")]
+        code, out = run(tmp_path, "slln", cfg)
+        assert code == EXIT_OK
+        code, fresh = run(tmp_path, "slln", cfg, out_name="fresh")
+        assert code == EXIT_OK
+        assert Path(out + ".csv").read_bytes() == Path(fresh + ".csv").read_bytes()
+        text = Path(out + ".json").read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True)
+        assert _result(out) == _result(fresh)
+        assert inodes == [os.stat(out + suffix).st_ino for suffix in (".json", ".csv")]
+
+    def test_a_rerun_into_the_same_prefix(self, tmp_path):
+        cfg = write_config(tmp_path, "s.json", SLLN)
+        code, out = run(tmp_path, "slln", cfg)
+        assert code == EXIT_OK
+        csv, result = Path(out + ".csv").read_bytes(), _result(out)
+        code, out = run(tmp_path, "slln", cfg)
+        assert code == EXIT_OK
+        assert Path(out + ".csv").read_bytes() == csv and _result(out) == result
+
+    def test_links_are_written_through(self, tmp_path):
+        cfg = write_config(tmp_path, "s.json", SLLN)
+        target = tmp_path / "target"
+        target.mkdir()
+        (target / "real.json").write_bytes(b"x" * 10_000)
+        (target / "real.csv").write_bytes(b"x" * 10_000)
+        os.symlink(target / "real.json", tmp_path / "out.json")
+        os.link(target / "real.csv", tmp_path / "out.csv")
+        code, out = run(tmp_path, "slln", cfg)
+        assert code == EXIT_OK
+        code, fresh = run(tmp_path, "slln", cfg, out_name="fresh")
+        assert code == EXIT_OK
+        assert os.path.islink(out + ".json") and _result(target / "real") == _result(fresh)
+        assert (target / "real.csv").read_bytes() == Path(fresh + ".csv").read_bytes()
+        assert os.path.samefile(target / "real.csv", out + ".csv")
+
+    def test_an_out_naming_a_directory_is_an_io_error(self, tmp_path, capsys):
+        (tmp_path / "out.json").mkdir()
+        code, _ = run(tmp_path, "dist", write_config(tmp_path, "d.json", DIST_EUCLID))
+        assert code == EXIT_IO
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"] == "io"
+
+    def test_rewrite_is_open_for_writing(self, tmp_path):
+        # The bytes, the length and a new file's mode are those of open(path, "w").
+        path, reference = tmp_path / "a.txt", tmp_path / "b.txt"
+        path.write_text("x" * 1000)
+        inode = os.stat(path).st_ino
+        _rewrite(str(path), "short")
+        assert path.read_bytes() == b"short" and os.stat(path).st_ino == inode
+        _rewrite(str(tmp_path / "new.txt"), "")
+        with open(reference, "w"):
+            pass
+        assert os.stat(tmp_path / "new.txt").st_mode == os.stat(reference).st_mode
+        assert (tmp_path / "new.txt").read_bytes() == b""

@@ -69,7 +69,7 @@ COMMANDS = {"ldp-monte-carlo": "ldp"}
 
 def _arguments(name: str, workdir: Path) -> list[str]:
     """The CLI arguments that run ``CONFIGS[name]`` into ``workdir``."""
-    config = workdir / f"{name}.json"
+    config = workdir / f"{name}_config.json"
     config.write_text(json.dumps({"schema_version": SCHEMA_VERSION, **CONFIGS[name]}))
     return [COMMANDS.get(name, name), "--config", str(config), "--out", str(workdir / name)]
 
