@@ -182,10 +182,12 @@ def _point(space, obj, key: str):
 
 
 def _measure_from_json(space, spec: dict) -> DiscreteMeasure:
-    """A support list of JSON numbers is decoded whole; any other support
-    point by point, refusing its first point with a string or a bool."""
+    """A support list of JSON numbers is decoded whole; any other list point
+    by point, refusing its first point with a string or a bool."""
     support = spec["support"]
-    if type(support) is list and _json_numbers(support):
+    if type(support) is not list:
+        raise ConfigurationError(f"support must be a JSON list, got {support!r}")
+    if _json_numbers(support):
         points = space.points_from_json(support)
     else:
         points = [_point(space, obj, "support") for obj in support]

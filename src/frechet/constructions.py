@@ -4,7 +4,8 @@ function.
 
 Only finite groups are supported; compact groups are approximated by
 finite subgroups of configurable order, which keeps the minimization over
-group elements exact.
+group elements exact. A group is its elements, its action and its lengths,
+with no multiplication table, so it builds in time linear in its order.
 """
 
 from __future__ import annotations
@@ -33,51 +34,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
-    """Finite group acting on a space, given by explicit tables.
+    """Finite group acting on a space, as the metrics read it.
 
     ``action(g, x)`` applies element ``g`` to a point. ``length`` is an
-    optional map g -> rho(g, e) >= 0 with rho(e, e) = 0, needed by the
-    regularization construction. The action is expected to be isometric;
-    ``validate`` checks the table axioms, and the isometry itself is
-    exercised by the randomized suites.
+    optional map g -> rho(g, e) >= 0, zero at the identity, needed by the
+    regularization construction. The builders below give isometric actions
+    closed under composition; the tests check both through the action.
     """
 
     elements: tuple
-    identity: object
     action: Callable
-    compose: Mapping
-    inverse: Mapping
     length: Mapping | None = None
 
     def act(self, g, x):
         return self.action(g, x)
-
-    def validate(self) -> None:
-        elems = set(self.elements)
-        if self.identity not in elems:
-            raise ConfigurationError("identity is not listed among the elements")
-        for a in self.elements:
-            if self.inverse[a] not in elems:
-                raise ConfigurationError("inverse table leaves the group")
-            if self.compose[(a, self.identity)] != a or self.compose[(self.identity, a)] != a:
-                raise ConfigurationError("identity does not act neutrally in the table")
-            if (self.compose[(a, self.inverse[a])] != self.identity
-                    or self.compose[(self.inverse[a], a)] != self.identity):
-                raise ConfigurationError("inverse table is inconsistent")
-            for b in self.elements:
-                if self.compose[(a, b)] not in elems:
-                    raise ConfigurationError("composition table leaves the group")
-        for a in self.elements:
-            for b in self.elements:
-                for c in self.elements:
-                    if (self.compose[(self.compose[(a, b)], c)]
-                            != self.compose[(a, self.compose[(b, c)])]):
-                        raise ConfigurationError("composition table is not associative")
-        if self.length is not None:
-            if abs(float(self.length[self.identity])) > 1e-12:
-                raise ConfigurationError("length of the identity must be zero")
-            if any(float(self.length[g]) < 0 for g in self.elements):
-                raise ConfigurationError("length values must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -222,33 +192,16 @@ class RegularizedSpace(Space):
 # Group builders.
 # ---------------------------------------------------------------------------
 
-def _tables_from_matrices(labels: Sequence, matrices: Sequence[np.ndarray]):
-    """Derive compose/inverse tables by multiplying matrices and matching."""
-    mats = [np.asarray(m, dtype=float) for m in matrices]
-
-    def find(m):
-        for lab, cand in zip(labels, mats):
-            if np.allclose(m, cand, atol=1e-9):
-                return lab
-        raise ConfigurationError("matrix action data is not closed under composition")
-
-    compose = {(a, b): find(mats[i] @ mats[j])
-               for i, a in enumerate(labels) for j, b in enumerate(labels)}
-    inverse = {a: find(np.linalg.inv(mats[i])) for i, a in enumerate(labels)}
-    identity = find(np.eye(mats[0].shape[0]))
-    return compose, inverse, identity
-
-
 def matrix_group(labels: Sequence, matrices: Sequence[np.ndarray],
                  length: Mapping | None = None) -> GroupSpec:
-    """Group of matrices acting on vectors by multiplication."""
+    """Group of matrices acting on vectors by multiplication. The matrices
+    must be closed under products and inverses; this is not checked."""
     mats = {lab: np.asarray(m, dtype=float) for lab, m in zip(labels, matrices)}
-    compose, inverse, identity = _tables_from_matrices(list(labels), list(matrices))
 
     def action(g, x):
         return mats[g] @ np.asarray(x, dtype=float)
 
-    return GroupSpec(tuple(labels), identity, action, compose, inverse, length)
+    return GroupSpec(tuple(labels), action, length)
 
 
 def sign_flip_group(dim: int = 1) -> GroupSpec:
@@ -288,7 +241,6 @@ def planar_loop_group(n_samples: int, rotations: int = 4) -> GroupSpec:
         raise ValueError("need at least one sample and one rotation")
     rot = cyclic_rotation_group(rotations)
     elements = tuple(itertools.product(range(n_samples), range(rotations)))
-    identity = (0, 0)
 
     def action(g, x):
         s, r = g
@@ -298,14 +250,11 @@ def planar_loop_group(n_samples: int, rotations: int = 4) -> GroupSpec:
                       [math.sin(theta), math.cos(theta)]])
         return (np.roll(pts, -s, axis=0) @ m.T).reshape(-1)
 
-    compose = {((s1, r1), (s2, r2)): ((s1 + s2) % n_samples, (r1 + r2) % rotations)
-               for s1, r1 in elements for s2, r2 in elements}
-    inverse = {(s, r): ((-s) % n_samples, (-r) % rotations) for s, r in elements}
     length = {}
     for s, r in elements:
         shift_frac = min(s, n_samples - s) / n_samples * 2.0 * math.pi
         length[(s, r)] = math.hypot(shift_frac, rot.length[f"rot{r}"])
-    return GroupSpec(elements, identity, action, compose, inverse, length)
+    return GroupSpec(elements, action, length)
 
 
 def loop_shape_space(n_samples: int, rotations: int = 4) -> QuotientSpace:

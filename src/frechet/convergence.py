@@ -31,12 +31,12 @@ class ConvergenceReport:
     All sequences are aligned with ``sample_sizes``; a report is fully
     determined by its seed and the generating configuration. It writes no
     files: the CLI writes ``rows()`` as CSV and ``to_json_dict()`` as JSON.
+    The ``bl`` column holds no value yet: NaN in each row, ``[]`` in JSON.
     """
 
     sample_sizes: list[int]
     dvec: list[float]
     moments: list[float]
-    bl: list[float] = field(default_factory=list)
     runtimes: list[float] = field(default_factory=list)
     verdicts: dict = field(default_factory=dict)
     seed: int = 0
@@ -48,11 +48,10 @@ class ConvergenceReport:
                 raise ValueError(f"{name} must align with sample_sizes")
 
     def rows(self) -> list[dict]:
-        bl = self.bl if self.bl else [float("nan")] * len(self.sample_sizes)
         rt = self.runtimes if self.runtimes else [float("nan")] * len(self.sample_sizes)
         return [
-            {"n": n, "dvec": d, "bl": b, "moment_gap": m, "runtime": r}
-            for n, d, b, m, r in zip(self.sample_sizes, self.dvec, bl, self.moments, rt)
+            {"n": n, "dvec": d, "bl": float("nan"), "moment_gap": m, "runtime": r}
+            for n, d, m, r in zip(self.sample_sizes, self.dvec, self.moments, rt)
         ]
 
     def to_json_dict(self) -> dict:
@@ -60,7 +59,7 @@ class ConvergenceReport:
             "sample_sizes": list(self.sample_sizes),
             "dvec": [float(v) for v in self.dvec],
             "moments": [float(v) for v in self.moments],
-            "bl": [float(v) for v in self.bl],
+            "bl": [],
             "runtimes": [float(v) for v in self.runtimes],
             "verdicts": dict(self.verdicts),
             "seed": int(self.seed),

@@ -375,7 +375,7 @@ def estimate_resolution(space: Space, candidates: Sequence[Point]) -> float:
 
 
 def degenerate_band(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
-                    resolution: float | None) -> MeanSetApprox | None:
+                    resolution: float) -> MeanSetApprox | None:
     """The band of a measure concentrated on a single atom when epsilon is
     zero: that atom, whose minimality needs no sweep. None otherwise."""
     if config.epsilon != 0.0 or not mu.is_degenerate():
@@ -383,12 +383,11 @@ def degenerate_band(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     atom = mu.support[0]
     achieved = frechet_functional(
         space, mu, atom, config.origin if config.origin is not None else atom, config.p)
-    return MeanSetApprox((atom,), resolution if resolution is not None else 1e-12, achieved)
+    return MeanSetApprox((atom,), resolution, achieved)
 
 
 def relaxed_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
-                     candidates: Sequence[Point],
-                     resolution: float | None = None) -> MeanSetApprox:
+                     candidates: Sequence[Point], resolution: float) -> MeanSetApprox:
     """Candidates whose cost lies within epsilon of the candidate minimum.
 
     The argmin does not depend on the configured origin (the objective
@@ -413,8 +412,6 @@ def relaxed_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     achieved = float(np.min(values))
     kept = tuple(candidates[i] for i in
                  np.flatnonzero(values <= band_cut(achieved, config.epsilon)))
-    if resolution is None:
-        resolution = estimate_resolution(space, candidates)
     return MeanSetApprox(kept, resolution, achieved)
 
 

@@ -302,6 +302,8 @@ class Measure1D:
         atoms = np.asarray(atoms, dtype=float)
         if atoms.ndim != 1 or atoms.size == 0:
             raise ValueError("a 1-D measure needs at least one atom")
+        if not np.all(np.isfinite(atoms)):
+            raise ValueError(f"atoms must be finite, got {atoms.tolist()}")
         if weights is None:
             weights = np.full(atoms.size, 1.0 / atoms.size)
         else:
@@ -659,13 +661,15 @@ class Wasserstein1D(Space):
         return {"atoms": x.atoms.tolist(), "weights": x.weights.tolist()}
 
     def point_from_json(self, obj) -> Measure1D:
+        if not isinstance(obj, dict):
+            raise ValueError(f"a Wasserstein-1D point must be a JSON object, got {obj!r}")
         return Measure1D(obj["atoms"], obj.get("weights"))
 
     def points_from_json(self, objs: list):
         """The members as one ``QuantileTable``, row by row the bits of
         ``point_from_json``. Members of unequal atom counts, with weights for
-        some only, that ``Measure1D`` refuses or would merge (two atoms
-        within 1e-12) take the per-member path and its errors."""
+        some only, that ``Measure1D`` refuses (a non-finite atom, say) or would
+        merge (two atoms within 1e-12) take the per-member path and its errors."""
         try:
             atoms = np.array([obj["atoms"] for obj in objs], dtype=float)
             weights = (np.full(atoms.shape, 1.0 / max(atoms.shape[-1], 1))
@@ -674,7 +678,7 @@ class Wasserstein1D(Space):
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
             return super().points_from_json(objs)
         if (atoms.ndim != 2 or atoms.size == 0 or weights.shape != atoms.shape
-                or not np.all(weights >= -1e-15)
+                or not np.all(np.isfinite(atoms)) or not np.all(weights >= -1e-15)
                 or not np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)):
             return super().points_from_json(objs)
         order = np.argsort(atoms, axis=1, kind="stable")
@@ -686,8 +690,7 @@ class Wasserstein1D(Space):
         return QuantileTable(atoms, weights, cum, np.full(len(atoms), atoms.shape[1]))
 
 
-def quantile_barycenter(space: Wasserstein1D, mu: DiscreteMeasure,
-                        p: float = 2.0) -> Measure1D:
+def quantile_barycenter(space: Wasserstein1D, mu: DiscreteMeasure) -> Measure1D:
     """Weighted quantile average of the member measures.
 
     Exact order-2 mean in one dimension up to the quantile grid: members
@@ -697,7 +700,7 @@ def quantile_barycenter(space: Wasserstein1D, mu: DiscreteMeasure,
     """
     if not isinstance(space, Wasserstein1D):
         raise ConfigurationError("quantile barycenter needs a 1-D Wasserstein space")
-    if p != 2.0 or space.q != 2.0:
+    if space.q != 2.0:
         raise ConfigurationError("quantile averaging is exact only for p = q = 2")
     _check_pair(space, mu)
     u = (np.arange(256) + 0.5) / 256

@@ -295,7 +295,7 @@ def _solve_mean_set(space: Space, mu: DiscreteMeasure, p: float,
     """Dispatch a mean-set computation to the configured solver.
 
     Only the grid returns an epsilon-band; a point solver returns one
-    minimizer, so it rejects epsilon > 0.
+    minimizer, so it rejects epsilon > 0, and ``weiszfeld`` rejects p != 1.
     """
     name = config.solver
     if name == "grid":
@@ -306,6 +306,8 @@ def _solve_mean_set(space: Space, mu: DiscreteMeasure, p: float,
             f"solver {name!r} returns one point, not an epsilon-band; "
             "epsilon > 0 needs solver 'grid'")
     if name == "weiszfeld":
+        if p != 1.0:
+            raise ConfigurationError(f"solver 'weiszfeld' computes the p = 1 median, got p = {p}")
         pt = weiszfeld_median(space, mu, config.solver_config)
     elif name == "subgradient":
         pt = euclidean_pmean(space, mu, p, config.solver_config)

@@ -687,12 +687,15 @@ def chain_indices_bisect(kernel, initial_state, u):
 # ---------------------------------------------------------------------------
 # The CLI's measure decoder as it was before supports were decoded whole:
 # each support point checked for strings and bools, then decoded on its own.
+# A support that is not a list is refused by name, as the CLI refuses it.
 # ---------------------------------------------------------------------------
 
 def measure_from_json_per_point(space, spec):
     from frechet.cli import _list, _point
-    from frechet.core import DiscreteMeasure
+    from frechet.core import ConfigurationError, DiscreteMeasure
 
+    if type(spec["support"]) is not list:
+        raise ConfigurationError(f"support must be a JSON list, got {spec['support']!r}")
     points = [_point(space, obj, "support") for obj in spec["support"]]
     if spec.get("weights") is None:
         return DiscreteMeasure.uniform(space, points)

@@ -71,6 +71,7 @@ def test_run_values_are_plain_yaml_scalars():
     ("Warm mean", "cli.main(a)"),
     ("Cold BW mean", "frechet.cli.main"),
     ("Cold heavy-tail grid SLLN", "frechet.cli.main"),
+    ("Group build", "tracemalloc"),
 ])
 def test_summary_step_runs_always(name, reports):
     step = _step(name)
@@ -169,3 +170,19 @@ def test_cold_heavy_tail_step_reports_the_sidecar_runtime(tmp_path):
     report = summary.read_text().splitlines()[-1]
     assert re.fullmatch(r"heavy-tail slln exit 0, runtime_seconds = \d+\.\d{4}, "
                         r"ru_maxrss = [\d.]+ MB", report), report
+
+
+def test_group_build_step_reports_time_and_peak(tmp_path):
+    # The step's own command, run as the runner would, with this
+    # interpreter first on PATH.
+    run = re.search(r"^\s*run:\s*(.+)$", _step("Group build"), re.M).group(1)
+    assert "cyclic_rotation_group, 360" in run and "loop_shape_space, 128, 8" in run
+    summary = tmp_path / "summary.md"
+    env = dict(os.environ, GITHUB_STEP_SUMMARY=str(summary),
+               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
+    subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
+    report = summary.read_text().splitlines()
+    assert len(report) == 1, report
+    assert re.fullmatch(r"cyclic_rotation_group\(360\) built in \d+\.\d ms, tracemalloc peak = "
+                        r"\d+\.\d\d MB; loop_shape_space\(128, 8\) built in \d+\.\d ms, "
+                        r"tracemalloc peak = \d+\.\d\d MB", report[0]), report

@@ -112,6 +112,9 @@ _BAD_ENTRIES = [
     ("dist", DIST_SPIDER, ("x", 0), 3, "leg"),
     ("mean", MEAN_SPIDER, ("measure", "support", 0, 0), 2.9, "leg"),
     ("mean", MEAN, ("measure", "support", 1), ["1"], "support"),
+    ("mean", MEAN_W1D, ("measure", "support", 0, "atoms"), [math.nan, 0.12, 0.5], "atoms"),
+    ("mean", MEAN_W1D, ("measure", "support", 0, "atoms"), [math.inf, 0.12, 0.5], "atoms"),
+    ("mean", MEAN_W1D, ("measure", "support"), 5, "support"),
     ("slln", SLLN, ("target_points", 0), [True], "target_points"),
     ("ldp", LDP, ("event_points", 0), ["1"], "event_points"),
 ]
@@ -354,6 +357,26 @@ class TestErrorPaths:
         assert code == EXIT_CONFIG
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "config" and "epsilon" in err["message"]
+
+    def test_weiszfeld_at_p_other_than_one(self, tmp_path, capsys):
+        # The Weiszfeld iteration computes the p = 1 median; at p = 2 it
+        # reported that median as the mean.
+        cfg = write_config(tmp_path, "s.json", {**SLLN, "solver": "weiszfeld"})
+        code, out = run(tmp_path, "slln", cfg)
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config" and "weiszfeld" in err["message"]
+        assert "p = 2.0" in err["message"] and not os.path.exists(out + ".json")
+
+    def test_a_wasserstein1d_member_given_as_a_list(self, tmp_path, capsys):
+        # It ended in "TypeError: list indices must be integers or slices,
+        # not str", a traceback (exit 1).
+        cfg = write_config(tmp_path, "w.json", _with_entry(
+            MEAN_W1D, ("measure", "support", 0), [-1.0, 0.12, 0.5]))
+        code, _ = run(tmp_path, "mean", cfg)
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config" and "must be a JSON object" in err["message"]
 
     @pytest.mark.parametrize("command,payload", [
         ("slln", {"sampler": {"kind": "iid", "distribution": "normal",

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,18 +85,73 @@ class TestProduct:
             assert one_sided_hausdorff(ps, cross, band.points) <= combined
 
 
+def _assert_group_laws(group, dim, seed=29):
+    """Closure, inverses and one zero-length identity, read off the action
+    at a random point x: act(g, act(h, x)) is some act(k, x) for every pair
+    of a small group and 200 sampled pairs of a large one, and every act(g, x)
+    is brought back to x by some k. All lengths are nonnegative."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=dim)
+    elems = group.elements
+    images = np.array([group.act(k, x) for k in elems])
+
+    def some_element_gives(y, targets):
+        return bool(np.any(np.max(np.abs(targets - y), axis=1) <= 1e-9))
+
+    if len(elems) <= 20:
+        pairs = itertools.product(elems, elems)
+    else:
+        pairs = [(elems[i], elems[j]) for i, j in rng.integers(len(elems), size=(200, 2))]
+    for g, h in pairs:
+        assert some_element_gives(group.act(g, group.act(h, x)), images), (g, h)
+    for g in elems:
+        y = group.act(g, x)
+        assert some_element_gives(x, np.array([group.act(k, y) for k in elems])), g
+    zero = [g for g in elems if group.length[g] == 0.0]
+    assert len(zero) == 1
+    assert np.max(np.abs(group.act(zero[0], x) - x)) <= 1e-9
+    assert min(group.length[g] for g in elems) >= 0.0
+
+
 class TestGroupSpec:
-    def test_sign_flip_tables_validate(self, flip_line):
-        _, group = flip_line
-        group.validate()
+    @pytest.mark.parametrize("build,dim", [
+        (lambda: sign_flip_group(dim=3), 3), (lambda: cyclic_rotation_group(1), 2),
+        (lambda: cyclic_rotation_group(2), 2), (lambda: cyclic_rotation_group(360), 2),
+        (lambda: planar_loop_group(4, rotations=2), 8),
+    ], ids=["sign-flip", "rotations-1", "rotations-2", "rotations-360", "loop-4-2"])
+    def test_builders_satisfy_the_group_laws(self, build, dim):
+        _assert_group_laws(build(), dim)
 
     def test_rotation_group_closure_and_lengths(self):
         group = cyclic_rotation_group(8)
-        group.validate()
+        _assert_group_laws(group, 2)
         assert group.length["rot0"] == 0.0
         assert group.length["rot4"] == pytest.approx(math.pi)
         assert group.length["rot1"] == pytest.approx(math.pi / 4)
         assert group.length["rot7"] == pytest.approx(math.pi / 4)
+
+    def test_large_groups_build_without_tables(self):
+        # No multiplication table is built: a group's memory is linear in
+        # its order (the tables took 264 MB for loop_shape_space(128, 8)).
+        tracemalloc.start()
+        try:
+            rot = cyclic_rotation_group(360)
+            loops = loop_shape_space(128, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rot.elements) == 360 and len(loops.group.elements) == 1024
+        assert peak < 2 * 2 ** 20
+
+    def test_quotient_by_a_fine_rotation_group(self):
+        # One degree is an element of the order-360 group, so x and x rotated
+        # by one degree are one point of the quotient.
+        x = np.array([0.3, -1.7])
+        t = math.radians(1.0)
+        turned = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]) @ x
+        qs = QuotientSpace(EuclideanSpace(2), cyclic_rotation_group(360))
+        assert qs.distance(x, turned) == pytest.approx(0.0, abs=1e-9)
+        assert EuclideanSpace(2).distance(x, turned) > 0.02
 
     def test_rotation_action_is_isometric(self):
         group = cyclic_rotation_group(6)
@@ -105,13 +162,6 @@ class TestGroupSpec:
             for g in group.elements:
                 assert plane.distance(group.act(g, x), group.act(g, y)) == \
                     pytest.approx(plane.distance(x, y), abs=1e-12)
-
-    def test_bad_table_rejected(self):
-        group = matrix_group(["e", "g"], [np.eye(1), -np.eye(1)])
-        broken = type(group)(group.elements, "g", group.action, group.compose,
-                             group.inverse, group.length)
-        with pytest.raises(ConfigurationError):
-            broken.validate()
 
     def test_orbit_examples(self, flip_line):
         # The translates g.x of a point: told apart by the base space, one
@@ -221,9 +271,8 @@ class TestLoopPreset:
         for g in [(2, 0), (0, 1), (3, 2)]:
             assert space.distance(x, group.act(g, x)) == pytest.approx(0.0, abs=1e-9)
 
-    def test_group_tables(self):
+    def test_group_lengths(self):
         group = planar_loop_group(4, rotations=2)
-        group.validate()
         assert group.length[(0, 0)] == 0.0
         assert group.length[(2, 0)] == pytest.approx(math.pi)
 

@@ -151,9 +151,12 @@ def test_wasserstein1d_supports_decode_as_the_per_member_path(spec, q):
     [{"atoms": [0.0, "1"]}, {"atoms": [0.0, 1.0], "weights": [2.0, -1.0]}],
     [{"atoms": [0.0, 1.0], "weights": [2.0, -1.0]}, {"atoms": [0.0, True]}],
     [],
+    [{"atoms": [math.nan, 1.0]}, {"atoms": [0.0, 2.0]}],
+    [{"atoms": [0.0, 1.0]}, {"atoms": [math.inf, 2.0]}],
+    5,
 ], ids=["uniform", "weighted", "unequal-counts", "merged", "weights-off", "weights-negative",
         "weights-some", "weights-short", "no-atoms", "nested-atoms", "no-atoms-key", "a-list",
-        "string-first", "bad-weights-first", "empty"])
+        "string-first", "bad-weights-first", "empty", "nan", "infinity", "a-number"])
 def test_wasserstein1d_cases(support):
     _same_decoding(Wasserstein1D(q=2.0), {"support": support})
 

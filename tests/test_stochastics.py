@@ -390,6 +390,11 @@ class TestSllnSingleDraw:
         with pytest.raises(ConfigurationError, match="epsilon"):
             slln_experiment(line, bernoulli_sampler(0.5), 1.0, [10], 1, config)
 
+    def test_weiszfeld_rejects_p_other_than_one(self, line):
+        config = ExperimentConfig(solver="weiszfeld", target_points=(pt(0.5),))
+        with pytest.raises(ConfigurationError, match=r"'weiszfeld'.*p = 2\.0"):
+            slln_experiment(line, bernoulli_sampler(0.5), 2.0, [10], 1, config)
+
     def test_grid_returns_the_epsilon_band(self, line):
         # At p = 1 on atoms 0 and 1 the band is [-eps/2, 1 + eps/2].
         config = ExperimentConfig(solver="grid", epsilon=0.2, grid_step=0.05, grid_pad=0.5,
