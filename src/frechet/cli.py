@@ -181,9 +181,12 @@ def _point(space, obj, key: str):
     return space.point_from_json(obj)
 
 
-def _measure_from_json(space, spec: dict) -> DiscreteMeasure:
+def _measure_from_json(space, spec: dict, key: str = "measure") -> DiscreteMeasure:
     """A support list of JSON numbers is decoded whole; any other list point
-    by point, refusing its first point with a string or a bool."""
+    by point, refusing its first point with a string or a bool. A ``spec``
+    that is not a JSON object is refused under ``key``."""
+    if type(spec) is not dict:
+        raise ConfigurationError(f"{key} must be a JSON object with a support, got {spec!r}")
     support = spec["support"]
     if type(support) is not list:
         raise ConfigurationError(f"support must be a JSON list, got {support!r}")
@@ -334,8 +337,10 @@ def _cmd_gamma(config: dict) -> tuple[dict, list[dict] | None, str]:
 
     _require(config, "space", "measures", "limit", "p")
     space = space_from_json(config["space"])
-    seq = [_measure_from_json(space, spec) for spec in config["measures"]]
-    limit = _measure_from_json(space, config["limit"])
+    if type(config["measures"]) is not list:
+        raise ConfigurationError(f"measures must be a JSON list, got {config['measures']!r}")
+    seq = [_measure_from_json(space, spec, "measures") for spec in config["measures"]]
+    limit = _measure_from_json(space, config["limit"], "limit")
     eps = _list(config, "eps_sequence", [1.0 / (i + 1) for i in range(len(seq))], low=0.0)
     report = convergence.gamma_convergence_probe(
         space, seq, limit, _number(config, "p", None, 1.0), [float(e) for e in eps],

@@ -6,6 +6,8 @@ Only finite groups are supported; compact groups are approximated by
 finite subgroups of configurable order, which keeps the minimization over
 group elements exact. A group is its elements, its action and its lengths,
 with no multiplication table, so it builds in time linear in its order.
+The quotient and the regularized space keep the base space's points,
+codecs, samples and candidates (``_GroupAligned``) and differ in kernel.
 """
 
 from __future__ import annotations
@@ -116,60 +118,12 @@ def _min_over_group(base: Space, group: GroupSpec, xs, ys, lam=None) -> np.ndarr
 
 
 @dataclass(frozen=True, eq=False)
-class QuotientSpace(Space):
-    """Base points treated as orbit representatives under a finite group.
-
-    The distance is the minimum base distance over all relative
-    alignments, d(x, g.x'); for an isometric action this is well defined
-    on orbits and independent of the chosen representatives.
-    """
+class _GroupAligned(Space):
+    """A base space whose distance aligns points by a finite group: points,
+    their codecs, samples and candidates are the base space's."""
 
     base: Space
     group: GroupSpec
-
-    def pairwise_distances(self, xs, ys) -> np.ndarray:
-        return _min_over_group(self.base, self.group, xs, ys)
-
-    def contains(self, x) -> bool:
-        return self.base.contains(x)
-
-    def candidates(self, mu, scheme="support", **kwargs) -> list:
-        base_mu = DiscreteMeasure.from_weights(self.base, mu.support, mu.weights)
-        raw = self.base.candidates(base_mu, scheme, **kwargs)
-        return self.dedup(raw)  # orbit-level deduplication
-
-    def sample_point(self, rng, scale: float = 1.0):
-        return self.base.sample_point(rng, scale)
-
-    def point_to_json(self, x):
-        return self.base.point_to_json(x)
-
-    def point_from_json(self, obj):
-        return self.base.point_from_json(obj)
-
-
-@dataclass(frozen=True, eq=False)
-class RegularizedSpace(Space):
-    """Soft quotient: alignment is allowed but pays the element's length.
-
-    d(x, x') = min_g sqrt(rho(g, e)^2 / lam^2 + d_base(x, g.x')^2).
-    Small ``lam`` makes alignment expensive (the metric approaches the
-    base one); large ``lam`` makes it free (the metric approaches the
-    quotient one).
-    """
-
-    base: Space
-    group: GroupSpec
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("scale lam must be positive")
-        if self.group.length is None:
-            raise ConfigurationError("regularization needs a group length function")
-
-    def pairwise_distances(self, xs, ys) -> np.ndarray:
-        return _min_over_group(self.base, self.group, xs, ys, self.lam)
 
     def contains(self, x) -> bool:
         return self.base.contains(x)
@@ -186,6 +140,46 @@ class RegularizedSpace(Space):
 
     def point_from_json(self, obj):
         return self.base.point_from_json(obj)
+
+
+@dataclass(frozen=True, eq=False)
+class QuotientSpace(_GroupAligned):
+    """Base points treated as orbit representatives under a finite group.
+
+    The distance is the minimum base distance over all relative
+    alignments, d(x, g.x'); for an isometric action this is well defined
+    on orbits and independent of the chosen representatives. Candidates
+    equal on one orbit are kept once.
+    """
+
+    def pairwise_distances(self, xs, ys) -> np.ndarray:
+        return _min_over_group(self.base, self.group, xs, ys)
+
+    def candidates(self, mu, scheme="support", **kwargs) -> list:
+        return self.dedup(super().candidates(mu, scheme, **kwargs))
+
+
+@dataclass(frozen=True, eq=False)
+class RegularizedSpace(_GroupAligned):
+    """Soft quotient: alignment is allowed but pays the element's length.
+
+    d(x, x') = min_g sqrt(rho(g, e)^2 / lam^2 + d_base(x, g.x')^2).
+    Small ``lam`` makes alignment expensive (the metric approaches the
+    base one); large ``lam`` makes it free (the metric approaches the
+    quotient one). It is not a quotient: d(x, g.x) = rho(g, e) / lam > 0
+    for g != e, so its candidates are the base space's, orbits unmerged.
+    """
+
+    lam: float = 1.0
+
+    def __post_init__(self):
+        if self.lam <= 0:
+            raise ValueError("scale lam must be positive")
+        if self.group.length is None:
+            raise ConfigurationError("regularization needs a group length function")
+
+    def pairwise_distances(self, xs, ys) -> np.ndarray:
+        return _min_over_group(self.base, self.group, xs, ys, self.lam)
 
 
 # ---------------------------------------------------------------------------

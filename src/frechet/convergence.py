@@ -9,7 +9,7 @@ sequences of measures whose mean sets should converge.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -55,15 +55,7 @@ class ConvergenceReport:
         ]
 
     def to_json_dict(self) -> dict:
-        return {
-            "sample_sizes": list(self.sample_sizes),
-            "dvec": [float(v) for v in self.dvec],
-            "moments": [float(v) for v in self.moments],
-            "bl": [],
-            "runtimes": [float(v) for v in self.runtimes],
-            "verdicts": dict(self.verdicts),
-            "seed": int(self.seed),
-        }
+        return {**asdict(self), "bl": []}
 
 
 def one_sided_hausdorff(space: Space, s: Sequence, s_prime: Sequence) -> float:

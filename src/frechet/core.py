@@ -360,18 +360,18 @@ def _band_values(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
 def estimate_resolution(space: Space, candidates: Sequence[Point]) -> float:
     """Mesh of a candidate set: the largest nearest-neighbor distance.
 
-    Quadratic in the candidate count, so only small sets are accepted;
-    grid-based callers should pass the grid step explicitly instead.
+    Quadratic in the candidate count, like the band sweep over the same
+    candidates; the distance matrix is taken in row blocks (``row_blocks``).
     """
     candidates = as_sequence(candidates)
     if len(candidates) == 1:
         return 1e-12
-    if len(candidates) > 128:
-        raise ValueError("candidate set too large to estimate a resolution; "
-                         "pass resolution explicitly")
-    dm = space.pairwise_distances(candidates, candidates)
-    np.fill_diagonal(dm, np.inf)
-    return float(max(np.max(np.min(dm, axis=1)), 1e-12))
+    nearest = np.empty(len(candidates))
+    for block in row_blocks(len(candidates), len(candidates)):
+        dm = space.pairwise_distances(candidates[block], candidates)
+        np.fill_diagonal(dm[:, block.start:], np.inf)
+        nearest[block] = np.min(dm, axis=1)
+    return float(max(np.max(nearest), 1e-12))
 
 
 def degenerate_band(space: Space, mu: DiscreteMeasure, config: FrechetConfig,

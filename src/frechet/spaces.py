@@ -145,9 +145,7 @@ class _VectorSpace(Space):
 
     def candidates(self, mu: DiscreteMeasure, scheme: str = "support", *, step=None,
                    pad: float = 0.0, **kwargs):
-        """Vector candidates as the rows of one array."""
-        if scheme == "support":
-            return np.unique(np.round(mu.stacked, 12), axis=0)
+        """``grid`` candidates as the rows of one array; ``support`` is the base scheme."""
         if scheme == "grid":
             if step is None:
                 raise ValueError("grid scheme needs a step")
@@ -266,12 +264,8 @@ class SpiderSpace(Space):
         if scheme == "grid":
             if step is None:
                 raise ValueError("grid scheme needs a step")
-            reach = max(t for _, t in mu.support) + pad
-            pts: list = [(0, 0.0)]
-            for leg in range(self.legs):
-                n = int(math.ceil(reach / step - 1e-12))
-                pts.extend((leg, step * k) for k in range(1, n + 1))
-            return pts
+            axis = _axis_grid(0.0, max(t for _, t in mu.support) + pad, step)[1:].tolist()
+            return [(0, 0.0)] + [(leg, t) for leg in range(self.legs) for t in axis]
         return super().candidates(mu, scheme)
 
     def sample_point(self, rng, scale: float = 1.0):

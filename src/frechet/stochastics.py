@@ -4,7 +4,9 @@ deviations with the relative-entropy rate.
 
 All randomness flows through inverse-CDF transforms of one seeded uniform
 stream, so every experiment is bit-reproducible given (seed, config);
-replication r draws from the derived seed of (seed, r).
+replication r draws from the derived seed of (seed, r). A cell's solver
+returns points (``_solve_points``): the grid's band, or the one point of
+``solvers.euclidean_pmean``, which claims no radius.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -24,20 +26,13 @@ from .core import (
     ConvergenceFailure,
     DiscreteMeasure,
     FrechetConfig,
-    MeanSetApprox,
     Space,
-    frechet_functional,
+    band_cut,
     moment,
     row_blocks,
-    value_tolerance,
 )
 from .convergence import ConvergenceReport, one_sided_hausdorff
-from .solvers import (
-    SolverConfig,
-    euclidean_pmean,
-    grid_mean_set,
-    weiszfeld_median,
-)
+from .solvers import SolverConfig, euclidean_pmean, grid_mean_set
 from .spaces import EuclideanSpace
 
 __all__ = [
@@ -290,32 +285,26 @@ class ExperimentConfig:
     solver_config: SolverConfig = field(default_factory=SolverConfig)
 
 
-def _solve_mean_set(space: Space, mu: DiscreteMeasure, p: float,
-                    config: ExperimentConfig) -> MeanSetApprox:
-    """Dispatch a mean-set computation to the configured solver.
-
-    Only the grid returns an epsilon-band; a point solver returns one
-    minimizer, so it rejects epsilon > 0, and ``weiszfeld`` rejects p != 1.
+def _solve_points(space: Space, mu: DiscreteMeasure, p: float,
+                  config: ExperimentConfig) -> tuple:
+    """The points the configured solver returns: the grid's epsilon-band,
+    or the one minimizer of a point solver. A point solver rejects
+    epsilon > 0; ``weiszfeld`` is the p = 1 name of ``subgradient`` and
+    rejects p != 1.
     """
     name = config.solver
     if name == "grid":
         return grid_mean_set(space, mu, FrechetConfig(p=p, epsilon=config.epsilon),
-                             config.grid_step, config.grid_pad)
+                             config.grid_step, config.grid_pad).points
     if config.epsilon > 0:
         raise ConfigurationError(
             f"solver {name!r} returns one point, not an epsilon-band; "
             "epsilon > 0 needs solver 'grid'")
-    if name == "weiszfeld":
-        if p != 1.0:
-            raise ConfigurationError(f"solver 'weiszfeld' computes the p = 1 median, got p = {p}")
-        pt = weiszfeld_median(space, mu, config.solver_config)
-    elif name == "subgradient":
-        pt = euclidean_pmean(space, mu, p, config.solver_config)
-    else:
+    if name == "weiszfeld" and p != 1.0:
+        raise ConfigurationError(f"solver 'weiszfeld' computes the p = 1 median, got p = {p}")
+    if name not in ("weiszfeld", "subgradient"):
         raise ConfigurationError(f"unknown solver {name!r}")
-    value = frechet_functional(space, mu, pt, mu.support[0], p)
-    res = max(config.solver_config.step_tolerance, 1e-12)
-    return MeanSetApprox((pt,), res, value)
+    return (euclidean_pmean(space, mu, p, config.solver_config),)
 
 
 def _sample_sizes(n_grid: Sequence[int]) -> list[int]:
@@ -341,12 +330,12 @@ def _prefix_experiment(space: Space, stream: Sequence, n_grid: list[int], p: flo
         t0 = time.perf_counter()
         mu = DiscreteMeasure.uniform(space, stream[:n])
         try:
-            band = _solve_mean_set(space, mu, p, config)
+            points = _solve_points(space, mu, p, config)
         except ConvergenceFailure as exc:
             dvecs.append(float("nan"))
             failures.append(exc)
         else:
-            dvecs.append(one_sided_hausdorff(space, band.points, target))
+            dvecs.append(one_sided_hausdorff(space, points, target))
             failures.append(None)
         moments_.append(moment(space, mu, max(p - 1.0, 0.0), target[0]))
         seconds.append(time.perf_counter() - t0)
@@ -566,7 +555,7 @@ def _support_bands(dp: np.ndarray, support: np.ndarray, weights: np.ndarray) -> 
         shift = (w[:, None, :] @ d[:, 0, :, None])[:, 0, 0]
         values = np.sum(d * w[:, None, :], axis=-1) - shift[:, None]
         achieved = values.min(axis=1, keepdims=True)
-        band[block] = values <= achieved + value_tolerance(achieved)
+        band[block] = values <= band_cut(achieved, 0.0)
     return band
 
 
@@ -651,16 +640,7 @@ class LdpResult:
                                           self.censored)]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "probabilities": [float(v) for v in self.probabilities],
-            "empirical_rates": [float(v) for v in self.empirical_rates],
-            "theoretical_rate": float(self.theoretical_rate),
-            "tie_probabilities": [float(v) for v in self.tie_probabilities],
-            "censored": [bool(v) for v in self.censored],
-            "mode": self.mode,
-            "seed": int(self.seed),
-        }
+        return asdict(self)
 
 
 def ldp_experiment(space: Space, mu: DiscreteMeasure, p: float,

@@ -14,7 +14,9 @@ Wasserstein-1D grid and per-measure LDP origin shifts that arrays
 replaced, the quantile gap kernel with fresh temporaries, and the median
 iteration,
 LDP replication count and chain walk as they were before their sorted or
-per-call tables, and the CLI's point-by-point measure decoder.
+per-call tables, the CLI's point-by-point measure decoder, the candidate
+mesh from one whole distance matrix and the reports' JSON dicts built
+field by field.
 """
 
 from __future__ import annotations
@@ -343,7 +345,7 @@ def slln_per_n_draws(space, sampler, p, n_grid, replications, config):
     replication's stream again for every n."""
     from frechet.convergence import one_sided_hausdorff
     from frechet.core import ConvergenceFailure, moment
-    from frechet.stochastics import _solve_mean_set, sample_empirical
+    from frechet.stochastics import _solve_points, sample_empirical
 
     target = list(config.target_points)
     cells = []
@@ -353,8 +355,7 @@ def slln_per_n_draws(space, sampler, p, n_grid, replications, config):
         for n in n_grid:
             mu = sample_empirical(local, n, space)
             try:
-                band = _solve_mean_set(space, mu, p, config)
-                dvec = one_sided_hausdorff(space, band.points, target)
+                dvec = one_sided_hausdorff(space, _solve_points(space, mu, p, config), target)
             except ConvergenceFailure:
                 dvec = float("nan")
             row.append((dvec, moment(space, mu, max(p - 1.0, 0.0), target[0])))
@@ -378,7 +379,7 @@ def ergodic_prefix_loop(space, markov, p, n_grid, config):
     from frechet.convergence import one_sided_hausdorff
     from frechet.core import DiscreteMeasure, moment
     from frechet.spaces import EuclideanSpace
-    from frechet.stochastics import _solve_mean_set
+    from frechet.stochastics import _solve_points
 
     pi = markov.stationary_law()
     if config.target_points:
@@ -391,8 +392,7 @@ def ergodic_prefix_loop(space, markov, p, n_grid, config):
     dvecs, moments = [], []
     for n in n_grid:
         mu = DiscreteMeasure.uniform(space, trajectory[:n])
-        band = _solve_mean_set(space, mu, p, config)
-        dvecs.append(one_sided_hausdorff(space, band.points, target))
+        dvecs.append(one_sided_hausdorff(space, _solve_points(space, mu, p, config), target))
         moments.append(moment(space, mu, max(p - 1.0, 0.0), target[0]))
     verdicts = {}
     if config.threshold is not None:
@@ -701,3 +701,43 @@ def measure_from_json_per_point(space, spec):
         return DiscreteMeasure.uniform(space, points)
     return DiscreteMeasure.from_weights(space, points,
                                         np.asarray(_list(spec, "weights"), dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# The candidate mesh as one whole distance matrix, as ``estimate_resolution``
+# took it before its row blocks (when it refused more than 128 candidates),
+# and the reports' JSON dicts as they were built field by field before
+# ``dataclasses.asdict``.
+# ---------------------------------------------------------------------------
+
+def estimate_resolution_whole(space, candidates):
+    if len(candidates) == 1:
+        return 1e-12
+    dm = space.pairwise_distances(candidates, candidates)
+    np.fill_diagonal(dm, np.inf)
+    return float(max(np.max(np.min(dm, axis=1)), 1e-12))
+
+
+def convergence_report_json(report):
+    return {
+        "sample_sizes": list(report.sample_sizes),
+        "dvec": [float(v) for v in report.dvec],
+        "moments": [float(v) for v in report.moments],
+        "bl": [],
+        "runtimes": [float(v) for v in report.runtimes],
+        "verdicts": dict(report.verdicts),
+        "seed": int(report.seed),
+    }
+
+
+def ldp_result_json(result):
+    return {
+        "n_values": list(result.n_values),
+        "probabilities": [float(v) for v in result.probabilities],
+        "empirical_rates": [float(v) for v in result.empirical_rates],
+        "theoretical_rate": float(result.theoretical_rate),
+        "tie_probabilities": [float(v) for v in result.tie_probabilities],
+        "censored": [bool(v) for v in result.censored],
+        "mode": result.mode,
+        "seed": int(result.seed),
+    }

@@ -70,6 +70,7 @@ def test_run_values_are_plain_yaml_scalars():
     ("Cold mean", "frechet.cli.main"),
     ("Warm mean", "cli.main(a)"),
     ("Cold BW mean", "frechet.cli.main"),
+    ("Cold support mean", "frechet.cli.main"),
     ("Cold heavy-tail grid SLLN", "frechet.cli.main"),
     ("Group build", "tracemalloc"),
 ])
@@ -125,6 +126,20 @@ def test_cold_mean_step_reports_no_numpy_ma_for_a_wasserstein1d_mean(tmp_path):
     report = summary.read_text().splitlines()[-1]
     assert re.fullmatch(r"W1D mean exit 0, ru_maxrss = [\d.]+ MB, ru_minflt = \d+, "
                         r"0 numpy.ma modules loaded", report), report
+
+
+def test_cold_support_mean_step_reports_a_mean_over_200_atoms(tmp_path):
+    # The step's own command, run as the runner would, with this
+    # interpreter first on PATH. More than 128 candidates used to exit 2.
+    run = re.search(r"^\s*run:\s*(.+)$", _step("Cold support mean"), re.M).group(1)
+    assert "test_cli.cold_support_mean_arguments(" in run
+    summary = tmp_path / "summary.md"
+    env = dict(os.environ, RUNNER_TEMP=str(tmp_path), GITHUB_STEP_SUMMARY=str(summary),
+               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
+    subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
+    report = summary.read_text().splitlines()[-1]
+    assert re.fullmatch(r"support mean over 200 atoms exit 0, mean set size = [1-9]\d*, "
+                        r"resolution = \d\.\d+(e-?\d+)?, 0 numpy.ma modules loaded", report), report
 
 
 def test_warm_mean_step_reruns_one_out(tmp_path):

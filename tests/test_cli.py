@@ -82,6 +82,11 @@ SLLN_HEAVY_TAIL = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0,
                    "grid_pad": 1.0, "target_points": [[3.0]], "threshold": 0.5}
 MEAN_SPIDER = {"space": {"type": "spider", "legs": 3}, "p": 2.0, "grid_step": 0.1,
                "measure": {"support": [[2, 0.5], [0, 1.0]]}}
+# A support-scheme mean over 200 distinct atoms of the plane, more than the
+# 128 candidates up to which its mesh used to be estimated.
+MEAN_SUPPORT_200 = {"space": {"type": "euclidean", "dim": 2}, "p": 2.0, "scheme": "support",
+                    "measure": {"support": [[k / 8.0, (k * 37 % 101) / 16.0]
+                                            for k in range(200)]}}
 FINITE = {**SLLN, "sampler": {"kind": "iid", "distribution": "finite", "atoms": [0.0, 1.0],
                               "probs": [0.5, 0.5], "seed": 1}}
 # (command, config, key path, value, key): entries below the top level of a
@@ -117,6 +122,11 @@ _BAD_ENTRIES = [
     ("mean", MEAN_W1D, ("measure", "support"), 5, "support"),
     ("slln", SLLN, ("target_points", 0), [True], "target_points"),
     ("ldp", LDP, ("event_points", 0), ["1"], "event_points"),
+    ("mean", MEAN, ("measure",), 5, "measure"),
+    ("ldp", LDP, ("measure",), [[0.0]], "measure"),
+    ("gamma", GAMMA, ("measures",), 5, "measures"),
+    ("gamma", GAMMA, ("measures",), [5], "measures"),
+    ("gamma", GAMMA, ("limit",), 5, "limit"),
 ]
 # The same entries at values that must still run, with the configs above.
 _GOOD_ENTRIES = [
@@ -160,6 +170,14 @@ def cold_bw_mean_arguments(workdir: Path) -> list[str]:
     ``.json``."""
     return ["mean", "--config", write_config(workdir, "bw_config.json", MEAN_BW),
             "--out", str(workdir / "bw")]
+
+
+def cold_support_mean_arguments(workdir: Path) -> list[str]:
+    """The CLI arguments that run ``MEAN_SUPPORT_200`` into ``workdir``, for
+    the workflow's Cold support mean step; the sidecar is the last argument
+    plus ``.json``."""
+    return ["mean", "--config", write_config(workdir, "support_config.json", MEAN_SUPPORT_200),
+            "--out", str(workdir / "support")]
 
 
 def cold_heavy_tail_slln_arguments(workdir: Path) -> list[str]:
@@ -357,6 +375,19 @@ class TestErrorPaths:
         assert code == EXIT_CONFIG
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "config" and "epsilon" in err["message"]
+
+    def test_weiszfeld_and_subgradient_write_the_same_p1_report(self, tmp_path):
+        # One median iteration under two names: the same dvec, moments and CSV.
+        cauchy = {**SLLN, "p": 1.0, "n_grid": [10, 100, 1000], "replications": 3,
+                  "sampler": {"kind": "iid", "distribution": "cauchy",
+                              "params": [0.0, 1.0], "seed": 5}}
+        outs = []
+        for name in ("weiszfeld", "subgradient"):
+            cfg = write_config(tmp_path, f"{name}_config.json", {**cauchy, "solver": name})
+            code, out = run(tmp_path, "slln", cfg, out_name=name)
+            assert code == EXIT_OK
+            outs.append((_result(out), Path(out + ".csv").read_bytes()))
+        assert outs[0] == outs[1]
 
     def test_weiszfeld_at_p_other_than_one(self, tmp_path, capsys):
         # The Weiszfeld iteration computes the p = 1 median; at p = 2 it
@@ -636,6 +667,40 @@ def test_a_wasserstein1d_mean_loads_no_numpy_ma(tmp_path):
     # the quantile kernel groups its rows without it.
     loaded = _modules_after_call(tmp_path, "mean", MEAN_W1D)
     assert loaded["frechet"] == START_UP and loaded["other"] == ["numpy"]
+
+
+def test_a_vector_support_mean_returns_exact_atoms(tmp_path):
+    # Candidates rounded to 12 decimals (np.unique, which loads numpy.ma)
+    # gave 0.123456789012, not an atom, at a value of 3.5e-13.
+    atom = 0.1234567890123456
+    loaded = _modules_after_call(tmp_path, "mean", {
+        "space": {"type": "euclidean", "dim": 1}, "p": 1.0, "scheme": "support",
+        "measure": {"support": [[atom], [2.0], [atom]]}})
+    assert loaded["frechet"] == START_UP and loaded["other"] == ["numpy"]
+    result = json.loads((tmp_path / "mean.json").read_text())["result"]
+    assert result["mean_set"] == [[atom]] and result["achieved_value"] == 0.0
+    # A tie lists the atoms in the order they first appear, not sorted.
+    cfg = write_config(tmp_path, "tie.json", {
+        "space": {"type": "euclidean", "dim": 1}, "p": 1.0, "scheme": "support",
+        "measure": {"support": [[2.0], [1.0], [3.0], [0.0]]}})
+    code, out = run(tmp_path, "mean", cfg)
+    assert code == EXIT_OK
+    assert json.loads(Path(out + ".json").read_text())["result"]["mean_set"] == [[2.0], [1.0]]
+
+
+def test_a_support_mean_over_200_atoms_takes_the_whole_mesh(tmp_path):
+    # More than 128 candidates exited 2: "candidate set too large to
+    # estimate a resolution; pass resolution explicitly".
+    from frechet.spaces import EuclideanSpace
+    from oracles import estimate_resolution_whole
+
+    argv = cold_support_mean_arguments(tmp_path)
+    assert main(argv) == EXIT_OK
+    result = json.loads(Path(argv[-1] + ".json").read_text())["result"]
+    atoms = MEAN_SUPPORT_200["measure"]["support"]
+    assert len({tuple(a) for a in atoms}) == 200
+    assert result["resolution"] == estimate_resolution_whole(EuclideanSpace(2), atoms)
+    assert result["mean_set"] and all(x in atoms for x in result["mean_set"])
 
 
 @pytest.mark.parametrize("command,payload", [

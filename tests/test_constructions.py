@@ -300,3 +300,44 @@ class TestProductCandidatesAndCodecs:
             x = space.sample_point(rng)
             back = space.point_from_json(space.point_to_json(x))
             assert space.points_equal(x, back)
+
+
+class TestGroupAligned:
+    @pytest.fixture(params=["quotient", "regularized"])
+    def aligned(self, request, flip_line):
+        base, group = flip_line
+        if request.param == "quotient":
+            return QuotientSpace(base, group)
+        return RegularizedSpace(base, group, lam=0.5)
+
+    def test_points_codecs_and_samples_are_the_base_spaces(self, aligned):
+        base = aligned.base
+        for x in (pt(2.5), [1.0, 2.0], pt(math.nan)):
+            assert aligned.contains(x) == base.contains(x)
+        x = pt(-1.25)
+        assert aligned.point_to_json(x) == base.point_to_json(x) == [-1.25]
+        assert np.array_equal(aligned.point_from_json([0.75]), base.point_from_json([0.75]))
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        assert np.array_equal(aligned.sample_point(a, 2.0), base.sample_point(b, 2.0))
+
+    def test_a_regularized_space_is_not_a_quotient(self):
+        # d(x, g.x) = rho(g) / lam > 0 for the flip: the orbit is not one point.
+        assert not issubclass(RegularizedSpace, QuotientSpace)
+        assert not issubclass(QuotientSpace, RegularizedSpace)
+
+    def test_only_the_quotient_merges_candidates_by_orbit(self, flip_line):
+        base, group = flip_line
+        support = [pt(3.0), pt(-3.0), pt(1.0)]
+        qs, rs = QuotientSpace(base, group), RegularizedSpace(base, group, lam=1.0)
+        for space, kept in ((qs, [3.0, 1.0]), (rs, [3.0, -3.0, 1.0])):
+            mu = DiscreteMeasure.uniform(space, support)
+            for scheme in ("support", "grid"):
+                got = space.candidates(mu, scheme, step=0.5)
+                base_got = base.candidates(DiscreteMeasure.uniform(base, support), scheme,
+                                           step=0.5)
+                if scheme == "support":
+                    assert [float(x[0]) for x in got] == kept
+                if space is rs:
+                    assert np.array_equal(np.asarray(got), np.asarray(base_got))
+                else:
+                    assert len(got) == len(qs.dedup(base_got)) < len(base_got)

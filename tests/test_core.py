@@ -17,13 +17,15 @@ from frechet import (
 from frechet.core import (
     SWEEP_BLOCK_ENTRIES,
     cocycle_gap,
+    estimate_resolution,
     power_bound_slack,
     renorm_bound_slack,
+    row_blocks,
     value_tolerance,
 )
 
 from conftest import all_spaces, pt
-from oracles import scan_objective_1d
+from oracles import estimate_resolution_whole, scan_objective_1d
 
 
 def uniform_line(space, values):
@@ -296,3 +298,22 @@ class TestValidation:
     def test_mean_set_approx_nonempty(self):
         with pytest.raises(ValueError):
             MeanSetApprox((), 0.1, 0.0)
+
+
+class TestEstimateResolution:
+    @pytest.mark.parametrize("space", all_spaces(), ids=lambda s: type(s).__name__)
+    def test_up_to_128_candidates_it_is_the_whole_matrix_formula(self, space):
+        # Up to 128 candidates the mesh was taken from one whole matrix.
+        rng = np.random.default_rng(12)
+        for n in (2, 3, int(rng.integers(4, 128)), 128):
+            points = [space.sample_point(rng) for _ in range(n)]
+            assert estimate_resolution(space, points) == \
+                estimate_resolution_whole(space, points)
+
+    def test_row_blocks_give_the_whole_matrix_mesh(self):
+        # 1,100 candidates take two row blocks (there used to be a cap at
+        # 128); the farthest one, which sets the mesh, is in the second.
+        line = EuclideanSpace(1)
+        points = np.vstack([np.random.default_rng(13).standard_cauchy((1099, 1)), [[1e9]]])
+        assert len(row_blocks(len(points), len(points))) == 2
+        assert estimate_resolution(line, points) == estimate_resolution_whole(line, points)

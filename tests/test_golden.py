@@ -96,6 +96,36 @@ def test_cold_start_csv_matches_golden(command, tmp_path):
     assert (tmp_path / f"{command}.csv").read_bytes() == (GOLDEN / f"{command}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["slln", "ergodic", "gamma", "ldp", "ldp-monte-carlo"])
+def test_reports_serialize_as_the_hand_built_dicts(command, tmp_path, monkeypatch):
+    # The report's own fields, with ``bl`` added for a convergence report,
+    # give the sidecar the keys and values it had when each was copied by hand.
+    from frechet.convergence import ConvergenceReport
+    from frechet.stochastics import LdpResult
+    from oracles import convergence_report_json, ldp_result_json
+
+    cls, oracle = ((LdpResult, ldp_result_json) if command.startswith("ldp")
+                   else (ConvergenceReport, convergence_report_json))
+    seen = []
+    to_json_dict = cls.to_json_dict
+    monkeypatch.setattr(cls, "to_json_dict",
+                        lambda self: seen.append((self, to_json_dict(self))) or seen[-1][1])
+    assert main(_arguments(command, tmp_path)) == EXIT_OK
+    (report, got), = seen
+    expected = oracle(report)
+    assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert _types(got) == _types(expected)
+
+
+def _types(obj):
+    """The Python types in ``obj``, down through its lists and dicts."""
+    if isinstance(obj, dict):
+        return {k: _types(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_types(v) for v in obj]
+    return type(obj)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:

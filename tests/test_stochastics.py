@@ -12,7 +12,7 @@ from frechet import (
     DiscreteMeasure,
     EuclideanSpace,
     ExperimentConfig,
-    MeanSetApprox,
+    FrechetConfig,
     SamplerSpec,
     SpiderSpace,
     ergodic_experiment,
@@ -22,7 +22,9 @@ from frechet import (
     slln_experiment,
 )
 from frechet import core, stochastics
-from frechet.stochastics import _derived_seed, _is_irreducible, _replication_uniforms
+from frechet.solvers import grid_mean_set
+from frechet.stochastics import (_derived_seed, _is_irreducible, _replication_uniforms,
+                                 _solve_points)
 
 from conftest import pt
 from oracles import (
@@ -149,7 +151,7 @@ class TestSllnExperiment:
     def test_solver_nonconvergence_is_counted(self, line, monkeypatch):
         def fail(*args, **kwargs):
             raise ConvergenceFailure("budget exhausted")
-        monkeypatch.setattr(stochastics, "_solve_mean_set", fail)
+        monkeypatch.setattr(stochastics, "_solve_points", fail)
         config = ExperimentConfig(solver="subgradient", target_points=(pt(0.5),))
         report = slln_experiment(line, bernoulli_sampler(0.5), 2.0, [10, 20], 3, config)
         assert report.verdicts["solver_failures"] == 6
@@ -163,7 +165,7 @@ class TestSllnExperiment:
     def test_program_errors_propagate(self, line, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("kernel returned the wrong shape")
-        monkeypatch.setattr(stochastics, "_solve_mean_set", broken)
+        monkeypatch.setattr(stochastics, "_solve_points", broken)
         config = ExperimentConfig(solver="subgradient", target_points=(pt(0.5),))
         with pytest.raises(TypeError):
             slln_experiment(line, bernoulli_sampler(0.5), 2.0, [10], 2, config)
@@ -371,9 +373,9 @@ class TestSllnSingleDraw:
 
         def solve(space, mu, p, config):
             clock[0] += len(mu.support)
-            return MeanSetApprox((pt(0.5),), 1e-12, 0.0)
+            return (pt(0.5),)
 
-        monkeypatch.setattr(stochastics, "_solve_mean_set", solve)
+        monkeypatch.setattr(stochastics, "_solve_points", solve)
         monkeypatch.setattr(stochastics, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
         config = ExperimentConfig(solver="subgradient", target_points=(pt(0.5),))
         report = slln_experiment(line, bernoulli_sampler(0.5), 2.0, [10, 30], 3, config)
@@ -389,6 +391,26 @@ class TestSllnSingleDraw:
         config = ExperimentConfig(solver=solver, epsilon=0.05, target_points=(pt(0.5),))
         with pytest.raises(ConfigurationError, match="epsilon"):
             slln_experiment(line, bernoulli_sampler(0.5), 1.0, [10], 1, config)
+
+    def test_unknown_solver_rejected(self, line):
+        config = ExperimentConfig(solver="quantile", target_points=(pt(0.5),))
+        with pytest.raises(ConfigurationError, match="unknown solver 'quantile'"):
+            slln_experiment(line, bernoulli_sampler(0.5), 1.0, [10], 1, config)
+
+    @pytest.mark.parametrize("solver,p", [("grid", 1.0), ("grid", 2.0), ("weiszfeld", 1.0),
+                                          ("subgradient", 1.0), ("subgradient", 1.5)])
+    def test_solvers_return_a_tuple_of_points(self, line, solver, p):
+        mu = sample_empirical(SamplerSpec(kind="iid", distribution="cauchy",
+                                          params=(0.0, 1.0), seed=3), 41, line)
+        config = ExperimentConfig(solver=solver, grid_step=0.05, grid_pad=0.5)
+        points = _solve_points(line, mu, p, config)
+        assert type(points) is tuple and points
+        if solver == "grid":
+            band = grid_mean_set(line, mu, FrechetConfig(p=p), 0.05, 0.5)
+            assert len(points) == len(band.points)
+            assert all(np.array_equal(a, b) for a, b in zip(points, band.points))
+        else:
+            assert len(points) == 1 and points[0].shape == (1,)
 
     def test_weiszfeld_rejects_p_other_than_one(self, line):
         config = ExperimentConfig(solver="weiszfeld", target_points=(pt(0.5),))
