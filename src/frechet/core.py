@@ -284,8 +284,8 @@ class MeanSetApprox:
     def __post_init__(self):
         if len(self.points) == 0:
             raise ValueError("mean-set approximation must be nonempty")
-        if self.resolution < 0:
-            raise ValueError("resolution must be positive")
+        if not self.resolution >= 0:  # false on a NaN resolution
+            raise ValueError("resolution must be nonnegative")
 
 
 def _check_pair(space: Space, mu: DiscreteMeasure) -> None:

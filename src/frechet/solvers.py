@@ -85,16 +85,16 @@ def grid_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     """The band of the ``grid`` candidate scheme at spacing ``step``.
 
     The result is ``grid_oracle`` over ``space.candidates(mu, "grid",
-    step=step, pad=pad)`` with ``resolution=step``: the same points in the
-    same order, the same achieved value bit for bit. A space with a
-    ``grid_chart`` (Euclidean and l_q boxes, the Wasserstein-1D cone) is
-    searched coarse to fine (``_pruned_band``) and its grid is never
-    built; at p = 2 the Euclidean box and the q = 2 cone start from the
-    box of a ball around their barycenter (``_center_box``), which at
+    step=step, pad=pad)`` with its covering radius as ``resolution``: the
+    same points in the same order, the same achieved value bit for bit. A
+    space with a ``grid_chart`` (Euclidean and l_q boxes, the Wasserstein-1D
+    cone) is searched coarse to fine (``_pruned_band``) and its grid is
+    never built; at p = 2 the Euclidean box and the q = 2 cone start from
+    the box of a ball around their barycenter (``_center_box``), which at
     epsilon = 0 holds one to three indices per axis. A Bures-Wasserstein
     grid (``BuresWassersteinSpace.grid_stack``) is screened whole with the
-    closed form (``_bw_screen``), and the kernel sweeps only the rows
-    kept, in grid order. Every other space sweeps its candidate list.
+    closed form (``_bw_screen``), and the kernel sweeps only the rows kept,
+    in grid order. Every other space sweeps its candidate list.
     """
     if isinstance(space, BuresWassersteinSpace):
         _check_pair(space, mu)
@@ -105,14 +105,18 @@ def grid_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
         return grid_oracle(space, mu, config, space.candidates(mu, "grid", step=step, pad=pad),
                            resolution=step)
     _check_pair(space, mu)
-    short = degenerate_band(space, mu, config, step)
+    # An l_q^d box holds every minimizer (clamping to it shrinks each
+    # coordinate gap) and covers it within half a cell's diagonal.
+    resolution = step if isinstance(space, Wasserstein1D) else max(
+        step, step / 2.0 * space._length ** (1.0 / space.q))
+    short = degenerate_band(space, mu, config, resolution)
     if short is not None:
         return short
-    return _pruned_band(space, mu, config, space.grid_chart(mu, step, pad), step)
+    return _pruned_band(space, mu, config, space.grid_chart(mu, step, pad), resolution)
 
 
 def _pruned_band(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
-                 chart: GridChart, step: float) -> MeanSetApprox:
+                 chart: GridChart, resolution: float) -> MeanSetApprox:
     """The epsilon-band over the grid of a ``GridChart``, by splitting index
     cells into up to ``splits`` ranges per axis and level; grid points are
     built from their indices (``chart.rows``) when needed.
@@ -205,7 +209,7 @@ def _pruned_band(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     at, values = at[order], values[order]
     achieved = float(values.min())
     kept = np.flatnonzero(values <= band_cut(achieved, eps))
-    return MeanSetApprox(tuple(chart.rows(at[kept])), step, achieved)
+    return MeanSetApprox(tuple(chart.rows(at[kept])), resolution, achieved)
 
 
 def _center_box(space: Space, mu: DiscreteMeasure, config: FrechetConfig, chart: GridChart,

@@ -45,14 +45,6 @@ def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(_axis_size(lo, hi, step))
 
 
-def _box_grid(lows: np.ndarray, sizes: list[int], step: float) -> np.ndarray:
-    """All points lows + step * k, 0 <= k < sizes, as rows of one (N, dim)
-    array in ``itertools.product`` order (the last axis varies fastest);
-    along each axis the same floats as ``_axis_grid``."""
-    axes = [float(lo) + step * np.arange(n) for lo, n in zip(lows, sizes)]
-    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
-
-
 def _box_center(mu: DiscreteMeasure, lows: np.ndarray, sizes: list[int], step: float) -> tuple:
     """The ``GridChart.center`` of a Euclidean box: e(a) = lows + step a
     and m = sum w_i y_i / W, whose computed value errs by at most
@@ -104,18 +96,19 @@ class _VectorSpace(Space):
     spaces share all of this and differ only in their metric."""
 
     def contains(self, x) -> bool:
-        arr = np.asarray(x, dtype=float)
-        return arr.shape == (self._length,) and bool(np.all(np.isfinite(arr)))
+        return self.contains_all([x])
 
     def stack(self, points):
         return _float_stack(points, (self._length,))
 
+    points_from_json = stack
+
     def contains_all(self, points) -> bool:
-        """One isfinite check on the stack, or the per-point loop (same
-        answers, same errors) for points that do not stack."""
+        """One isfinite check on the stack. Points that do not stack into
+        one (n, length) float array are not in the space; no points are."""
         arr = self.stack(points)
         if getattr(arr, "shape", None) != (len(points), self._length):
-            return Space.contains_all(self, points)
+            return not len(points)
         return bool(np.all(np.isfinite(arr)))
 
     def _rows(self, points) -> np.ndarray:
@@ -145,11 +138,13 @@ class _VectorSpace(Space):
 
     def candidates(self, mu: DiscreteMeasure, scheme: str = "support", *, step=None,
                    pad: float = 0.0, **kwargs):
-        """``grid`` candidates as the rows of one array; ``support`` is the base scheme."""
+        """``grid`` candidates as one array, the chart's rows of every index
+        tuple in ``itertools.product`` order; ``support`` is the base scheme."""
         if scheme == "grid":
             if step is None:
                 raise ValueError("grid scheme needs a step")
-            return _box_grid(*self.grid_box(mu, step, pad), step)
+            chart = self.grid_chart(mu, step, pad)
+            return chart.rows(np.indices(chart.sizes).reshape(len(chart.sizes), -1).T)
         return super().candidates(mu, scheme)
 
     def grid_box(self, mu: DiscreteMeasure, step: float,
@@ -170,8 +165,12 @@ class _VectorSpace(Space):
             corner = np.maximum(c - (lows + step * lo), lows + step * (hi - 1) - c)
             return self.pairwise_distances(corner, np.zeros((1, len(sizes))))[:, 0]
 
+        def rows(index):  # one temporary: a grid can hold millions of rows
+            out = step * index
+            return np.add(out, lows, out=out)
+
         flat = isinstance(self, EuclideanSpace)
-        return GridChart(sizes, lambda index: lows + step * index, radius, self._length + 3,
+        return GridChart(sizes, rows, radius, self._length + 3,
                          center=(lambda: _box_center(mu, lows, sizes, step)) if flat else None)
 
     def sample_point(self, rng: np.random.Generator, scale: float = 1.0):
@@ -183,12 +182,6 @@ class _VectorSpace(Space):
     def point_from_json(self, obj):
         return np.asarray(obj, dtype=float)
 
-    def points_from_json(self, objs: list):
-        """One (n, length) float array; ragged or other-shaped input takes
-        the per-point path, whose points the measure then refuses."""
-        arr = _float_stack(objs, (self._length,))
-        return arr if arr is not objs else super().points_from_json(objs)
-
 
 @dataclass(frozen=True)
 class EuclideanSpace(_VectorSpace):
@@ -196,6 +189,7 @@ class EuclideanSpace(_VectorSpace):
 
     dim: int
     _length = property(lambda self: self.dim)
+    q = 2.0  # the exponent of its norm, as in ``LqSequenceSpace``
 
     def __post_init__(self):
         if self.dim < 1:
@@ -350,8 +344,8 @@ class Measure1D:
                 and bool(np.allclose(self.atoms, other.atoms))
                 and bool(np.allclose(self.weights, other.weights)))
 
-    def __hash__(self):
-        return hash((tuple(np.round(self.atoms, 12)), tuple(np.round(self.weights, 12))))
+    def __hash__(self):  # equal (``np.allclose``) measures share only their atom count
+        return hash(self.atoms.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,26 +366,10 @@ class QuantileTable:
 
     @classmethod
     def of(cls, measures: Sequence[Measure1D]) -> "QuantileTable":
-        """The table of the measures, padded once."""
-        if len(measures) == 1:
-            m = measures[0]
-            return cls(m.atoms[None], m.weights[None], m.cdf_breakpoints()[None],
-                       np.array([m.atoms.size]))
-        counts = np.array([m.atoms.size for m in measures], dtype=np.intp)
-        real = np.arange(counts.max(initial=1)) < counts[:, None]
-        atoms, weights, cum = np.empty(real.shape), np.zeros(real.shape), np.ones(real.shape)
-        if len(measures):
-            atoms[real] = np.concatenate([m.atoms for m in measures])
-            weights[real] = np.concatenate([m.weights for m in measures])
-            cum[real] = np.concatenate([m.cdf_breakpoints() for m in measures])
-        return cls._padded(atoms, weights, cum, counts, real)
-
-    @classmethod
-    def _padded(cls, atoms, weights, cum, counts, real) -> "QuantileTable":
-        """The table whose real entries (``real``) are set: pads the atoms."""
-        atoms[~real] = np.repeat(atoms[np.arange(len(counts)), counts - 1],
-                                 real.shape[1] - counts)
-        return cls(atoms, weights, cum, counts)
+        """The table of the measures (``_merged_table`` of their atoms)."""
+        return _merged_table(np.concatenate([m.atoms for m in measures] or [[]]),
+                             np.concatenate([m.weights for m in measures] or [[]]),
+                             np.array([m.atoms.size for m in measures], dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -418,34 +396,47 @@ def _grid_table(axis: np.ndarray, k: int) -> QuantileTable:
 
 
 def _grid_rows(axis: np.ndarray, index: np.ndarray) -> QuantileTable:
-    """The equal-weight measures on ``axis[index]``, one per row of an
-    (n, k) array of nondecreasing index tuples, as one table; row by row
-    the bits of ``Measure1D(list(axis[i]))``.
-
-    Each row is sorted already, as the axis ascends. Duplicates merge as in
-    ``Measure1D.__init__``: an atom within 1e-12 of its run's first atom
-    joins the run, and the run's weights of 1/k are added left to right.
-    """
+    """The equal-weight measures on ``axis[index]``, one per row of an (n, k)
+    index array, as one table: row by row ``Measure1D(list(axis[i]))``."""
     n, k = index.shape
-    raw = axis[index]
-    w = 1.0 / k
-    start = np.ones((n, k), dtype=bool)
-    run_weight = np.full((n, k), w)  # of the run so far, at each column
-    first = raw[:, 0]
-    for j in range(1, k):
-        start[:, j] = ~(np.abs(raw[:, j] - first) <= 1e-12)
-        first = np.where(start[:, j], raw[:, j], first)
-        run_weight[:, j] = np.where(start[:, j], w, run_weight[:, j - 1] + w)
-    ends = np.ones((n, k), dtype=bool)
-    ends[:, :-1] = start[:, 1:]
-    counts = start.sum(axis=1)
-    real = np.arange(k) < counts[:, None]
-    atoms, weights = np.empty((n, k)), np.zeros((n, k))
-    atoms[real] = raw[start]
-    weights[real] = run_weight[ends]
-    cum = np.cumsum(weights, axis=1)
-    cum[np.arange(k) >= counts[:, None] - 1] = 1.0
-    return QuantileTable._padded(atoms, weights, cum, counts, real)
+    return _merged_table(axis[index].reshape(-1), np.full(n * k, 1.0 / k), np.full(n, k))
+
+
+def _merged_table(atoms: np.ndarray, weights: np.ndarray, counts: np.ndarray) -> QuantileTable:
+    """The measures whose atoms and weights lie back to back in ``atoms``
+    and ``weights``, ``counts[i]`` >= 1 for measure i, as one table cut to
+    its widest merged row: row by row the bits of ``Measure1D``.
+
+    Rows are sorted (stably, unless all are) and merged as in
+    ``Measure1D.__init__``, and their runs tabled afresh; when no two
+    adjacent sorted atoms are within 1e-12, nothing merges. Entries past a
+    row's count sort last (as +inf) and become copies of its last atom of
+    weight 0.0, or -0.0 while runs merge (x + -0.0 = x for every x),
+    carrying its last run's weight to the last column.
+    """
+    n, k = len(counts), int(counts.max(initial=1))
+    rows, last = np.arange(n)[:, None], counts[:, None] - 1
+    real = np.arange(k) <= last
+    raw, w = np.full((n, k), np.inf), np.zeros((n, k))
+    raw[real], w[real] = atoms, weights
+    if (raw[:, 1:] < raw[:, :-1]).any():
+        order = raw.argsort(axis=1, kind="stable")
+        raw, w = raw[rows, order], w[rows, order]
+    if len(atoms) < n * k:
+        np.copyto(raw, raw[rows, last], where=~real)
+    if (real[:, 1:] & (raw[:, 1:] - raw[:, :-1] <= 1e-12)).any():
+        w[~real] = -0.0
+        start = real.copy()
+        first = raw[:, 0]
+        for j in range(1, k):
+            start[:, j] &= raw[:, j] - first > 1e-12
+            first = np.where(start[:, j], raw[:, j], first)
+            w[:, j] = np.where(start[:, j], w[:, j], w[:, j - 1] + w[:, j])
+        ends = np.column_stack([start[:, 1:], np.ones(n, dtype=bool)])
+        return _merged_table(raw[start], w[ends], start.sum(axis=1))
+    cum = w.cumsum(axis=1)
+    cum[np.arange(k) >= last] = 1.0
+    return QuantileTable(raw, w, cum, counts)
 
 
 def _cone_center(mu: DiscreteMeasure, axis: np.ndarray, k: int, step: float,
@@ -660,28 +651,30 @@ class Wasserstein1D(Space):
         return Measure1D(obj["atoms"], obj.get("weights"))
 
     def points_from_json(self, objs: list):
-        """The members as one ``QuantileTable``, row by row the bits of
-        ``point_from_json``. Members of unequal atom counts, with weights for
-        some only, that ``Measure1D`` refuses (a non-finite atom, say) or would
-        merge (two atoms within 1e-12) take the per-member path and its errors."""
+        """The members as one ``QuantileTable`` (``_merged_table``), row by
+        row the bits of ``point_from_json``; input that it refuses takes the
+        per-member path and its errors."""
         try:
-            atoms = np.array([obj["atoms"] for obj in objs], dtype=float)
-            weights = (np.full(atoms.shape, 1.0 / max(atoms.shape[-1], 1))
-                       if all(obj.get("weights") is None for obj in objs)
-                       else np.array([obj["weights"] for obj in objs], dtype=float))
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+            atoms = [obj["atoms"] for obj in objs]
+            counts = [len(a) if type(a) is list else 0 for a in atoms]
+            weights = [[1.0 / c] * c if obj.get("weights") is None else obj["weights"]
+                       for obj, c in zip(objs, counts)]
+            if not objs or min(counts) < 1 or any(
+                    type(g) is not list or len(g) != c for g, c in zip(weights, counts)):
+                raise ValueError
+            flat, w = (np.array(list(itertools.chain.from_iterable(x)), dtype=float)
+                       for x in (atoms, weights))
+        except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError):
             return super().points_from_json(objs)
-        if (atoms.ndim != 2 or atoms.size == 0 or weights.shape != atoms.shape
-                or not np.all(np.isfinite(atoms)) or not np.all(weights >= -1e-15)
-                or not np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)):
+        offsets, counts = np.array(list(itertools.accumulate(counts, initial=0))), np.array(counts)
+        # Weight sums as ``Measure1D`` takes them: numpy sums the rows of a
+        # 2-D array of equal-count members as it sums each row alone.
+        if not (flat.ndim == 1 and flat.shape == w.shape and np.isfinite(flat).all()
+                and (w >= -1e-15).all() and all(
+                    (np.abs(w[offsets[:-1][counts == c, None] + np.arange(c)].sum(axis=1) - 1.0)
+                     <= 1e-12).all() for c in set(counts.tolist()))):
             return super().points_from_json(objs)
-        order = np.argsort(atoms, axis=1, kind="stable")
-        atoms, weights = (np.take_along_axis(a, order, axis=1) for a in (atoms, weights))
-        if np.any(np.abs(np.diff(atoms, axis=1)) <= 1e-12):
-            return super().points_from_json(objs)
-        cum = np.cumsum(weights, axis=1)
-        cum[:, -1] = 1.0
-        return QuantileTable(atoms, weights, cum, np.full(len(atoms), atoms.shape[1]))
+        return _merged_table(flat, w, counts)
 
 
 def quantile_barycenter(space: Wasserstein1D, mu: DiscreteMeasure) -> Measure1D:
@@ -719,6 +712,12 @@ def _near_symmetric(sigma: np.ndarray, flip: np.ndarray) -> bool:
     stack is not exactly symmetric (exact equality, equal infinities
     included, is always close; a NaN never is)."""
     return bool((sigma == flip).all()) or np.allclose(sigma, flip, atol=1e-10)
+
+
+def _psd(sigma: np.ndarray) -> np.ndarray:
+    """Per symmetric matrix of a stack: eigenvalues >= -1e-10 max(1, |largest|)."""
+    lam = np.linalg.eigvalsh(sigma)
+    return lam[:, 0] >= -1e-10 * np.maximum(1.0, np.abs(lam[:, -1]))
 
 
 def _closed_form_parts(sigma) -> tuple:
@@ -848,24 +847,21 @@ class BuresWassersteinSpace(Space):
         return dist, 2.0 * _root_gap(rest + 2.0 * _root_gap(gap_s, cross), dist)
 
     def contains(self, x) -> bool:
-        arr = np.asarray(x, dtype=float)
-        return arr.shape == (self.dim, self.dim) and self.contains_all(arr[None])
+        return self.contains_all([x])
 
     def stack(self, points):
         return _float_stack(points, (self.dim, self.dim))
 
     def contains_all(self, points) -> bool:
-        """Finite, symmetric within 1e-10 (``np.allclose``) and PSD within
-        1e-10 of the largest eigenvalue's size (at least 1): one check on
-        the stack, or the per-point loop for points that do not stack."""
+        """Finite, symmetric within 1e-10 (``np.allclose``) and PSD
+        (``_psd``): one check on the stack. Points that do not stack into
+        one (n, dim, dim) float array are not in the space; no points are."""
         arr = self.stack(points)
         if getattr(arr, "shape", None) != (len(points), self.dim, self.dim):
-            return Space.contains_all(self, points)
+            return not len(points)
         flip = np.swapaxes(arr, -1, -2)
-        if not (np.all(np.isfinite(arr)) and _near_symmetric(arr, flip)):
-            return False
-        lam = np.linalg.eigvalsh((arr + flip) / 2.0)
-        return bool(np.all(lam[:, 0] >= -1e-10 * np.maximum(1.0, np.abs(lam[:, -1]))))
+        return bool(np.all(np.isfinite(arr)) and _near_symmetric(arr, flip)
+                    and np.all(_psd((arr + flip) / 2.0)))
 
     def grid_stack(self, mu: DiscreteMeasure, step: float, pad: float = 0.0) -> np.ndarray:
         """The ``grid`` scheme as one (N, dim, dim) array: the PSD matrices
@@ -890,8 +886,7 @@ class BuresWassersteinSpace(Space):
         ac = a * c2
         keep = ((ac >= b * b * (1.0 + 2.0 ** -50)) & (ac < math.inf)).reshape(-1)
         unsure = np.flatnonzero(~keep)
-        lam = np.linalg.eigvalsh(box[unsure])
-        keep[unsure] = lam[:, 0] >= -1e-10 * np.maximum(1.0, np.abs(lam[:, -1]))
+        keep[unsure] = _psd(box[unsure])
         return box[keep]
 
     def candidates(self, mu, scheme="support", *, step=None, center=None,

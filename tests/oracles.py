@@ -500,6 +500,15 @@ def box_grid_list(lows, highs, step):
     return [np.array(pt, dtype=float) for pt in itertools.product(*axes)]
 
 
+def box_grid(lows, sizes, step):
+    """All points lows + step * k, 0 <= k < sizes, as rows of one (N, dim)
+    array in ``itertools.product`` order (the last axis varies fastest),
+    from a meshgrid of the axes: the vector ``grid`` scheme as it was built
+    before it became the chart's rows of every index tuple."""
+    axes = [float(lo) + step * np.arange(n) for lo, n in zip(lows, sizes)]
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
+
+
 def coordinate_sums_per_point(xs, ys, dim, term):
     """sum_k term(x_k - y_k) for every pair, converting each point on its own
     before stacking."""
@@ -584,11 +593,18 @@ def quantile_gap_integrals_out_of_place(atoms_x, cum_x, atoms_y, cum_y, q):
 
 def grid_band_full_sweep(space, mu, config, step, pad):
     """The band of the ``grid`` scheme from every grid point: the whole grid
-    built as one array and swept by ``grid_oracle``."""
-    from frechet import grid_oracle
+    built as one array and swept by ``grid_oracle``, with the grid's
+    covering radius as its resolution: step, but (step/2) d**(1/q), half
+    a cell's diagonal, where that is larger in a box of l_q^d."""
+    from frechet import EuclideanSpace, LqSequenceSpace, grid_oracle
 
     grid = space.candidates(mu, "grid", step=step, pad=pad)
-    return grid_oracle(space, mu, config, grid, resolution=step)
+    resolution = step
+    if isinstance(space, EuclideanSpace):
+        resolution = max(step, step / 2.0 * space.dim ** (1.0 / 2.0))
+    elif isinstance(space, LqSequenceSpace):
+        resolution = max(step, step / 2.0 * space.truncation ** (1.0 / space.q))
+    return grid_oracle(space, mu, config, grid, resolution=resolution)
 
 
 # ---------------------------------------------------------------------------

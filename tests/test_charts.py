@@ -279,13 +279,12 @@ class TestBuresWassersteinStack:
             assert np.linalg.eigvalsh(np.stack(sym)).tobytes() == np.stack(
                 [np.linalg.eigvalsh(s) for s in sym]).tobytes()
 
-    def test_points_that_do_not_stack_take_the_loop(self):
+    def test_points_that_do_not_stack_are_not_in_the_space(self):
         space = BuresWassersteinSpace(dim=2)
         assert space.contains_all([np.eye(2), np.eye(3)]) is False
         assert space.contains_all([np.eye(2), [[1.0, 0.0], [0.0, 1.0]]]) is True
         assert space.contains_all([]) is True
-        with pytest.raises(ValueError):
-            space.contains_all([np.eye(2), "ab"])
+        assert space.contains_all([np.eye(2), "ab"]) is False
 
     @pytest.mark.parametrize("dim,step,pad", [(1, 0.1, 0.2), (2, 0.25, 0.3), (2, 0.4, 0.0)])
     def test_grid_is_one_array_and_its_band_that_of_the_list(self, dim, step, pad):

@@ -69,6 +69,7 @@ def test_run_values_are_plain_yaml_scalars():
     ("Cold experiment", "frechet.cli.main"),
     ("Cold mean", "frechet.cli.main"),
     ("Warm mean", "cli.main(a)"),
+    ("Cold ragged W1D mean", "frechet.cli.main"),
     ("Cold BW mean", "frechet.cli.main"),
     ("Cold support mean", "frechet.cli.main"),
     ("Cold heavy-tail grid SLLN", "frechet.cli.main"),
@@ -155,6 +156,21 @@ def test_warm_mean_step_reruns_one_out(tmp_path):
     assert len(report) == 1, report
     assert re.fullmatch(r"W1D mean x20 into one out, exits \[0\], median call = \d+\.\d{2} ms, "
                         r"last result equals first = True", report[0]), report
+
+
+def test_cold_ragged_mean_step_reports_the_sidecar_runtime(tmp_path):
+    # The step's own command, run as the runner would, with this
+    # interpreter first on PATH.
+    run = re.search(r"^\s*run:\s*(.+)$", _step("Cold ragged W1D mean"), re.M).group(1)
+    assert "test_cli.cold_ragged_mean_arguments(" in run
+    assert "runtime_seconds" in run and "ru_maxrss" in run
+    summary = tmp_path / "summary.md"
+    env = dict(os.environ, RUNNER_TEMP=str(tmp_path), GITHUB_STEP_SUMMARY=str(summary),
+               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
+    subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
+    report = summary.read_text().splitlines()[-1]
+    assert re.fullmatch(r"ragged W1D mean exit 0, runtime_seconds = \d+\.\d{4}, "
+                        r"ru_maxrss = [\d.]+ MB", report), report
 
 
 def test_cold_bw_mean_step_reports_the_sidecar_runtime(tmp_path):

@@ -65,6 +65,13 @@ MEAN_W1D = {"space": {"type": "wasserstein1d", "q": 2.0}, "p": 2.0, "scheme": "g
                 {"atoms": [-0.4, 0.3, 1.0], "weights": [0.2, 0.5, 0.3]},
                 {"atoms": [-0.75, -0.1, 0.8], "weights": [0.35, 0.3, 0.35]},
                 {"atoms": [-0.2, 0.05, 0.6], "weights": [0.4, 0.4, 0.2]}]}}
+# The same grid over members of 2 to 5 atoms, weights for two of them, and
+# two atoms 5e-13 apart that merge into one.
+MEAN_W1D_RAGGED = {**MEAN_W1D, "measure": {"support": [
+    {"atoms": [-1.0, 0.5]},
+    {"atoms": [-0.4, 0.3, 1.0], "weights": [0.2, 0.5, 0.3]},
+    {"atoms": [-0.75, -0.1, 0.2, 0.8]},
+    {"atoms": [-0.2, 0.05, 0.05 + 5e-13, 0.4, 0.6], "weights": [0.2, 0.2, 0.2, 0.2, 0.2]}]}}
 # A 2x2 Bures-Wasserstein grid mean, the shape of the benchmark's: two of
 # 8 members pin the entry box (a, c in [0.5, 2], b in [-0.4, 0.4]); step
 # 0.25 and pad 0.3 give 631 PSD candidates.
@@ -162,6 +169,14 @@ def cold_mean_arguments(workdir: Path) -> list[str]:
     ``.json``."""
     return ["mean", "--config", write_config(workdir, "w1d_config.json", MEAN_W1D),
             "--out", str(workdir / "w1d")]
+
+
+def cold_ragged_mean_arguments(workdir: Path) -> list[str]:
+    """The CLI arguments that run ``MEAN_W1D_RAGGED`` into ``workdir``, for
+    the workflow's Cold ragged W1D mean step; the sidecar is the last
+    argument plus ``.json``."""
+    return ["mean", "--config", write_config(workdir, "ragged_config.json", MEAN_W1D_RAGGED),
+            "--out", str(workdir / "ragged")]
 
 
 def cold_bw_mean_arguments(workdir: Path) -> list[str]:

@@ -299,6 +299,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             MeanSetApprox((), 0.1, 0.0)
 
+    @pytest.mark.parametrize("resolution", [-0.1, float("nan")])
+    def test_mean_set_approx_refuses_a_negative_or_nan_resolution(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be nonnegative"):
+            MeanSetApprox((0.0,), resolution, 0.0)
+        assert MeanSetApprox((0.0,), 0.0, 0.0).resolution == 0.0
+
 
 class TestEstimateResolution:
     @pytest.mark.parametrize("space", all_spaces(), ids=lambda s: type(s).__name__)

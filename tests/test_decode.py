@@ -1,7 +1,8 @@
 """Measure supports decoded whole (``Space.points_from_json``) against the
 point-by-point decoder they replaced (``oracles.measure_from_json_per_point``):
 the same stacked support, table and weights bit for bit, or the same
-exception class and message."""
+exception class and message. A vector support with a point that does not
+decode on its own does not stack, and the measure refuses it."""
 
 import math
 
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frechet import EuclideanSpace, LqSequenceSpace, QuantileTable, SpiderSpace, Wasserstein1D
-from frechet.cli import _measure_from_json
+from frechet import (EuclideanSpace, LqSequenceSpace, Measure1D, QuantileTable, SpiderSpace,
+                     Wasserstein1D)
+from frechet.cli import _json_numbers, _measure_from_json
+from frechet.core import ConfigurationError
 
 from oracles import measure_from_json_per_point
 
@@ -29,9 +32,23 @@ def _same_bits(a, b):
     assert a.tobytes() == b.tobytes(), (a, b)
 
 
+def _a_point_fails_alone(space, spec):
+    """True when a support of JSON numbers, which is decoded whole, holds a
+    point that ``point_from_json`` does not decode."""
+    if type(spec.get("support")) is not list or not _json_numbers(spec["support"]):
+        return False
+    try:
+        [space.point_from_json(obj) for obj in spec["support"]]
+    except (TypeError, ValueError, OverflowError):
+        return True
+    return False
+
+
 def _same_decoding(space, spec):
     got = _outcome(_measure_from_json, space, spec)
     want = _outcome(measure_from_json_per_point, space, spec)
+    if isinstance(space, (EuclideanSpace, LqSequenceSpace)) and _a_point_fails_alone(space, spec):
+        want = (ConfigurationError, "support point does not belong to the space")
     if isinstance(want, tuple):
         assert got == want
         return None
@@ -159,6 +176,49 @@ def test_wasserstein1d_supports_decode_as_the_per_member_path(spec, q):
         "string-first", "bad-weights-first", "empty", "nan", "infinity", "a-number"])
 def test_wasserstein1d_cases(support):
     _same_decoding(Wasserstein1D(q=2.0), {"support": support})
+
+
+@st.composite
+def _valid_members(draw):
+    """1 to 6 members of 1 to 5 atoms, weights for some of them, and
+    atoms 0, 5e-13, 1e-12 or 2e-12 apart (which merge or do not)."""
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        atoms = draw(st.lists(st.floats(-3, 3), min_size=1, max_size=5))
+        for i in range(1, len(atoms)):
+            if not draw(st.integers(0, 3)):
+                atoms[i] = atoms[i - 1] + draw(st.sampled_from([0.0, 5e-13, 1e-12, 2e-12]))
+        member = {"atoms": atoms}
+        if draw(st.booleans()):
+            w = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=len(atoms),
+                                         max_size=len(atoms))))
+            w = (w / w.sum()).tolist()
+            w[-1] = 1.0 - math.fsum(w[:-1])
+            member["weights"] = w
+        members.append(member)
+    return members
+
+
+@settings(max_examples=300, deadline=None)
+@given(members=_valid_members())
+def test_valid_members_decode_to_the_table_of_their_measures(members):
+    got = Wasserstein1D(q=2.0).points_from_json(members)
+    want = QuantileTable.of([Measure1D(m["atoms"], m.get("weights")) for m in members])
+    assert isinstance(got, QuantileTable)
+    for name in ("atoms", "weights", "cum", "counts"):
+        _same_bits(getattr(got, name), getattr(want, name))
+
+
+def test_valid_members_decode_without_building_a_measure(monkeypatch):
+    calls = []
+    init = Measure1D.__init__
+    monkeypatch.setattr(Measure1D, "__init__",
+                        lambda self, *args: calls.append(args) or init(self, *args))
+    members = [{"atoms": [0.5, -1.0]}, {"atoms": [0.0, 1e-13, 2.0, 3.0, -2.0]},
+               {"atoms": [1.0, 2.0, 1.0], "weights": [0.25, 0.5, 0.25]}]
+    table = Wasserstein1D(q=2.0).points_from_json(members)
+    assert calls == [] and table.counts.tolist() == [2, 4, 2]
+    assert table.weights.tolist()[2][:2] == [0.5, 0.5]
 
 
 @pytest.mark.parametrize("weights,want", [(None, [[0.5, 0.5], [0.5, 0.5]]),

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frechet import (
@@ -143,6 +143,31 @@ class TestSameBandAsFullSweep:
         assert sweep.rows == 0  # the full sweep goes through relaxed_mean_set
         want = grid_band_full_sweep(spider, mu, config, 0.1, 0.5)
         assert band.points == want.points and band.achieved_value == want.achieved_value
+
+
+@st.composite
+def _weighted_atoms(draw):
+    dim, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    atoms = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim),
+                          min_size=n, max_size=n))
+    w = np.asarray(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    return np.asarray(atoms), w / w.sum()
+
+
+class TestBoxResolution:
+    # Two atoms 0 and (h, ..., h): the mean is a cell's centre, (h/2) d**0.5
+    # from the nearest grid points, more than h from d = 5.
+    @given(case=_weighted_atoms())
+    @example(case=(np.array([[0.0] * 5, [0.25] * 5]), np.array([0.5, 0.5])))
+    @example(case=(np.array([[0.0] * 6, [0.25] * 6]), np.array([0.5, 0.5])))
+    @settings(max_examples=100, deadline=None)
+    def test_the_mean_lies_within_resolution_of_the_band(self, case):
+        atoms, w = case
+        space = EuclideanSpace(atoms.shape[1])
+        band = grid_mean_set(space, DiscreteMeasure.from_weights(space, atoms, w),
+                             FrechetConfig(p=2.0), 0.25)
+        gap = min(float(np.linalg.norm(np.asarray(x) - w @ atoms)) for x in band.points)
+        assert gap <= band.resolution * (1.0 + 1e-12)
 
 
 class TestWork:

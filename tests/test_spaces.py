@@ -111,6 +111,12 @@ class TestWassersteinQuantileCoupling:
         rhs = transport_lp([0.0, 1.0], [0.5, 0.5], [0.5], [1.0], 1.0)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    def test_equal_measures_hash_equal(self):
+        pairs = [(Measure1D([0.0]), Measure1D([1e-9])),
+                 (Measure1D([0.0, 1.0]), Measure1D([1e-9, 1.0], [0.5 + 1e-10, 0.5 - 1e-10]))]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+
     @pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan]])
     def test_nan_weights_rejected(self, weights):
         with pytest.raises(ValueError, match="weights"):
@@ -612,6 +618,15 @@ class TestContainsAll:
     def test_matches_contains_loop(self, space, points):
         expected = _outcome(lambda: all(space.contains(x) for x in points))
         assert _outcome(lambda: space.contains_all(points)) == expected
+
+    @pytest.mark.parametrize("space", [EuclideanSpace(dim=2), LqSequenceSpace(truncation=2, q=3.0),
+                                       BuresWassersteinSpace(dim=2)],
+                             ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize("x", ["x", None, [[1.0, 2.0], [3.0]], [[[1.0, 0.0], [0.0, 1.0]]],
+                                   {"a": 1.0}, 10 ** 400], ids=repr)
+    def test_contains_is_false_for_what_is_no_point(self, space, x):
+        assert space.contains(x) is False
+        assert space.contains_all([x]) is False
 
     def test_measure_rejects_nonfinite_support(self, line):
         with pytest.raises(ConfigurationError):
