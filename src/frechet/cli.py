@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .core import (
     ConvergenceFailure,
     DiscreteMeasure,
     FrechetConfig,
+    candidate_radius,
     cocycle_gap,
     metric_axiom_violations,
     power_bound_slack,
@@ -285,7 +287,8 @@ def _cmd_mean(config: dict) -> tuple[dict, list[dict] | None, str]:
     if scheme == "grid":
         band = grid_mean_set(space, mu, fc, *_grid_keys(config).values())
     else:
-        band = grid_oracle(space, mu, fc, space.candidates(mu, scheme))
+        band = grid_oracle(space, mu, fc, space.candidates(mu, scheme), resolution=0.0)
+        band = replace(band, resolution=candidate_radius(space, mu, fc, band.achieved_value))
     result = {
         "mean_set": [space.point_to_json(pt) for pt in band.points],
         "resolution": band.resolution,

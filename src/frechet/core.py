@@ -357,21 +357,22 @@ def _band_values(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     return values
 
 
-def estimate_resolution(space: Space, candidates: Sequence[Point]) -> float:
-    """Mesh of a candidate set: the largest nearest-neighbor distance.
+def candidate_radius(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
+                     achieved: float) -> float:
+    """The covering radius of a band over any candidate set: every minimizer
+    x* of S(x) = sum_i w_i d(x, y_i)**p lies within 2 (S(a) / W)**(1/p) of
+    the best candidate a, W = sum_i w_i. By Minkowski in L^p(w),
+    W**(1/p) d(x*, a) <= S(x*)**(1/p) + S(a)**(1/p), and S(x*) <= S(a).
 
-    Quadratic in the candidate count, like the band sweep over the same
-    candidates; the distance matrix is taken in row blocks (``row_blocks``).
+    S(a) is ``achieved`` plus ``origin_shift``. The margin covers the
+    rounding of the n-term sum, of the shift taken off and put back, and
+    of the root, and kernel distances within 2**-40 of their exact values,
+    relatively.
     """
-    candidates = as_sequence(candidates)
-    if len(candidates) == 1:
-        return 1e-12
-    nearest = np.empty(len(candidates))
-    for block in row_blocks(len(candidates), len(candidates)):
-        dm = space.pairwise_distances(candidates[block], candidates)
-        np.fill_diagonal(dm[:, block.start:], np.inf)
-        nearest[block] = np.min(dm, axis=1)
-    return float(max(np.max(nearest), 1e-12))
+    shift = origin_shift(space, mu, config)
+    s = achieved + shift
+    s += (len(mu.weights) + 4) * 2.0 ** -52 * (abs(s) + 2.0 * shift)
+    return 2.0 * (max(s, 0.0) / float(mu.weights.sum())) ** (1.0 / config.p) * (1.0 + 2.0 ** -39)
 
 
 def degenerate_band(space: Space, mu: DiscreteMeasure, config: FrechetConfig,

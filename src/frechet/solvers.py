@@ -31,7 +31,6 @@ from .core import (
     as_sequence,
     band_cut,
     degenerate_band,
-    estimate_resolution,
     origin_shift,
     relaxed_mean_set,
 )
@@ -65,18 +64,16 @@ class SolverConfig:
 
 
 def grid_oracle(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
-                grid, resolution: float | None = None) -> MeanSetApprox:
-    """Exact argmin band over an explicit finite grid.
+                grid, resolution: float) -> MeanSetApprox:
+    """Exact argmin band over an explicit finite grid, reported with the
+    grid's covering radius ``resolution``.
 
     This is the independent reference for every other solver; it never
-    delegates to them. Pass the grid step as ``resolution`` whenever it is
-    known, otherwise a mesh estimate is attempted (small grids only).
+    delegates to them.
     """
     grid = as_sequence(grid)
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
-    if resolution is None:
-        resolution = estimate_resolution(space, grid)
     return relaxed_mean_set(space, mu, config, grid, resolution=resolution)
 
 

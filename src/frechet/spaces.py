@@ -60,12 +60,17 @@ def _box_center(mu: DiscreteMeasure, lows: np.ndarray, sizes: list[int], step: f
 
 def _float_stack(points, shape: tuple):
     """The points as one float array of shape (n, *shape); unchanged when
-    they are ragged, non-numeric or stack to another shape."""
+    they are ragged, stack to another shape or are not all numbers (strings,
+    bools and other objects are not; a float among them makes them floats)."""
     try:
-        arr = np.asarray(points, dtype=float)
+        arr = np.asarray(points)
+        if arr.dtype.kind == "O" and all(type(v) in (int, float) for v in arr.flat):
+            arr = arr.astype(float)  # integers beyond int64
     except (TypeError, ValueError, OverflowError):
         return points
-    return arr if arr.shape == (len(points), *shape) else points
+    if arr.dtype.kind not in "fiu" or arr.shape != (len(points), *shape):
+        return points
+    return arr.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -278,13 +283,15 @@ class SpiderSpace(Space):
 
 class Measure1D:
     """Discrete probability measure on the real line, used as a point of
-    the one-dimensional Wasserstein space.
+    the one-dimensional Wasserstein space: row 0 of its one-row
+    ``QuantileTable``, ``table``, whose arrays ``atoms``, ``weights`` and
+    ``_cum`` view.
 
-    Atoms are kept sorted and duplicates merged, so equal measures compare
-    equal structurally.
+    Atoms are kept sorted and duplicates merged (``_merged_table``), so
+    equal measures compare equal structurally.
     """
 
-    __slots__ = ("atoms", "weights", "_cum")
+    __slots__ = ("atoms", "weights", "_cum", "table")
 
     def __init__(self, atoms: Sequence[float], weights: Sequence[float] | None = None):
         atoms = np.asarray(atoms, dtype=float)
@@ -302,29 +309,17 @@ class Measure1D:
                 raise ValueError("weights must be nonnegative")
             if not abs(float(weights.sum()) - 1.0) <= 1e-12:
                 raise ValueError("weights must sum to 1 within 1e-12")
-        order = np.argsort(atoms, kind="stable")
-        atoms, weights = atoms[order], weights[order]
-        # Merge numerically identical atoms so representations are canonical.
-        keep_atoms: list[float] = []
-        keep_w: list[float] = []
-        for a, w in zip(atoms, weights):
-            if keep_atoms and abs(a - keep_atoms[-1]) <= 1e-12:
-                keep_w[-1] += w
-            else:
-                keep_atoms.append(float(a))
-                keep_w.append(float(w))
-        self.atoms = np.asarray(keep_atoms)
-        self.weights = np.asarray(keep_w)
-        self._cum = np.cumsum(self.weights)
-        self._cum[-1] = 1.0
+        self._view(_merged_table(atoms, weights, np.array([atoms.size])))
+
+    def _view(self, table: "QuantileTable") -> "Measure1D":
+        self.table = table
+        self.atoms, self.weights, self._cum = table.atoms[0], table.weights[0], table.cum[0]
+        return self
 
     @classmethod
-    def _of(cls, atoms: np.ndarray, weights: np.ndarray, cum: np.ndarray) -> "Measure1D":
-        """The measure with these sorted, merged atoms, their weights and
-        CDF breakpoints, taken as they are."""
-        m = object.__new__(cls)
-        m.atoms, m.weights, m._cum = atoms, weights, cum
-        return m
+    def _of(cls, table: "QuantileTable") -> "Measure1D":
+        """The measure of a one-row table cut to its count, taken as it is."""
+        return object.__new__(cls)._view(table)
 
     def quantile(self, u) -> np.ndarray:
         """Left-continuous generalized inverse of the CDF."""
@@ -355,8 +350,8 @@ class QuantileTable:
     columns. After them a row repeats its last atom, with weight 0.0 and
     breakpoint 1.0, which only adds intervals of zero width.
 
-    An integer index gives that row back as a ``Measure1D``; a slice or an
-    index array gives the table of those rows.
+    An integer index gives that row back as a ``Measure1D`` on a copied
+    one-row table; a slice or an index array gives the table of those rows.
     """
 
     atoms: np.ndarray
@@ -366,7 +361,10 @@ class QuantileTable:
 
     @classmethod
     def of(cls, measures: Sequence[Measure1D]) -> "QuantileTable":
-        """The table of the measures (``_merged_table`` of their atoms)."""
+        """The table of the measures: a single measure's own ``table``, else
+        ``_merged_table`` of their atoms."""
+        if len(measures) == 1:
+            return measures[0].table
         return _merged_table(np.concatenate([m.atoms for m in measures] or [[]]),
                              np.concatenate([m.weights for m in measures] or [[]]),
                              np.array([m.atoms.size for m in measures], dtype=np.intp))
@@ -376,28 +374,17 @@ class QuantileTable:
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            k = self.counts[index]
-            return Measure1D._of(self.atoms[index, :k].copy(), self.weights[index, :k].copy(),
-                                 self.cum[index, :k].copy())
+            # Copies, so that a measure does not keep the whole table alive.
+            row, k = [index], self.counts[index]
+            return Measure1D._of(QuantileTable(self.atoms[row, :k], self.weights[row, :k],
+                                               self.cum[row, :k], self.counts[row]))
         return QuantileTable(self.atoms[index], self.weights[index], self.cum[index],
                              self.counts[index])
 
 
-def _grid_table(axis: np.ndarray, k: int) -> QuantileTable:
-    """``[Measure1D(list(c)) for c in combinations_with_replacement(axis, k)]``
-    as one table, bit for bit, without building a measure (``_grid_rows``
-    of every nondecreasing index tuple)."""
-    if k < 1:
-        raise ValueError("a 1-D measure needs at least one atom")
-    n = math.comb(len(axis) + k - 1, k)
-    return _grid_rows(axis, np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(range(len(axis)), k)),
-        dtype=np.intp, count=n * k).reshape(n, k))
-
-
 def _grid_rows(axis: np.ndarray, index: np.ndarray) -> QuantileTable:
     """The equal-weight measures on ``axis[index]``, one per row of an (n, k)
-    index array, as one table: row by row ``Measure1D(list(axis[i]))``."""
+    index array, as one table: row i is ``Measure1D(axis[index[i]])``."""
     n, k = index.shape
     return _merged_table(axis[index].reshape(-1), np.full(n * k, 1.0 / k), np.full(n, k))
 
@@ -405,14 +392,18 @@ def _grid_rows(axis: np.ndarray, index: np.ndarray) -> QuantileTable:
 def _merged_table(atoms: np.ndarray, weights: np.ndarray, counts: np.ndarray) -> QuantileTable:
     """The measures whose atoms and weights lie back to back in ``atoms``
     and ``weights``, ``counts[i]`` >= 1 for measure i, as one table cut to
-    its widest merged row: row by row the bits of ``Measure1D``.
+    its widest merged row. Every ``Measure1D`` is built here.
 
-    Rows are sorted (stably, unless all are) and merged as in
-    ``Measure1D.__init__``, and their runs tabled afresh; when no two
+    Each row is sorted stably (unless all rows are sorted). A run starts at
+    an atom more than 1e-12 above the run's first atom, and every other
+    atom joins the run: so 0, 6e-13, 1.2e-12 make the runs {0, 6e-13} and
+    {1.2e-12}. A run keeps its first atom and the sum of its weights, added
+    left to right; the merged runs are then tabled afresh. When no two
     adjacent sorted atoms are within 1e-12, nothing merges. Entries past a
     row's count sort last (as +inf) and become copies of its last atom of
     weight 0.0, or -0.0 while runs merge (x + -0.0 = x for every x),
-    carrying its last run's weight to the last column.
+    carrying its last run's weight to the last column. The breakpoints are
+    the running sums of the weights, with 1.0 from the last real column on.
     """
     n, k = len(counts), int(counts.max(initial=1))
     rows, last = np.arange(n)[:, None], counts[:, None] - 1
@@ -624,8 +615,13 @@ class Wasserstein1D(Space):
         if scheme == "grid":
             if step is None:
                 raise ValueError("grid scheme needs a step")
+            chart, k = self.grid_chart(mu, step, pad, atom_count), atom_count
+            n = math.comb(chart.sizes[0] + k - 1, k)
+            index = np.fromiter(itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(range(chart.sizes[0]), k)),
+                dtype=np.intp, count=n * k).reshape(n, k)
             # A list, as callers concatenate it.
-            return list(_grid_table(self._grid_axis(mu, step, pad), atom_count))
+            return list(chart.rows(index))
         if scheme == "solver-seeded":
             seeds = self.dedup(mu.support)
             if self.q == 2.0:

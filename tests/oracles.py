@@ -9,14 +9,14 @@ replaced, which call the package's generic band sweep (``grid_oracle``)
 and solver dispatch on one measure at a time, the per-point grid and
 stacking code that the stacked vector points replaced, the vector
 kernels as they summed from zeros, the full grid
-sweep that the pruned grid search replaced, the per-object
-Wasserstein-1D grid and per-measure LDP origin shifts that arrays
-replaced, the quantile gap kernel with fresh temporaries, and the median
+sweep that the pruned grid search replaced, the merge loop of
+``Measure1D``, the per-object Wasserstein-1D grid and per-measure LDP
+origin shifts that arrays replaced, the quantile gap kernel with fresh temporaries, and the median
 iteration,
 LDP replication count and chain walk as they were before their sorted or
 per-call tables, the CLI's point-by-point measure decoder, the candidate
-mesh from one whole distance matrix and the reports' JSON dicts built
-field by field.
+mesh in row blocks and from one whole distance matrix, and the reports'
+JSON dicts built field by field.
 """
 
 from __future__ import annotations
@@ -550,17 +550,47 @@ def band_values_out_of_place(space, mu, p, candidates, origin):
 
 
 # ---------------------------------------------------------------------------
-# The full grid sweep replaced by the pruned grid search, the per-object
-# Wasserstein-1D grid replaced by one quantile table, and the quantile gap
-# kernel before its temporaries were computed in place.
+# The full grid sweep replaced by the pruned grid search, the merge loop of
+# ``Measure1D`` and the per-object Wasserstein-1D grid replaced by one
+# quantile table, and the quantile gap kernel before its temporaries were
+# computed in place.
 # ---------------------------------------------------------------------------
 
-def w1d_grid_per_object(axis, k):
-    """The Wasserstein-1D ``grid`` scheme on an axis, one ``Measure1D`` per
-    combination of k axis points, each merged by its own constructor."""
-    from frechet import Measure1D
+def measure1d_reference(atoms, weights=None):
+    """The atoms, weights and CDF breakpoints of a ``Measure1D``, from the
+    loop its constructor ran before ``spaces._merged_table`` built every
+    measure: a stable sort, then each atom within 1e-12 of its run's first
+    atom joins that run and adds its weight; the breakpoints are the
+    running sums, the last set to 1.0. Input is taken to be valid."""
+    atoms = np.asarray(atoms, dtype=float)
+    weights = (np.full(atoms.size, 1.0 / atoms.size) if weights is None
+               else np.asarray(weights, dtype=float))
+    order = np.argsort(atoms, kind="stable")
+    keep_atoms, keep_w = [], []
+    for a, w in zip(atoms[order], weights[order]):
+        if keep_atoms and abs(a - keep_atoms[-1]) <= 1e-12:
+            keep_w[-1] += w
+        else:
+            keep_atoms.append(float(a))
+            keep_w.append(float(w))
+    cum = np.cumsum(keep_w)
+    cum[-1] = 1.0
+    return np.asarray(keep_atoms), np.asarray(keep_w), cum
 
-    return [Measure1D(list(c)) for c in itertools.combinations_with_replacement(axis, k)]
+
+def reference_measure(atoms, weights=None):
+    """A ``Measure1D`` holding the arrays of ``measure1d_reference``, built
+    without the package's sort and merge."""
+    from frechet import Measure1D, QuantileTable
+
+    a, w, cum = measure1d_reference(atoms, weights)
+    return Measure1D._of(QuantileTable(a[None], w[None], cum[None], np.array([a.size])))
+
+
+def w1d_grid_per_object(axis, k):
+    """The Wasserstein-1D ``grid`` scheme on an axis, one measure per
+    combination of k axis points, each merged by ``measure1d_reference``."""
+    return [reference_measure(c) for c in itertools.combinations_with_replacement(axis, k)]
 
 
 def quantile_gap_integrals_out_of_place(atoms_x, cum_x, atoms_y, cum_y, q):
@@ -720,11 +750,28 @@ def measure_from_json_per_point(space, spec):
 
 
 # ---------------------------------------------------------------------------
-# The candidate mesh as one whole distance matrix, as ``estimate_resolution``
-# took it before its row blocks (when it refused more than 128 candidates),
-# and the reports' JSON dicts as they were built field by field before
-# ``dataclasses.asdict``.
+# The candidate mesh that the ``support`` scheme reported as its resolution
+# before its proven radius (``core.candidate_radius``), in row blocks and as
+# one whole distance matrix, as it was taken before its row blocks (when it
+# refused more than 128 candidates), and the reports' JSON dicts as they
+# were built field by field before ``dataclasses.asdict``.
 # ---------------------------------------------------------------------------
+
+def estimate_resolution(space, candidates):
+    """Mesh of a candidate set: the largest nearest-neighbor distance, with
+    the distance matrix taken in row blocks (``row_blocks``)."""
+    from frechet.core import as_sequence, row_blocks
+
+    candidates = as_sequence(candidates)
+    if len(candidates) == 1:
+        return 1e-12
+    nearest = np.empty(len(candidates))
+    for block in row_blocks(len(candidates), len(candidates)):
+        dm = space.pairwise_distances(candidates[block], candidates)
+        np.fill_diagonal(dm[:, block.start:], np.inf)
+        nearest[block] = np.min(dm, axis=1)
+    return float(max(np.max(nearest), 1e-12))
+
 
 def estimate_resolution_whole(space, candidates):
     if len(candidates) == 1:

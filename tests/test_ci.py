@@ -72,6 +72,7 @@ def test_run_values_are_plain_yaml_scalars():
     ("Cold ragged W1D mean", "frechet.cli.main"),
     ("Cold BW mean", "frechet.cli.main"),
     ("Cold support mean", "frechet.cli.main"),
+    ("Cold W1D diag", "frechet.cli.main"),
     ("Cold heavy-tail grid SLLN", "frechet.cli.main"),
     ("Group build", "tracemalloc"),
 ])
@@ -140,7 +141,7 @@ def test_cold_support_mean_step_reports_a_mean_over_200_atoms(tmp_path):
     subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
     report = summary.read_text().splitlines()[-1]
     assert re.fullmatch(r"support mean over 200 atoms exit 0, mean set size = [1-9]\d*, "
-                        r"resolution = \d\.\d+(e-?\d+)?, 0 numpy.ma modules loaded", report), report
+                        r"resolution = \d+\.\d+(e-?\d+)?, 0 numpy.ma modules loaded", report), report
 
 
 def test_warm_mean_step_reruns_one_out(tmp_path):
@@ -186,6 +187,21 @@ def test_cold_bw_mean_step_reports_the_sidecar_runtime(tmp_path):
     report = summary.read_text().splitlines()[-1]
     assert re.fullmatch(r"BW mean exit 0, runtime_seconds = \d+\.\d{4}, "
                         r"ru_maxrss = [\d.]+ MB", report), report
+
+
+def test_cold_w1d_diag_step_reports_the_sidecar_runtime_and_verdict(tmp_path):
+    # The step's own command, run as the runner would, with this
+    # interpreter first on PATH.
+    run = re.search(r"^\s*run:\s*(.+)$", _step("Cold W1D diag"), re.M).group(1)
+    assert "test_cli.cold_w1d_diag_arguments(" in run
+    assert "runtime_seconds" in run and "passed" in run
+    summary = tmp_path / "summary.md"
+    env = dict(os.environ, RUNNER_TEMP=str(tmp_path), GITHUB_STEP_SUMMARY=str(summary),
+               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
+    subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
+    report = summary.read_text().splitlines()[-1]
+    assert re.fullmatch(r"W1D diag over 1000 trials exit 0, runtime_seconds = \d+\.\d{4}, "
+                        r"passed = True", report), report
 
 
 def test_cold_heavy_tail_step_reports_the_sidecar_runtime(tmp_path):

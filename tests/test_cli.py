@@ -36,6 +36,9 @@ MEAN = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0,
 GAMMA = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0, "grid_step": 0.1,
          "measures": [{"support": [[0.0], [1.5]]}], "limit": {"support": [[0.0], [1.0]]}}
 DIAG = {"space": {"type": "spider", "legs": 3}, "trials": 1}
+# The metric axioms and functional identities on the Wasserstein-1D space,
+# where each single pair used to build its own one-row table.
+DIAG_W1D = {"space": {"type": "wasserstein1d", "q": 2.0}, "trials": 1000}
 _CONFIGS = {"mean": MEAN, "slln": SLLN, "ergodic": ERGODIC, "ldp": LDP, "gamma": GAMMA,
             "diag": DIAG}
 # (command, key, value): each value must be refused by name.
@@ -193,6 +196,14 @@ def cold_support_mean_arguments(workdir: Path) -> list[str]:
     plus ``.json``."""
     return ["mean", "--config", write_config(workdir, "support_config.json", MEAN_SUPPORT_200),
             "--out", str(workdir / "support")]
+
+
+def cold_w1d_diag_arguments(workdir: Path) -> list[str]:
+    """The CLI arguments that run ``DIAG_W1D`` into ``workdir``, for the
+    workflow's Cold W1D diag step; the sidecar is the last argument plus
+    ``.json``."""
+    return ["diag", "--config", write_config(workdir, "w1d_diag_config.json", DIAG_W1D),
+            "--out", str(workdir / "w1d_diag")]
 
 
 def cold_heavy_tail_slln_arguments(workdir: Path) -> list[str]:
@@ -703,19 +714,51 @@ def test_a_vector_support_mean_returns_exact_atoms(tmp_path):
     assert json.loads(Path(out + ".json").read_text())["result"]["mean_set"] == [[2.0], [1.0]]
 
 
-def test_a_support_mean_over_200_atoms_takes_the_whole_mesh(tmp_path):
+def test_a_support_mean_over_200_atoms_reports_the_proven_radius(tmp_path):
     # More than 128 candidates exited 2: "candidate set too large to
-    # estimate a resolution; pass resolution explicitly".
-    from frechet.spaces import EuclideanSpace
-    from oracles import estimate_resolution_whole
+    # estimate a resolution; pass resolution explicitly". The resolution was
+    # then the atoms' mesh; it is now 2 S(a)**(1/p) for the best atom a.
+    import numpy as np
 
     argv = cold_support_mean_arguments(tmp_path)
     assert main(argv) == EXIT_OK
     result = json.loads(Path(argv[-1] + ".json").read_text())["result"]
-    atoms = MEAN_SUPPORT_200["measure"]["support"]
+    atoms = np.array(MEAN_SUPPORT_200["measure"]["support"])
     assert len({tuple(a) for a in atoms}) == 200
-    assert result["resolution"] == estimate_resolution_whole(EuclideanSpace(2), atoms)
-    assert result["mean_set"] and all(x in atoms for x in result["mean_set"])
+    moments = (np.linalg.norm(atoms[:, None] - atoms[None], axis=-1) ** 2).mean(axis=1)
+    assert result["resolution"] == pytest.approx(2.0 * np.sqrt(moments.min()), rel=1e-11)
+    assert result["mean_set"] and all(x in atoms.tolist() for x in result["mean_set"])
+    mean = atoms.mean(axis=0)
+    assert min(np.linalg.norm(np.array(result["mean_set"]) - mean, axis=1)) <= result["resolution"]
+
+
+def test_a_support_mean_on_a_circle_covers_the_centre(tmp_path):
+    # The exact mean, the centre, lies 10 from every atom; the atoms' mesh,
+    # the resolution reported before, was 0.314.
+    import numpy as np
+
+    t = 2.0 * np.pi * np.arange(200) / 200
+    atoms = np.column_stack([10.0 * np.cos(t), 10.0 * np.sin(t)]).tolist()
+    cfg = write_config(tmp_path, "circle.json", {
+        "space": {"type": "euclidean", "dim": 2}, "p": 2.0, "scheme": "support",
+        "measure": {"support": atoms}})
+    code, out = run(tmp_path, "mean", cfg)
+    assert code == EXIT_OK
+    result = json.loads(Path(out + ".json").read_text())["result"]
+    assert 10.0 <= result["resolution"] == pytest.approx(2.0 * np.sqrt(200.0), rel=1e-11)
+
+
+def test_a_solver_seeded_mean_reports_the_radius_of_its_best_seed(tmp_path):
+    # Diracs at 0 and 1: the barycenter seed, the Dirac at 0.5, is the band,
+    # with S = 0.25 and so a radius of 2 * 0.25**(1/2) = 1.
+    cfg = write_config(tmp_path, "seeded.json", {
+        "space": {"type": "wasserstein1d", "q": 2.0}, "p": 2.0, "scheme": "solver-seeded",
+        "measure": {"support": [{"atoms": [0.0]}, {"atoms": [1.0]}]}})
+    code, out = run(tmp_path, "mean", cfg)
+    assert code == EXIT_OK
+    result = json.loads(Path(out + ".json").read_text())["result"]
+    assert result["mean_set"] == [{"atoms": [0.5], "weights": [1.0]}]
+    assert result["resolution"] == pytest.approx(1.0, rel=1e-11)
 
 
 @pytest.mark.parametrize("command,payload", [

@@ -16,8 +16,8 @@ from frechet import (
 )
 from frechet.core import (
     SWEEP_BLOCK_ENTRIES,
+    candidate_radius,
     cocycle_gap,
-    estimate_resolution,
     power_bound_slack,
     renorm_bound_slack,
     row_blocks,
@@ -25,7 +25,7 @@ from frechet.core import (
 )
 
 from conftest import all_spaces, pt
-from oracles import estimate_resolution_whole, scan_objective_1d
+from oracles import estimate_resolution, estimate_resolution_whole, scan_objective_1d
 
 
 def uniform_line(space, values):
@@ -307,6 +307,9 @@ class TestValidation:
 
 
 class TestEstimateResolution:
+    """The support scheme's former mesh, now ``tests/oracles.py``'s, in row
+    blocks against one whole matrix."""
+
     @pytest.mark.parametrize("space", all_spaces(), ids=lambda s: type(s).__name__)
     def test_up_to_128_candidates_it_is_the_whole_matrix_formula(self, space):
         # Up to 128 candidates the mesh was taken from one whole matrix.
@@ -323,3 +326,40 @@ class TestEstimateResolution:
         points = np.vstack([np.random.default_rng(13).standard_cauchy((1099, 1)), [[1e9]]])
         assert len(row_blocks(len(points), len(points))) == 2
         assert estimate_resolution(line, points) == estimate_resolution_whole(line, points)
+
+
+def _support_band(space, mu, config):
+    """The ``support`` scheme's band with ``candidate_radius`` as its resolution."""
+    band = relaxed_mean_set(space, mu, config, space.candidates(mu, "support"), resolution=0.0)
+    return band, candidate_radius(space, mu, config, band.achieved_value)
+
+
+class TestCandidateRadius:
+    """Every minimizer lies within ``candidate_radius`` of the band."""
+
+    @given(dim=st.integers(1, 4), n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    @settings(max_examples=60, deadline=None)
+    def test_weighted_average_at_p2(self, dim, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        space = EuclideanSpace(dim)
+        atoms = scale * rng.standard_cauchy((n, dim))
+        w = rng.dirichlet(np.ones(n))
+        mu = DiscreteMeasure.from_weights(space, atoms, w)
+        band, radius = _support_band(space, mu, FrechetConfig(p=2.0))
+        mean = w @ atoms / w.sum()
+        assert min(np.linalg.norm(np.asarray(band.points) - mean, axis=1)) <= radius
+
+    @given(atoms=st.lists(st.floats(-5, 5), min_size=1, max_size=8),
+           p=st.sampled_from([1.0, 1.5, 3.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_line_scan_minimizers(self, atoms, p):
+        line = EuclideanSpace(1)
+        mu = uniform_line(line, atoms)
+        band, radius = _support_band(line, mu, FrechetConfig(p=p))
+        step = 0.01
+        grid = np.arange(min(atoms) - step, max(atoms) + 2 * step, step)
+        _, _, argmin = scan_objective_1d(atoms, [1.0 / len(atoms)] * len(atoms), grid, p)
+        kept = np.asarray(band.points)[:, 0]
+        for x in argmin:
+            assert min(abs(kept - x)) <= radius + step

@@ -16,7 +16,7 @@ from frechet import (EuclideanSpace, LqSequenceSpace, Measure1D, QuantileTable, 
 from frechet.cli import _json_numbers, _measure_from_json
 from frechet.core import ConfigurationError
 
-from oracles import measure_from_json_per_point
+from oracles import measure_from_json_per_point, reference_measure
 
 
 def _outcome(decode, space, spec):
@@ -203,7 +203,7 @@ def _valid_members(draw):
 @given(members=_valid_members())
 def test_valid_members_decode_to_the_table_of_their_measures(members):
     got = Wasserstein1D(q=2.0).points_from_json(members)
-    want = QuantileTable.of([Measure1D(m["atoms"], m.get("weights")) for m in members])
+    want = QuantileTable.of([reference_measure(m["atoms"], m.get("weights")) for m in members])
     assert isinstance(got, QuantileTable)
     for name in ("atoms", "weights", "cum", "counts"):
         _same_bits(getattr(got, name), getattr(want, name))

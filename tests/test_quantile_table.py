@@ -1,7 +1,10 @@
-"""Wasserstein-1D grids as one quantile table: the table against the
-per-object grid it replaced (``tests/oracles.py``), the band of
-``grid_mean_set`` against ``grid_oracle`` over that list, and the kernel's
-shared breakpoint sorts against unshared ones."""
+"""Wasserstein-1D measures and grids as quantile tables: ``Measure1D`` and
+the grid's rows against the merge loop and the per-object grid they
+replaced (``tests/oracles.py``), the band of ``grid_mean_set`` against
+``grid_oracle`` over that list, and the kernel's shared breakpoint sorts
+against unshared ones."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -19,17 +22,25 @@ from frechet import (
     grid_oracle,
 )
 from frechet import spaces
-from frechet.spaces import _axis_grid, _grid_table
+from frechet.spaces import _axis_grid, _grid_rows
 
-from oracles import w1d_grid_per_object, wasserstein1d_pair
+from oracles import measure1d_reference, w1d_grid_per_object, wasserstein1d_pair
 
 
 def _same_measure(a, b):
-    """Bit for bit: the same float arrays, shapes and dtypes."""
-    for name in ("atoms", "weights", "_cum"):
-        x, y = getattr(a, name), getattr(b, name)
+    """Bit for bit: the same float arrays, shapes and dtypes. ``b`` is a
+    measure or the (atoms, weights, breakpoints) of ``measure1d_reference``."""
+    want = (b.atoms, b.weights, b._cum) if isinstance(b, Measure1D) else b
+    for name, x, y in zip(("atoms", "weights", "_cum"), (a.atoms, a.weights, a._cum), want):
         assert x.dtype == y.dtype == float and x.shape == y.shape, name
         assert x.tobytes() == y.tobytes(), (name, x, y)
+
+
+def _cone_table(axis, k):
+    """The chart's rows of every nondecreasing index tuple of k axis points,
+    in ``combinations_with_replacement`` order, as one table."""
+    index = list(itertools.combinations_with_replacement(range(len(axis)), k))
+    return _grid_rows(axis, np.array(index, dtype=np.intp).reshape(-1, k))
 
 
 @st.composite
@@ -42,8 +53,62 @@ def _measure(draw, max_atoms=3):
     return Measure1D(atoms, w)
 
 
+@st.composite
+def _raw_measure(draw):
+    """Atoms in any order, some 0, 5e-13, 1e-12 or 2e-12 above an earlier
+    one (which merge or do not, by the chain rule), and weights or None."""
+    atoms = draw(st.lists(st.floats(-3, 3), min_size=1, max_size=6))
+    for i in range(1, len(atoms)):
+        if draw(st.booleans()):
+            atoms[i] = atoms[i - 1] + draw(st.sampled_from([0.0, 5e-13, 1e-12, 2e-12]))
+    atoms = draw(st.permutations(atoms))
+    if not draw(st.booleans()):
+        return atoms, None
+    w = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=len(atoms),
+                                 max_size=len(atoms))))
+    w = w / w.sum()
+    w[-1] = 1.0 - float(w[:-1].sum())
+    return atoms, w.tolist()
+
+
+class TestMeasure1D:
+    """``Measure1D`` is row 0 of its one-row table, built by ``_merged_table``,
+    against the merge loop it replaced (``oracles.measure1d_reference``)."""
+
+    @given(raw=_raw_measure())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_merge_loop_bit_for_bit(self, raw):
+        m = Measure1D(*raw)
+        _same_measure(m, measure1d_reference(*raw))
+        assert m.table.counts.tolist() == [m.atoms.size]
+        for name, a in (("atoms", m.atoms), ("weights", m.weights), ("cum", m._cum)):
+            assert np.shares_memory(a, getattr(m.table, name)) and m.table.atoms.shape[0] == 1
+
+    def test_chain_rule_merges_against_the_run_start(self):
+        m = Measure1D([1.2e-12, 0.0, 6e-13], [0.5, 0.25, 0.25])
+        assert m.atoms.tolist() == [0.0, 1.2e-12] and m.weights.tolist() == [0.5, 0.5]
+        _same_measure(m, measure1d_reference([1.2e-12, 0.0, 6e-13], [0.5, 0.25, 0.25]))
+
+    def test_one_measure_is_its_own_table(self):
+        m = Measure1D([0.5, -1.0, 2.0], [0.2, 0.3, 0.5])
+        assert QuantileTable.of([m]) is m.table
+        assert len(QuantileTable.of([m, m])) == 2
+
+    def test_a_distance_builds_no_table(self, monkeypatch):
+        space = Wasserstein1D(q=2.0)
+        x, y = Measure1D([0.0, 1.0, 3.0]), Measure1D([0.5, 2.0], [0.25, 0.75])
+        want = wasserstein1d_pair(x, y, 2.0)
+        calls = []
+        merged = spaces._merged_table
+        monkeypatch.setattr(spaces, "_merged_table",
+                            lambda *args: calls.append(args) or merged(*args))
+        got = space.distance(x, y)
+        assert calls == []
+        assert abs(got - want) <= 1e-12 * (1.0 + want)
+
+
 class TestGridTable:
-    """``_grid_table`` rows against one ``Measure1D`` per combination."""
+    """The cone's rows against one reference measure per combination."""
 
     @given(lo=st.floats(-1e3, 1e3), n=st.integers(1, 7), k=st.integers(1, 4),
            step=st.sampled_from([2e-13, 4e-13, 5e-13, 7e-13, 1e-12, 1.3e-12, 0.01, 0.25]))
@@ -53,7 +118,7 @@ class TestGridTable:
         # (each atom against its run's first); at |lo| near 1e3 the axis
         # points are a few ulps apart and some coincide.
         axis = lo + step * np.arange(n)
-        table = _grid_table(axis, k)
+        table = _cone_table(axis, k)
         reference = w1d_grid_per_object(axis, k)
         assert len(table) == len(reference)
         for row, m in zip(table, reference):
@@ -63,13 +128,13 @@ class TestGridTable:
         # 0, 6e-13, 1.2e-12: the second joins the first; the third is more
         # than 1e-12 from the run's first atom, so it starts a new run even
         # though it is within 1e-12 of the second.
-        table = _grid_table(np.array([0.0, 6e-13, 1.2e-12]), 3)
+        table = _cone_table(np.array([0.0, 6e-13, 1.2e-12]), 3)
         row = table[4]  # (0, 6e-13, 1.2e-12)
         assert row.atoms.tolist() == [0.0, 1.2e-12]
-        _same_measure(row, Measure1D([0.0, 6e-13, 1.2e-12]))
+        _same_measure(row, measure1d_reference([0.0, 6e-13, 1.2e-12]))
 
     def test_padding_and_indexing(self):
-        table = _grid_table(np.array([0.0, 1.0, 2.0]), 2)
+        table = _cone_table(np.array([0.0, 1.0, 2.0]), 2)
         assert table.counts.tolist() == [1, 2, 2, 1, 2, 1]
         # A single-atom row repeats its atom, weighs 0.0 and breaks at 1.0.
         assert table.atoms[0].tolist() == [0.0, 0.0]
@@ -82,10 +147,16 @@ class TestGridTable:
         assert isinstance(row, Measure1D) and row.atoms.tolist() == [2.0]
         row.atoms[0] = 5.0  # a row is a copy
         assert table.atoms[-1, 0] == 2.0
+        # ... of its one row only, cut to its count.
+        assert row.table.atoms.shape == (1, 1) and row.table.counts.tolist() == [1]
+        assert not any(np.shares_memory(getattr(row.table, name), getattr(table, name))
+                       for name in ("atoms", "weights", "cum", "counts"))
 
     def test_no_atoms_is_refused(self):
+        space = Wasserstein1D(q=2.0)
+        mu = DiscreteMeasure.uniform(space, [Measure1D([0.0, 1.0])])
         with pytest.raises(ValueError, match="at least one atom"):
-            _grid_table(np.array([0.0, 1.0]), 0)
+            space.candidates(mu, "grid", step=0.5, atom_count=0)
 
     def test_candidates_are_the_table_rows(self):
         space = Wasserstein1D(q=2.0)
@@ -133,7 +204,7 @@ class TestGridMeanSet:
             lambda cls, *arrays: built.append(arrays) or of(cls, *arrays)))
         monkeypatch.setattr(spaces.Measure1D, "__init__", _refuse)
         band = grid_mean_set(space, mu, FrechetConfig(p=2.0, epsilon=0.01), 0.05, 0.5)
-        assert len(built) == len(band.points) < len(_grid_table(_axis_grid(-0.5, 2.5, 0.05), 2))
+        assert len(built) == len(band.points) < len(_cone_table(_axis_grid(-0.5, 2.5, 0.05), 2))
 
     def test_non_measure_support_is_refused(self):
         space = Wasserstein1D(q=2.0)
@@ -175,7 +246,7 @@ class TestSharedSorts:
 
     def test_grid_rows_against_the_pair_reference(self):
         space = Wasserstein1D(q=2.0)
-        table = _grid_table(_axis_grid(-1.0, 1.0, 0.25), 3)
+        table = _cone_table(_axis_grid(-1.0, 1.0, 0.25), 3)
         ys = [Measure1D([-0.3, 0.2, 0.9], [0.2, 0.5, 0.3]), Measure1D([0.1])]
         dm = space.pairwise_distances(table, ys)
         for i in range(len(table)):

@@ -53,7 +53,7 @@ class TestGridOracle:
     def test_empty_grid_rejected(self, line):
         mu = uniform_line(line, [0.0])
         with pytest.raises(ValueError):
-            grid_oracle(line, mu, FrechetConfig(p=2.0), [])
+            grid_oracle(line, mu, FrechetConfig(p=2.0), [], resolution=0.1)
 
 
 class TestWeiszfeld:

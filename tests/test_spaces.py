@@ -628,6 +628,20 @@ class TestContainsAll:
         assert space.contains(x) is False
         assert space.contains_all([x]) is False
 
+    def test_strings_and_bools_are_not_points(self):
+        # np.asarray(..., dtype=float) read "1" as 1.0 and True as 1.0.
+        plane, bw = EuclideanSpace(dim=2), BuresWassersteinSpace(dim=1)
+        assert plane.contains(["1", "2"]) is False
+        assert plane.contains([True, False]) is False
+        assert bw.contains([["2"]]) is False and bw.contains([[True]]) is False
+        assert plane.contains_all([pt(1.0, 2.0), ["1", "2"]]) is False
+        with pytest.raises(ConfigurationError):
+            DiscreteMeasure.uniform(EuclideanSpace(dim=1), [["1"], ["2"]])
+        # A number among them makes one numeric array: True is then 1.0.
+        assert plane.contains([1.0, True]) is True
+        # Integers past int64 stack as objects, and are still numbers.
+        assert plane.contains_all([[1, 2], [2 ** 70, 0]]) is True
+
     def test_measure_rejects_nonfinite_support(self, line):
         with pytest.raises(ConfigurationError):
             DiscreteMeasure.uniform(line, [pt(0.0), pt(_NAN)])

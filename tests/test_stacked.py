@@ -26,7 +26,8 @@ from frechet import spaces
 from frechet.core import _band_values, as_sequence
 
 from conftest import pt
-from oracles import band_values_out_of_place, box_grid, box_grid_list, vector_kernel_from_zeros
+from oracles import (band_values_out_of_place, box_grid, box_grid_list, measure1d_reference,
+                     vector_kernel_from_zeros)
 from test_spaces import _dedup_spaces
 
 VECTOR_SPACES = [EuclideanSpace(1), EuclideanSpace(2), EuclideanSpace(3), EuclideanSpace(10),
@@ -100,13 +101,16 @@ class TestStackedMeasure:
     def test_wasserstein1d_stacks_one_quantile_table(self):
         space = Wasserstein1D(q=2.0)
         rng = np.random.default_rng(4)
-        mu = DiscreteMeasure.uniform(space, [space.sample_point(rng) for _ in range(5)])
-        assert isinstance(mu.stacked, QuantileTable) and len(mu.stacked) == 5
+        raw = [(rng.normal(size=k), rng.dirichlet(np.ones(k))) for k in (1, 3, 2, 3, 1)]
+        raw.append(([1.0, 0.0, 1.0 + 5e-13], None))  # a merge
+        mu = DiscreteMeasure.uniform(space, [Measure1D(a, w) for a, w in raw])
+        assert isinstance(mu.stacked, QuantileTable) and len(mu.stacked) == 6
         assert space.stack(mu.stacked) is mu.stacked
-        for i, m in enumerate(mu.support):
+        for i, (a, w) in enumerate(raw):
             row = mu.stacked[i]
-            for name in ("atoms", "weights", "_cum"):
-                assert np.array_equal(getattr(row, name), getattr(m, name))
+            for name, x, y in zip(("atoms", "weights", "_cum"),
+                                  (row.atoms, row.weights, row._cum), measure1d_reference(a, w)):
+                assert x.tobytes() == y.tobytes(), name
 
     # Exception types the per-point membership loop gives; None: accepted.
     BAD_SUPPORTS = [
