@@ -9,7 +9,7 @@ sequences of measures whose mean sets should converge.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,9 +37,9 @@ class ConvergenceReport:
     sample_sizes: list[int]
     dvec: list[float]
     moments: list[float]
-    runtimes: list[float] = field(default_factory=list)
-    verdicts: dict = field(default_factory=dict)
-    seed: int = 0
+    runtimes: list[float]
+    verdicts: dict
+    seed: int
 
     def __post_init__(self):
         n = len(self.sample_sizes)
@@ -48,10 +48,9 @@ class ConvergenceReport:
                 raise ValueError(f"{name} must align with sample_sizes")
 
     def rows(self) -> list[dict]:
-        rt = self.runtimes if self.runtimes else [float("nan")] * len(self.sample_sizes)
         return [
             {"n": n, "dvec": d, "bl": float("nan"), "moment_gap": m, "runtime": r}
-            for n, d, m, r in zip(self.sample_sizes, self.dvec, self.moments, rt)
+            for n, d, m, r in zip(self.sample_sizes, self.dvec, self.moments, self.runtimes)
         ]
 
     def to_json_dict(self) -> dict:
@@ -96,7 +95,8 @@ def gamma_convergence_probe(space: Space, mu_sequence: Sequence[DiscreteMeasure]
     limit_band = band_for(mu_limit, 0.0)
 
     sizes, dvecs, moments_, runtimes = [], [], [], []
-    origin = mu_limit.support[0]
+    origin, order = mu_limit.support[0], max(p - 1.0, 0.0)
+    limit_moment = moment(space, mu_limit, order, origin)
     for idx, (mu, eps) in enumerate(zip(mu_sequence, eps_sequence)):
         t0 = time.perf_counter()
         band = band_for(mu, eps)
@@ -104,9 +104,8 @@ def gamma_convergence_probe(space: Space, mu_sequence: Sequence[DiscreteMeasure]
         runtimes.append(time.perf_counter() - t0)
         sizes.append(idx + 1)
         dvecs.append(dvec)
-        moments_.append(abs(moment(space, mu, max(p - 1.0, 0.0), origin)
-                            - moment(space, mu_limit, max(p - 1.0, 0.0), origin)))
-        combined = band.resolution + limit_band.resolution
+        moments_.append(abs(moment(space, mu, order, origin) - limit_moment))
+    combined = band.resolution + limit_band.resolution
     verdicts = {
         "final_below_combined_resolution": dvecs[-1] <= combined + 1e-9,
         "trailing_not_worse_than_start": dvecs[-1] <= dvecs[0] + 1e-9,

@@ -28,14 +28,12 @@ from .core import (
     Space,
     _band_values,
     _check_pair,
-    as_sequence,
     band_cut,
     degenerate_band,
     origin_shift,
     relaxed_mean_set,
 )
-from .spaces import (BuresWassersteinSpace, EuclideanSpace, GridChart, Wasserstein1D,
-                     _spectral_root, _VectorSpace, matrix_sqrt)
+from .spaces import BuresWassersteinSpace, EuclideanSpace, GridChart, _spectral_root, matrix_sqrt
 
 __all__ = [
     "SolverConfig",
@@ -71,9 +69,6 @@ def grid_oracle(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     This is the independent reference for every other solver; it never
     delegates to them.
     """
-    grid = as_sequence(grid)
-    if len(grid) == 0:
-        raise ValueError("grid must be nonempty")
     return relaxed_mean_set(space, mu, config, grid, resolution=resolution)
 
 
@@ -98,22 +93,19 @@ def grid_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
         grid = space.grid_stack(mu, step, pad)
         return grid_oracle(space, mu, config, grid[_bw_screen(space, mu, config, grid)],
                            resolution=step)
-    if not isinstance(space, (_VectorSpace, Wasserstein1D)):
+    if not hasattr(space, "grid_chart"):
         return grid_oracle(space, mu, config, space.candidates(mu, "grid", step=step, pad=pad),
                            resolution=step)
     _check_pair(space, mu)
-    # An l_q^d box holds every minimizer (clamping to it shrinks each
-    # coordinate gap) and covers it within half a cell's diagonal.
-    resolution = step if isinstance(space, Wasserstein1D) else max(
-        step, step / 2.0 * space._length ** (1.0 / space.q))
-    short = degenerate_band(space, mu, config, resolution)
+    chart = space.grid_chart(mu, step, pad)
+    short = degenerate_band(space, mu, config, chart.resolution)
     if short is not None:
         return short
-    return _pruned_band(space, mu, config, space.grid_chart(mu, step, pad), resolution)
+    return _pruned_band(space, mu, config, chart)
 
 
 def _pruned_band(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
-                 chart: GridChart, resolution: float) -> MeanSetApprox:
+                 chart: GridChart) -> MeanSetApprox:
     """The epsilon-band over the grid of a ``GridChart``, by splitting index
     cells into up to ``splits`` ranges per axis and level; grid points are
     built from their indices (``chart.rows``) when needed.
@@ -206,7 +198,7 @@ def _pruned_band(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     at, values = at[order], values[order]
     achieved = float(values.min())
     kept = np.flatnonzero(values <= band_cut(achieved, eps))
-    return MeanSetApprox(tuple(chart.rows(at[kept])), resolution, achieved)
+    return MeanSetApprox(tuple(chart.rows(at[kept])), chart.resolution, achieved)
 
 
 def _center_box(space: Space, mu: DiscreteMeasure, config: FrechetConfig, chart: GridChart,

@@ -79,7 +79,8 @@ class GridChart:
     their points, ``radius(lo, hi, rep)`` bounds the distance from ``rep``
     to each point of the cell [lo, hi), ``clip(lo, hi)`` (if set) cuts
     cells to the boxes of their points, and a kernel distance is within
-    ``rounding`` 2**-53 of its exact value, relatively. Searched by
+    ``rounding`` 2**-53 of its exact value, relatively. ``resolution`` is
+    the covering radius its band reports. Searched by
     ``solvers._pruned_band``.
 
     ``center()`` (flat charts) gives (c, scale, slack): index tuples a
@@ -92,6 +93,7 @@ class GridChart:
     rows: Callable
     radius: Callable
     rounding: float
+    resolution: float
     clip: Callable | None = None
     center: Callable | None = None
 
@@ -175,7 +177,10 @@ class _VectorSpace(Space):
             return np.add(out, lows, out=out)
 
         flat = isinstance(self, EuclideanSpace)
-        return GridChart(sizes, rows, radius, self._length + 3,
+        # The box holds every minimizer (clamping to it shrinks each
+        # coordinate gap) and covers it within half a cell's diagonal.
+        resolution = max(step, step / 2.0 * self._length ** (1.0 / self.q))
+        return GridChart(sizes, rows, radius, self._length + 3, resolution,
                          center=(lambda: _box_center(mu, lows, sizes, step)) if flat else None)
 
     def sample_point(self, rng: np.random.Generator, scale: float = 1.0):
@@ -593,7 +598,9 @@ class Wasserstein1D(Space):
         distance from its tuple. That is below 2e-12 (a merged atom is its
         run's first) plus the axis span times the 1/q-th power of
         4 k (k - 1) 2**-53, the measure on which breakpoints rounded to
-        within 2 k 2**-53 of j/k can change an atom's index."""
+        within 2 k 2**-53 of j/k can change an atom's index. The band
+        reports ``step`` as its ``resolution``, which no proof yet shows
+        to cover a minimizer."""
         if atom_count < 1:
             raise ValueError("a 1-D measure needs at least one atom")
         axis, k, q = self._grid_axis(mu, step, pad), atom_count, self.q
@@ -607,7 +614,7 @@ class Wasserstein1D(Space):
         # Relative error of a kernel distance: k + m breakpoint intervals
         # (m the widest member), each a rounded gap power times a width.
         return GridChart([len(axis)] * k, lambda index: _grid_rows(axis, index), radius,
-                         k + mu.stacked.atoms.shape[1] + 4, _cone_clip, center)
+                         k + mu.stacked.atoms.shape[1] + 4, step, _cone_clip, center)
 
     def candidates(self, mu: DiscreteMeasure, scheme: str = "support", *,
                    step: float | None = None, pad: float = 0.0,

@@ -1,8 +1,9 @@
 """Grids searched as charts of integer index tuples (``spaces.GridChart``):
 the Wasserstein-1D cone against the full sweep it replaced, its cells and
-radii, the quantile gap kernel against its out-of-place form
-(``tests/oracles.py``), and the Bures-Wasserstein grid swept as one
-stacked array with one stacked membership check."""
+radii, the covering radius each chart reports, the quantile gap kernel
+against its out-of-place form (``tests/oracles.py``), and the
+Bures-Wasserstein grid swept as one stacked array with one stacked
+membership check."""
 
 import itertools
 import math
@@ -15,9 +16,12 @@ from hypothesis import strategies as st
 from frechet import (
     BuresWassersteinSpace,
     DiscreteMeasure,
+    EuclideanSpace,
     FrechetConfig,
+    LqSequenceSpace,
     Measure1D,
     QuantileTable,
+    SpiderSpace,
     Wasserstein1D,
     grid_mean_set,
     grid_oracle,
@@ -37,7 +41,7 @@ def _cone_band(space, mu, config, step, pad, k):
     if short is not None:
         return short
     chart = space.grid_chart(mu, step, pad, atom_count=k)
-    return solvers._pruned_band(space, mu, config, chart, step)
+    return solvers._pruned_band(space, mu, config, chart)
 
 
 def _full_sweep(space, mu, config, step, pad, k):
@@ -197,6 +201,26 @@ class TestCells:
         d = space.pairwise_distances(chart.rows(inside), chart.rows(rep))[:, 0]
         r = chart.radius(cell_lo, cell_hi, rep)[0]
         assert d.max() <= r * (1.0 + 2.0 ** -40)
+
+
+class TestResolution:
+    # The covering radius a band reports is its chart's: the l_q box's half
+    # cell diagonal, at least the step, and the W1D cone's step. The spider
+    # has no chart, and its band reports the step.
+    @pytest.mark.parametrize("space,want", [
+        (EuclideanSpace(dim=1), 0.25), (EuclideanSpace(dim=5), 0.125 * 5 ** 0.5),
+        (LqSequenceSpace(truncation=4, q=1.5), 0.125 * 4 ** (1 / 1.5)),
+        (LqSequenceSpace(truncation=3, q=4.0), 0.25),  # 0.125 * 3 ** 0.25 < 0.25
+        (Wasserstein1D(q=1.0), 0.25), (Wasserstein1D(q=2.0), 0.25), (SpiderSpace(legs=3), 0.25)])
+    def test_band_reports_its_charts_covering_radius(self, space, want):
+        points = {Wasserstein1D: [Measure1D([0.0, 1.0]), Measure1D([0.5])],
+                  SpiderSpace: [(0, 1.0), (1, 1.0), (2, 1.0)]}.get(type(space))
+        mu = DiscreteMeasure.uniform(space, points or [np.zeros(space._length),
+                                                       np.ones(space._length)])
+        charts = [space.grid_chart(mu, 0.25, 0.5)] if hasattr(space, "grid_chart") else []
+        band = grid_mean_set(space, mu, FrechetConfig(p=2.0, epsilon=0.01), 0.25, 0.5)
+        assert [c.resolution for c in charts] + [band.resolution] == [want] * (len(charts) + 1)
+        assert len(charts) == (not isinstance(space, SpiderSpace)) and len(band.points) > 0
 
 
 class TestGapKernel:

@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import cold_runs
+from conftest import fresh_env
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
 
@@ -63,24 +66,20 @@ def test_run_values_are_plain_yaml_scalars():
     assert [line for line in _run_lines() if ": " in line or " #" in line] == []
 
 
-@pytest.mark.parametrize("name,reports", [
-    ("Source size", "wc -l src/frechet/*.py"),
-    ("Start-up", "import frechet.cli"),
-    ("Cold experiment", "frechet.cli.main"),
-    ("Cold mean", "frechet.cli.main"),
-    ("Warm mean", "cli.main(a)"),
-    ("Cold ragged W1D mean", "frechet.cli.main"),
-    ("Cold BW mean", "frechet.cli.main"),
-    ("Cold support mean", "frechet.cli.main"),
-    ("Cold W1D diag", "frechet.cli.main"),
-    ("Cold heavy-tail grid SLLN", "frechet.cli.main"),
-    ("Group build", "tracemalloc"),
-])
+@pytest.mark.parametrize("name,reports", [("Source size", "wc -l src/frechet/*.py"),
+                                          ("Cold runs", "python tests/cold_runs.py"),
+                                          ("Group build", "tracemalloc")])
 def test_summary_step_runs_always(name, reports):
     step = _step(name)
     assert re.search(r"^\s*if: always\(\)$", step, re.M)
     run = re.search(r"^\s*run:\s*(.+)$", step, re.M).group(1)
     assert reports in run and run.endswith('>> "$GITHUB_STEP_SUMMARY"')
+
+
+def test_the_cli_runs_only_from_the_cold_runs_table():
+    # A new cold run is a row of tests/cold_runs.py, not another step.
+    assert [line for line in _run_lines() if "frechet.cli" in line or "cli.main" in line] == []
+    assert sum("tests/cold_runs.py" in line for line in _run_lines()) == 1
 
 
 def test_source_size_step_lists_every_module_and_the_total(tmp_path):
@@ -96,127 +95,19 @@ def test_source_size_step_lists_every_module_and_the_total(tmp_path):
     assert counts == {**modules, "total": sum(modules.values())}
 
 
-def test_start_up_step_lists_the_loaded_frechet_modules():
-    run = re.search(r"^\s*run:\s*(.+)$", _step("Start-up"), re.M).group(1)
-    assert run.startswith("PYTHONPATH=src python -c ") and "sys.modules" in run
-
-
-def test_cold_experiment_step_reports_no_scipy_for_the_golden_slln(tmp_path):
-    # The step's own command, run as the runner would, with this
-    # interpreter first on PATH.
-    run = re.search(r"^\s*run:\s*(.+)$", _step("Cold experiment"), re.M).group(1)
-    assert "test_golden._arguments('slln'" in run and "ru_maxrss" in run
-    summary = tmp_path / "summary.md"
-    env = dict(os.environ, RUNNER_TEMP=str(tmp_path), GITHUB_STEP_SUMMARY=str(summary),
-               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
-    subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
-    report = summary.read_text().splitlines()[-1]
-    assert report.startswith("golden slln exit 0, ru_maxrss = ")
-    assert report.endswith(" MB, 0 scipy modules loaded")
-
-
-def test_cold_mean_step_reports_no_numpy_ma_for_a_wasserstein1d_mean(tmp_path):
-    # The step's own command, run as the runner would, with this
-    # interpreter first on PATH.
-    run = re.search(r"^\s*run:\s*(.+)$", _step("Cold mean"), re.M).group(1)
-    assert "test_cli.cold_mean_arguments(" in run
-    assert "ru_maxrss" in run and "ru_minflt" in run
-    summary = tmp_path / "summary.md"
-    env = dict(os.environ, RUNNER_TEMP=str(tmp_path), GITHUB_STEP_SUMMARY=str(summary),
-               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
-    subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
-    report = summary.read_text().splitlines()[-1]
-    assert re.fullmatch(r"W1D mean exit 0, ru_maxrss = [\d.]+ MB, ru_minflt = \d+, "
-                        r"0 numpy.ma modules loaded", report), report
-
-
-def test_cold_support_mean_step_reports_a_mean_over_200_atoms(tmp_path):
-    # The step's own command, run as the runner would, with this
-    # interpreter first on PATH. More than 128 candidates used to exit 2.
-    run = re.search(r"^\s*run:\s*(.+)$", _step("Cold support mean"), re.M).group(1)
-    assert "test_cli.cold_support_mean_arguments(" in run
-    summary = tmp_path / "summary.md"
-    env = dict(os.environ, RUNNER_TEMP=str(tmp_path), GITHUB_STEP_SUMMARY=str(summary),
-               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
-    subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
-    report = summary.read_text().splitlines()[-1]
-    assert re.fullmatch(r"support mean over 200 atoms exit 0, mean set size = [1-9]\d*, "
-                        r"resolution = \d+\.\d+(e-?\d+)?, 0 numpy.ma modules loaded", report), report
-
-
-def test_warm_mean_step_reruns_one_out(tmp_path):
-    # The step's own command, run as the runner would, with this
-    # interpreter first on PATH.
-    run = re.search(r"^\s*run:\s*(.+)$", _step("Warm mean"), re.M).group(1)
-    assert "test_cli.cold_mean_arguments(" in run and "range(20)" in run
-    summary = tmp_path / "summary.md"
-    env = dict(os.environ, RUNNER_TEMP=str(tmp_path), GITHUB_STEP_SUMMARY=str(summary),
-               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
-    subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
-    report = summary.read_text().splitlines()
-    assert len(report) == 1, report
-    assert re.fullmatch(r"W1D mean x20 into one out, exits \[0\], median call = \d+\.\d{2} ms, "
-                        r"last result equals first = True", report[0]), report
-
-
-def test_cold_ragged_mean_step_reports_the_sidecar_runtime(tmp_path):
-    # The step's own command, run as the runner would, with this
-    # interpreter first on PATH.
-    run = re.search(r"^\s*run:\s*(.+)$", _step("Cold ragged W1D mean"), re.M).group(1)
-    assert "test_cli.cold_ragged_mean_arguments(" in run
-    assert "runtime_seconds" in run and "ru_maxrss" in run
-    summary = tmp_path / "summary.md"
-    env = dict(os.environ, RUNNER_TEMP=str(tmp_path), GITHUB_STEP_SUMMARY=str(summary),
-               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
-    subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
-    report = summary.read_text().splitlines()[-1]
-    assert re.fullmatch(r"ragged W1D mean exit 0, runtime_seconds = \d+\.\d{4}, "
-                        r"ru_maxrss = [\d.]+ MB", report), report
-
-
-def test_cold_bw_mean_step_reports_the_sidecar_runtime(tmp_path):
-    # The step's own command, run as the runner would, with this
-    # interpreter first on PATH.
-    run = re.search(r"^\s*run:\s*(.+)$", _step("Cold BW mean"), re.M).group(1)
-    assert "test_cli.cold_bw_mean_arguments(" in run
-    assert "runtime_seconds" in run and "ru_maxrss" in run
-    summary = tmp_path / "summary.md"
-    env = dict(os.environ, RUNNER_TEMP=str(tmp_path), GITHUB_STEP_SUMMARY=str(summary),
-               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
-    subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
-    report = summary.read_text().splitlines()[-1]
-    assert re.fullmatch(r"BW mean exit 0, runtime_seconds = \d+\.\d{4}, "
-                        r"ru_maxrss = [\d.]+ MB", report), report
-
-
-def test_cold_w1d_diag_step_reports_the_sidecar_runtime_and_verdict(tmp_path):
-    # The step's own command, run as the runner would, with this
-    # interpreter first on PATH.
-    run = re.search(r"^\s*run:\s*(.+)$", _step("Cold W1D diag"), re.M).group(1)
-    assert "test_cli.cold_w1d_diag_arguments(" in run
-    assert "runtime_seconds" in run and "passed" in run
-    summary = tmp_path / "summary.md"
-    env = dict(os.environ, RUNNER_TEMP=str(tmp_path), GITHUB_STEP_SUMMARY=str(summary),
-               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
-    subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
-    report = summary.read_text().splitlines()[-1]
-    assert re.fullmatch(r"W1D diag over 1000 trials exit 0, runtime_seconds = \d+\.\d{4}, "
-                        r"passed = True", report), report
-
-
-def test_cold_heavy_tail_step_reports_the_sidecar_runtime(tmp_path):
-    # The step's own command, run as the runner would, with this
-    # interpreter first on PATH.
-    run = re.search(r"^\s*run:\s*(.+)$", _step("Cold heavy-tail grid SLLN"), re.M).group(1)
-    assert "test_cli.cold_heavy_tail_slln_arguments(" in run
-    assert "runtime_seconds" in run and "ru_maxrss" in run
-    summary = tmp_path / "summary.md"
-    env = dict(os.environ, RUNNER_TEMP=str(tmp_path), GITHUB_STEP_SUMMARY=str(summary),
-               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
-    subprocess.run(["bash", "-c", run], cwd=ROOT, env=env, check=True, timeout=120)
-    report = summary.read_text().splitlines()[-1]
-    assert re.fullmatch(r"heavy-tail slln exit 0, runtime_seconds = \d+\.\d{4}, "
-                        r"ru_maxrss = [\d.]+ MB", report), report
+@pytest.mark.parametrize("name", cold_runs.table())
+def test_cold_run_row(name):
+    # The script for this one row, as the Cold runs step runs it.
+    out = subprocess.run([sys.executable, "tests/cold_runs.py", name], cwd=ROOT, env=fresh_env(),
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    header, _, line = out.splitlines()
+    row = dict(zip(header.strip("| ").split(" | "), line.strip("| ").split(" | "), strict=True))
+    _, _, calls, cells = cold_runs.table()[name]
+    runtime = {0: "-", 1: r"runtime_seconds = \d+\.\d{4}"}.get(calls,
+                                                             r"median call = \d+\.\d{2} ms")
+    cells = {"run": re.escape(name), "calls": str(calls), "exits": "0" if calls else "-",
+             "frechet modules": r"frechet, frechet\.cli.*", "runtime": runtime, **cells}
+    assert {c: row[c] for c in cells if not re.fullmatch(cells[c], row[c])} == {}, row
 
 
 def test_group_build_step_reports_time_and_peak(tmp_path):

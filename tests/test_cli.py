@@ -10,6 +10,7 @@ import pytest
 from frechet.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, SCHEMA_VERSION, _rewrite,
                          build_parser, main)
 
+import cold_runs
 from conftest import fresh_env
 
 
@@ -163,55 +164,6 @@ def _with_entry(config: dict, path: tuple, value) -> dict:
         node = node[part]
     node[path[-1]] = value
     return config
-
-
-def cold_mean_arguments(workdir: Path) -> list[str]:
-    """The CLI arguments that run ``MEAN_W1D`` into ``workdir``, for the
-    workflow's Cold mean step and its Warm mean step, which reruns them
-    into the same ``--out``; the sidecar is the last argument plus
-    ``.json``."""
-    return ["mean", "--config", write_config(workdir, "w1d_config.json", MEAN_W1D),
-            "--out", str(workdir / "w1d")]
-
-
-def cold_ragged_mean_arguments(workdir: Path) -> list[str]:
-    """The CLI arguments that run ``MEAN_W1D_RAGGED`` into ``workdir``, for
-    the workflow's Cold ragged W1D mean step; the sidecar is the last
-    argument plus ``.json``."""
-    return ["mean", "--config", write_config(workdir, "ragged_config.json", MEAN_W1D_RAGGED),
-            "--out", str(workdir / "ragged")]
-
-
-def cold_bw_mean_arguments(workdir: Path) -> list[str]:
-    """The CLI arguments that run ``MEAN_BW`` into ``workdir``, for the
-    workflow's Cold BW mean step; the sidecar is the last argument plus
-    ``.json``."""
-    return ["mean", "--config", write_config(workdir, "bw_config.json", MEAN_BW),
-            "--out", str(workdir / "bw")]
-
-
-def cold_support_mean_arguments(workdir: Path) -> list[str]:
-    """The CLI arguments that run ``MEAN_SUPPORT_200`` into ``workdir``, for
-    the workflow's Cold support mean step; the sidecar is the last argument
-    plus ``.json``."""
-    return ["mean", "--config", write_config(workdir, "support_config.json", MEAN_SUPPORT_200),
-            "--out", str(workdir / "support")]
-
-
-def cold_w1d_diag_arguments(workdir: Path) -> list[str]:
-    """The CLI arguments that run ``DIAG_W1D`` into ``workdir``, for the
-    workflow's Cold W1D diag step; the sidecar is the last argument plus
-    ``.json``."""
-    return ["diag", "--config", write_config(workdir, "w1d_diag_config.json", DIAG_W1D),
-            "--out", str(workdir / "w1d_diag")]
-
-
-def cold_heavy_tail_slln_arguments(workdir: Path) -> list[str]:
-    """The CLI arguments that run ``SLLN_HEAVY_TAIL`` into ``workdir``, for
-    the workflow's Cold heavy-tail grid SLLN step; the sidecar is the last
-    argument plus ``.json``."""
-    return ["slln", "--config", write_config(workdir, "heavy_config.json", SLLN_HEAVY_TAIL),
-            "--out", str(workdir / "heavy")]
 
 
 def run(tmp_path, command, config, out_name="out", extra=()):
@@ -720,7 +672,7 @@ def test_a_support_mean_over_200_atoms_reports_the_proven_radius(tmp_path):
     # then the atoms' mesh; it is now 2 S(a)**(1/p) for the best atom a.
     import numpy as np
 
-    argv = cold_support_mean_arguments(tmp_path)
+    argv = cold_runs.arguments("Cold support mean", tmp_path)
     assert main(argv) == EXIT_OK
     result = json.loads(Path(argv[-1] + ".json").read_text())["result"]
     atoms = np.array(MEAN_SUPPORT_200["measure"]["support"])
@@ -824,12 +776,11 @@ def _result(out) -> dict:
 
 
 class TestRerunsAndOutputs:
-    @pytest.mark.parametrize("arguments", [cold_mean_arguments, cold_bw_mean_arguments,
-                                           cold_heavy_tail_slln_arguments])
-    def test_the_same_arguments_run_twice(self, tmp_path, arguments):
-        # The helpers once wrote the config where the run writes its
-        # sidecar, so the second call read a sidecar as its config.
-        argv = arguments(tmp_path)
+    @pytest.mark.parametrize("name", ["Cold mean", "Cold BW mean", "Cold heavy-tail grid SLLN"])
+    def test_the_same_arguments_run_twice(self, tmp_path, name):
+        # The argument builders once wrote the config where the run writes
+        # its sidecar, so the second call read a sidecar as its config.
+        argv = cold_runs.arguments(name, tmp_path)
         assert main(argv) == EXIT_OK
         first = _result(argv[-1])
         assert main(argv) == EXIT_OK

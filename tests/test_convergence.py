@@ -9,6 +9,7 @@ from frechet import (
     gamma_convergence_probe,
     one_sided_hausdorff,
 )
+from frechet import convergence
 
 from conftest import pt
 
@@ -118,6 +119,19 @@ class TestGammaProbe:
                                          [0.0] * len(seq), grid_step=0.01,
                                          grid_pad=1.0)
         assert report.verdicts["final_below_combined_resolution"]
+
+    def test_the_limit_moment_is_taken_once(self, line, monkeypatch):
+        limit = DiscreteMeasure.uniform(line, finite_set([0.0, 1.0]))
+        seq = [DiscreteMeasure.uniform(line, finite_set([0.0, 1.0 + 1.0 / n])) for n in (1, 2)]
+        calls, moment = [], convergence.moment
+        monkeypatch.setattr(convergence, "moment",
+                            lambda space, mu, *args: calls.append(mu) or moment(space, mu, *args))
+        gamma_convergence_probe(line, seq, limit, 2.0, [0.0] * 2, grid_step=0.01, grid_pad=0.25)
+        assert [mu is limit for mu in calls] == [True, False, False]
+
+    def test_a_report_names_every_field(self):
+        with pytest.raises(TypeError, match="runtimes"):
+            convergence.ConvergenceReport([1], [0.0], [0.0])
 
 
 class TestBallBasis:

@@ -259,7 +259,7 @@ def _whole_box(space, mu, config, step, pad, **chart_args):
     """The pruned search from the whole index box: the chart without its
     center."""
     chart = dataclasses.replace(space.grid_chart(mu, step, pad, **chart_args), center=None)
-    return solvers._pruned_band(space, mu, config, chart, step)
+    return solvers._pruned_band(space, mu, config, chart)
 
 
 class TestCenteredStart:
