@@ -124,15 +124,27 @@ class Space:
         result."""
         raise NotImplementedError
 
-    def candidates(self, mu: "DiscreteMeasure", scheme: str = "support", **kwargs) -> list:
+    def candidates(self, mu: "DiscreteMeasure", scheme: str = "support", *, step=None,
+                   pad: float = 0.0, **kwargs):
         """Deterministic candidate points for mean-set enumeration.
 
-        The base class only knows the ``support`` scheme (deduplicated
-        support atoms); subclasses add ``grid`` (keywords ``step`` and
-        ``pad``) where the geometry allows it.
+        ``support`` is the deduplicated support atoms. ``grid``, on a space
+        with a ``grid_chart(mu, step, pad, **kwargs)``, is one stack of the
+        chart's rows of every index tuple, first axis slowest, cut by its
+        ``clip``: the Wasserstein-1D cone keeps C(m + k - 1, k) of its box's
+        m**k tuples (at most k! times as many; under twice at k = 2), in
+        ``combinations_with_replacement`` order. Other spaces add schemes.
         """
         if scheme == "support":
             return self.dedup(mu.support)
+        if scheme == "grid" and hasattr(self, "grid_chart"):
+            if step is None:
+                raise ValueError("grid scheme needs a step")
+            chart = self.grid_chart(mu, step, pad, **kwargs)
+            index = np.indices(chart.sizes).reshape(len(chart.sizes), -1).T
+            if chart.clip is not None:
+                index = chart.clip(index, index + 1)[0]
+            return chart.rows(index)
         raise ConfigurationError(
             f"candidate scheme {scheme!r} is not supported by {type(self).__name__}")
 
@@ -144,18 +156,18 @@ class Space:
         rows taken by index, so no point is converted again."""
         rows = self.stack(points)
         stacked = rows is not points or isinstance(rows, np.ndarray)
-        owner: list[int] = []
+        owner = list(range(len(points)))
         kept: list = []
-        kept_at: list[int] = []
+        kept_at, count = np.empty(len(points), dtype=np.intp), 0
         for i, x in enumerate(points):
-            hit = (np.flatnonzero(self.equal_mask(x, rows[kept_at] if stacked else kept))
-                   if kept_at else ())
+            hit = (np.flatnonzero(self.equal_mask(x, rows[kept_at[:count]] if stacked else kept))
+                   if count else ())
             if len(hit):
-                owner.append(kept_at[hit[0]])
+                owner[i] = int(kept_at[hit[0]])
             else:
-                owner.append(i)
                 kept.append(x)
-                kept_at.append(i)
+                kept_at[count] = i
+                count += 1
         return owner
 
     def dedup(self, points: Sequence[Point]) -> list:

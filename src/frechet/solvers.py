@@ -77,31 +77,26 @@ def grid_mean_set(space: Space, mu: DiscreteMeasure, config: FrechetConfig,
     """The band of the ``grid`` candidate scheme at spacing ``step``.
 
     The result is ``grid_oracle`` over ``space.candidates(mu, "grid",
-    step=step, pad=pad)`` with its covering radius as ``resolution``: the
-    same points in the same order, the same achieved value bit for bit. A
-    space with a ``grid_chart`` (Euclidean and l_q boxes, the Wasserstein-1D
-    cone) is searched coarse to fine (``_pruned_band``) and its grid is
-    never built; at p = 2 the Euclidean box and the q = 2 cone start from
-    the box of a ball around their barycenter (``_center_box``), which at
-    epsilon = 0 holds one to three indices per axis. A Bures-Wasserstein
-    grid (``BuresWassersteinSpace.grid_stack``) is screened whole with the
-    closed form (``_bw_screen``), and the kernel sweeps only the rows kept,
-    in grid order. Every other space sweeps its candidate list.
+    step=step, pad=pad)``: the same points in the same order, the same
+    achieved value bit for bit. A space with a ``grid_chart`` (Euclidean
+    and l_q boxes, the Wasserstein-1D cone) reports the chart's
+    ``resolution`` and is searched coarse to fine (``_pruned_band``), its
+    grid never built; at p = 2 the Euclidean box and the q = 2 cone start
+    from the box of a ball around their barycenter (``_center_box``), which
+    at epsilon = 0 holds one to three indices per axis. Any other space
+    sweeps its ``grid`` candidates, screened first by its ``closed_form``
+    if it has one (Bures-Wasserstein, ``_bw_screen``), and reports
+    ``step``: on a construction that is not a covering radius.
     """
-    if isinstance(space, BuresWassersteinSpace):
-        _check_pair(space, mu)
-        grid = space.grid_stack(mu, step, pad)
-        return grid_oracle(space, mu, config, grid[_bw_screen(space, mu, config, grid)],
-                           resolution=step)
-    if not hasattr(space, "grid_chart"):
-        return grid_oracle(space, mu, config, space.candidates(mu, "grid", step=step, pad=pad),
-                           resolution=step)
     _check_pair(space, mu)
-    chart = space.grid_chart(mu, step, pad)
-    short = degenerate_band(space, mu, config, chart.resolution)
-    if short is not None:
-        return short
-    return _pruned_band(space, mu, config, chart)
+    if hasattr(space, "grid_chart"):
+        chart = space.grid_chart(mu, step, pad)
+        short = degenerate_band(space, mu, config, chart.resolution)
+        return short if short is not None else _pruned_band(space, mu, config, chart)
+    grid = space.candidates(mu, "grid", step=step, pad=pad)
+    if hasattr(space, "closed_form"):
+        grid = grid[_bw_screen(space, mu, config, grid)]
+    return grid_oracle(space, mu, config, grid, resolution=step)
 
 
 def _pruned_band(space: Space, mu: DiscreteMeasure, config: FrechetConfig,

@@ -143,29 +143,12 @@ class _VectorSpace(Space):
             total += term(a[:, k, None] - b[None, :, k])
         return total
 
-    def candidates(self, mu: DiscreteMeasure, scheme: str = "support", *, step=None,
-                   pad: float = 0.0, **kwargs):
-        """``grid`` candidates as one array, the chart's rows of every index
-        tuple in ``itertools.product`` order; ``support`` is the base scheme."""
-        if scheme == "grid":
-            if step is None:
-                raise ValueError("grid scheme needs a step")
-            chart = self.grid_chart(mu, step, pad)
-            return chart.rows(np.indices(chart.sizes).reshape(len(chart.sizes), -1).T)
-        return super().candidates(mu, scheme)
-
-    def grid_box(self, mu: DiscreteMeasure, step: float,
-                 pad: float = 0.0) -> tuple[np.ndarray, list[int]]:
-        """The ``grid`` scheme without its points: the lowest corner of the
-        support's bounding box widened by ``pad``, and the number of grid
-        points along each axis. Point k of axis j is lows[j] + step * k."""
-        lows, highs = mu.stacked.min(axis=0) - pad, mu.stacked.max(axis=0) + pad
-        return lows, [_axis_size(float(lo), float(hi), step) for lo, hi in zip(lows, highs)]
-
     def grid_chart(self, mu: DiscreteMeasure, step: float, pad: float = 0.0) -> GridChart:
-        """The ``grid`` scheme as its index box (``grid_box``); a cell's
-        radius is the distance from its point to its farthest corner."""
-        lows, sizes = self.grid_box(mu, step, pad)
+        """The ``grid`` scheme as the index box of the support's bounding
+        box widened by ``pad``: point k of axis j is lows[j] + step * k. A
+        cell's radius is the distance from its point to its farthest corner."""
+        lows, highs = mu.stacked.min(axis=0) - pad, mu.stacked.max(axis=0) + pad
+        sizes = [_axis_size(float(lo), float(hi), step) for lo, hi in zip(lows, highs)]
 
         def radius(lo, hi, rep):
             c = lows + step * rep
@@ -581,14 +564,10 @@ class Wasserstein1D(Space):
     def contains(self, x) -> bool:
         return isinstance(x, Measure1D)
 
-    def _grid_axis(self, mu: DiscreteMeasure, step: float, pad: float) -> np.ndarray:
-        """The 1-D grid spanning the member supports, widened by ``pad``."""
-        atoms = mu.stacked.atoms
-        return _axis_grid(float(atoms.min()) - pad, float(atoms.max()) + pad, step)
-
     def grid_chart(self, mu: DiscreteMeasure, step: float, pad: float = 0.0,
                    atom_count: int = 2) -> GridChart:
-        """The ``grid`` scheme (k = ``atom_count`` atoms from ``_grid_axis``)
+        """The ``grid`` scheme: measures of k = ``atom_count`` equal atoms
+        from the 1-D grid spanning the member supports widened by ``pad``,
         as the cone i_1 <= ... <= i_k of a k-dim index box, whose
         flat-index order is ``combinations_with_replacement`` order.
 
@@ -603,7 +582,8 @@ class Wasserstein1D(Space):
         to cover a minimizer."""
         if atom_count < 1:
             raise ValueError("a 1-D measure needs at least one atom")
-        axis, k, q = self._grid_axis(mu, step, pad), atom_count, self.q
+        atoms, k, q = mu.stacked.atoms, atom_count, self.q
+        axis = _axis_grid(float(atoms.min()) - pad, float(atoms.max()) + pad, step)
         slack = 2.0 * (2e-12 + (axis[-1] - axis[0]) * (4 * k * (k - 1) * 2.0 ** -53) ** (1 / q))
 
         def radius(lo, hi, rep):
@@ -614,27 +594,16 @@ class Wasserstein1D(Space):
         # Relative error of a kernel distance: k + m breakpoint intervals
         # (m the widest member), each a rounded gap power times a width.
         return GridChart([len(axis)] * k, lambda index: _grid_rows(axis, index), radius,
-                         k + mu.stacked.atoms.shape[1] + 4, step, _cone_clip, center)
+                         k + atoms.shape[1] + 4, step, _cone_clip, center)
 
-    def candidates(self, mu: DiscreteMeasure, scheme: str = "support", *,
-                   step: float | None = None, pad: float = 0.0,
-                   atom_count: int = 2, **kwargs) -> list:
-        if scheme == "grid":
-            if step is None:
-                raise ValueError("grid scheme needs a step")
-            chart, k = self.grid_chart(mu, step, pad, atom_count), atom_count
-            n = math.comb(chart.sizes[0] + k - 1, k)
-            index = np.fromiter(itertools.chain.from_iterable(
-                itertools.combinations_with_replacement(range(chart.sizes[0]), k)),
-                dtype=np.intp, count=n * k).reshape(n, k)
-            # A list, as callers concatenate it.
-            return list(chart.rows(index))
+    def candidates(self, mu: DiscreteMeasure, scheme: str = "support", **kwargs) -> list:
+        """The base schemes and ``solver-seeded``, as lists: callers concatenate them."""
         if scheme == "solver-seeded":
             seeds = self.dedup(mu.support)
             if self.q == 2.0:
                 seeds.append(quantile_barycenter(self, mu))
             return self.dedup(seeds)
-        return super().candidates(mu, scheme)
+        return list(super().candidates(mu, scheme, **kwargs))
 
     def sample_point(self, rng, scale: float = 1.0) -> Measure1D:
         k = int(rng.integers(1, 4))
@@ -866,11 +835,6 @@ class BuresWassersteinSpace(Space):
         return bool(np.all(np.isfinite(arr)) and _near_symmetric(arr, flip)
                     and np.all(_psd((arr + flip) / 2.0)))
 
-    def grid_stack(self, mu: DiscreteMeasure, step: float, pad: float = 0.0) -> np.ndarray:
-        """The ``grid`` scheme as one (N, dim, dim) array: the PSD matrices
-        of the entry-wise box of the members widened by ``pad``."""
-        return self._psd_grid(mu.stacked.min(axis=0) - pad, mu.stacked.max(axis=0) + pad, step)
-
     def _psd_grid(self, lows: np.ndarray, highs: np.ndarray, step) -> np.ndarray:
         if self.dim > 2:
             raise ConfigurationError("matrix grids are only feasible for dim <= 2")
@@ -893,10 +857,12 @@ class BuresWassersteinSpace(Space):
         return box[keep]
 
     def candidates(self, mu, scheme="support", *, step=None, center=None,
-                   radius=None, pad: float = 0.0, **kwargs) -> list:
-        # Lists, as callers concatenate them.
+                   radius=None, pad: float = 0.0, **kwargs):
+        """``grid``: the PSD matrices of the members' entry-wise box widened
+        by ``pad``, one (N, dim, dim) array; ``ball-grid``: a list of those
+        of the box of half-width ``radius`` around ``center``."""
         if scheme == "grid":
-            return list(self.grid_stack(mu, step, pad))
+            return self._psd_grid(mu.stacked.min(axis=0) - pad, mu.stacked.max(axis=0) + pad, step)
         if scheme == "ball-grid":
             if center is None or radius is None:
                 raise ValueError("ball-grid scheme needs center, radius and step")

@@ -119,7 +119,7 @@ class TestScreenedGrid:
     def test_band_equals_the_full_sweep(self, case):
         space, mats, w, config, step, pad = case
         mu = DiscreteMeasure(space, mats, w)
-        grid = space.grid_stack(mu, step, pad)
+        grid = space.candidates(mu, "grid", step=step, pad=pad)
         # The grid keeps what the space accepts: the corner of largest
         # diagonals and smallest b raises a member's diagonal.
         assert space.contains_all(grid) and len(grid)
@@ -136,7 +136,7 @@ class TestScreenedGrid:
         assert space.contains(member)
         assert abs(member[0, 1]) > math.sqrt(member[0, 0] * member[1, 1])
         mu = DiscreteMeasure.uniform(space, [member])
-        grid = space.grid_stack(mu, 0.25, 0.0)
+        grid = space.candidates(mu, "grid", step=0.25, pad=0.0)
         assert grid.tobytes() == member[None].tobytes()
         # The closed form's eta terms cover the candidate below zero.
         dist, delta = space.closed_form(grid, grid)
@@ -163,8 +163,8 @@ class TestScreenedGrid:
         got = json.loads((tmp_path / "bw.json").read_text())["result"]
         space = space_from_json(config["space"])
         mu = _measure_from_json(space, config["measure"])
-        want = grid_oracle(space, mu, FrechetConfig(p=config["p"]),
-                           space.grid_stack(mu, config["grid_step"], config["grid_pad"]),
+        grid = space.candidates(mu, "grid", step=config["grid_step"], pad=config["grid_pad"])
+        want = grid_oracle(space, mu, FrechetConfig(p=config["p"]), grid,
                            resolution=config["grid_step"])
         assert got["achieved_value"] == want.achieved_value
         assert got["mean_set"] == [space.point_to_json(x) for x in want.points]
@@ -175,7 +175,8 @@ class TestScreenedGrid:
         config = self._benchmark_call(seed)
         space = space_from_json(config["space"])
         mu = _measure_from_json(space, config["measure"])
-        assert len(space.grid_stack(mu, config["grid_step"], config["grid_pad"])) == 631
+        grid = space.candidates(mu, "grid", step=config["grid_step"], pad=config["grid_pad"])
+        assert len(grid) == 631
         mu.is_degenerate()  # the origin row, computed once per measure
         rows = []
         kernel = BuresWassersteinSpace.pairwise_distances

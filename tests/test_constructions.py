@@ -13,6 +13,7 @@ from frechet import (
     ProductSpace,
     QuotientSpace,
     RegularizedSpace,
+    grid_mean_set,
     grid_oracle,
     one_sided_hausdorff,
     relaxed_mean_set,
@@ -341,3 +342,29 @@ class TestGroupAligned:
                     assert np.array_equal(np.asarray(got), np.asarray(base_got))
                 else:
                     assert len(got) == len(qs.dedup(base_got)) < len(base_got)
+
+
+class TestGridMeanSet:
+    """A construction has no chart: ``grid_mean_set`` sweeps its ``grid``
+    candidates, which ``grid_oracle`` sweeps too."""
+
+    @pytest.mark.parametrize("space", [
+        ProductSpace(EuclideanSpace(1), EuclideanSpace(1), q=1.0),
+        ProductSpace(EuclideanSpace(1), EuclideanSpace(1), q=2.0),
+        QuotientSpace(EuclideanSpace(1), sign_flip_group())],
+        ids=["product-q1", "product-q2", "quotient"])
+    @pytest.mark.parametrize("p,epsilon", [(1.0, 0.0), (2.0, 0.0), (2.0, 0.05)])
+    def test_band_is_the_oracle_over_the_grid(self, space, p, epsilon):
+        rng = np.random.default_rng(31)
+        draws = rng.normal(size=(5, 2))
+        support = ([(pt(a), pt(b)) for a, b in draws] if isinstance(space, ProductSpace)
+                   else [pt(a) for a in draws[:, 0]])
+        mu = DiscreteMeasure.uniform(space, support)
+        config = FrechetConfig(p=p, epsilon=epsilon)
+        got = grid_mean_set(space, mu, config, 0.1, 0.2)
+        want = grid_oracle(space, mu, config,
+                           space.candidates(mu, "grid", step=0.1, pad=0.2), resolution=0.1)
+        assert got.achieved_value == want.achieved_value
+        assert got.resolution == want.resolution
+        assert len(got.points) == len(want.points)
+        assert np.array(got.points).tobytes() == np.array(want.points).tobytes()

@@ -116,7 +116,7 @@ class TestSameBandAsFullSweep:
         monkeypatch.undo()
         full = grid_band_full_sweep(space, mu, config, 0.25, 0.5)
         _assert_same_band(band, full)
-        assert sweep.rows < 0.1 * np.prod(space.grid_box(mu, 0.25, 0.5)[1])
+        assert sweep.rows < 0.1 * np.prod(space.grid_chart(mu, 0.25, 0.5).sizes)
 
     def test_origin_does_not_matter(self):
         plane = EuclideanSpace(2)
@@ -229,7 +229,7 @@ class TestWork:
                                   target_points=(np.array([0.0]),), threshold=0.5)
         line = EuclideanSpace(1)
         mu = DiscreteMeasure.uniform(line, sampler.draw(10000))
-        assert line.grid_box(mu, 0.01, 1.0)[1][0] > 500_000
+        assert line.grid_chart(mu, 0.01, 1.0).sizes[0] > 500_000
         tracemalloc.start()
         try:
             report = slln_experiment(line, sampler, 1.0, [10000], 1, config)
@@ -243,7 +243,7 @@ class TestWork:
         # 1e8 grid points: their coordinates alone would take 800 MB.
         line = EuclideanSpace(1)
         mu = DiscreteMeasure.uniform(line, [np.array([v]) for v in (-5e5, 0.0, 1.0, 5e5)])
-        assert line.grid_box(mu, 0.01, 1.0)[1][0] > 1e8
+        assert line.grid_chart(mu, 0.01, 1.0).sizes[0] > 1e8
         tracemalloc.start()
         try:
             band = grid_mean_set(line, mu, FrechetConfig(p=1.0), 0.01, 1.0)

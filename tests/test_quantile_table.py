@@ -161,7 +161,7 @@ class TestGridTable:
     def test_candidates_are_the_table_rows(self):
         space = Wasserstein1D(q=2.0)
         mu = DiscreteMeasure.uniform(space, [Measure1D([0.0, 1.0]), Measure1D([0.4])])
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             cands = space.candidates(mu, "grid", step=0.25, pad=0.1, atom_count=k)
             assert isinstance(cands, list)
             reference = w1d_grid_per_object(_axis_grid(-0.1, 1.1, 0.25), k)

@@ -158,7 +158,9 @@ class TestVectorGrids:
         expected = box_grid_list(mu.stacked.min(axis=0) - pad, mu.stacked.max(axis=0) + pad, step)
         assert isinstance(grid, np.ndarray) and grid.shape == (len(expected), dim)
         assert grid.tobytes() == np.asarray(expected).tobytes()
-        assert grid.tobytes() == box_grid(*space.grid_box(mu, step, pad), step).tobytes()
+        lows = mu.stacked.min(axis=0) - pad
+        sizes = space.grid_chart(mu, step, pad).sizes
+        assert grid.tobytes() == box_grid(lows, sizes, step).tobytes()
 
     def test_grid_memory_is_one_array(self):
         # About 160k candidates in the plane. A list of one array per point
