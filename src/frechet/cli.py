@@ -58,7 +58,7 @@ EXIT_IO = 4
 
 def _load_config(path: str, overrides: list[str]) -> dict:
     with open(path) as fh:
-        config = json.load(fh)
+        config = _object(json.load(fh), "config")
     if config.get("schema_version") != SCHEMA_VERSION:
         raise ConfigurationError(
             f"config schema_version must be {SCHEMA_VERSION}")
@@ -72,10 +72,17 @@ def _load_config(path: str, overrides: list[str]) -> dict:
             value = raw
         node = config
         parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
+        for i, part in enumerate(parts[:-1], 1):
+            node = _object(node.setdefault(part, {}), ".".join(parts[:i]))
         node[parts[-1]] = value
     return config
+
+
+def _object(value, key: str) -> dict:
+    """``value`` when it is a JSON object, refused under ``key`` otherwise."""
+    if type(value) is not dict:
+        raise ConfigurationError(f"{key} must be a JSON object, got {value!r}")
+    return value
 
 
 def _require(config: dict, *keys: str) -> None:
@@ -140,7 +147,7 @@ _SPACE_BUILDERS = {
 
 def space_from_json(spec: dict):
     """The space of a ``space`` config, read by name."""
-    kind = spec.get("type")
+    kind = _object(spec, "space").get("type")
     if kind not in _SPACE_BUILDERS:
         raise ConfigurationError(f"unknown space type {kind!r}")
     return _SPACE_BUILDERS[kind](spec)
@@ -150,7 +157,7 @@ def sampler_from_config(spec: dict):
     """The ``stochastics.SamplerSpec`` of a ``sampler`` config, read by name."""
     from .stochastics import SamplerSpec
 
-    kind, dist = spec.get("kind"), spec.get("distribution")
+    kind, dist = _object(spec, "sampler").get("kind"), spec.get("distribution")
     if kind == "iid":
         keys = ("atoms", "probs") if dist == "finite" else ("params",)
         fields = {"distribution": dist, **{k: tuple(_list(spec, k)) for k in keys}}
@@ -187,9 +194,7 @@ def _measure_from_json(space, spec: dict, key: str = "measure") -> DiscreteMeasu
     """A support list of JSON numbers is decoded whole; any other list point
     by point, refusing its first point with a string or a bool. A ``spec``
     that is not a JSON object is refused under ``key``."""
-    if type(spec) is not dict:
-        raise ConfigurationError(f"{key} must be a JSON object with a support, got {spec!r}")
-    support = spec["support"]
+    support = _object(spec, key)["support"]
     if type(support) is not list:
         raise ConfigurationError(f"support must be a JSON list, got {support!r}")
     if _json_numbers(support):

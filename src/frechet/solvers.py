@@ -30,6 +30,7 @@ from .core import (
     _check_pair,
     band_cut,
     degenerate_band,
+    moment,
     origin_shift,
     relaxed_mean_set,
 )
@@ -442,25 +443,20 @@ def weiszfeld_median(space: EuclideanSpace, mu: DiscreteMeasure,
                              value=f_prev)
 
 
-def _pmoment(ys: np.ndarray, w: np.ndarray, x: np.ndarray, p: float) -> float:
-    return float(np.dot(w, np.linalg.norm(ys - x, axis=1) ** p))
-
-
 def euclidean_pmean(space: EuclideanSpace, mu: DiscreteMeasure, p: float,
                     config: SolverConfig | None = None) -> np.ndarray:
     """Minimizer of the p-th distance moment on R^d.
 
     The objective is convex for p >= 1. p = 2 is the weighted average in
     closed form; p = 1 delegates to the median iteration; anything else
-    runs backtracking gradient descent from the weighted average.
+    descends on ``core.moment`` from the weighted average, backtracking.
     """
     if not isinstance(space, EuclideanSpace):
         raise ConfigurationError("this solver runs on Euclidean spaces")
     if p < 1:
         raise ValueError("order p must be >= 1")
     config = config or SolverConfig()
-    ys = mu.stacked
-    w = mu.weights
+    ys, w = mu.stacked, mu.weights
     if mu.is_degenerate():
         return ys[0].copy()
     if p == 2.0:
@@ -470,7 +466,7 @@ def euclidean_pmean(space: EuclideanSpace, mu: DiscreteMeasure, p: float,
 
     x = ys.T @ w
     scale = 1.0 + float(np.max(np.linalg.norm(ys - x, axis=1)))
-    f = _pmoment(ys, w, x, p)
+    f = moment(space, mu, p, x)
     lr = 1.0
     for _ in range(config.max_iterations):
         diff = x - ys
@@ -483,7 +479,7 @@ def euclidean_pmean(space: EuclideanSpace, mu: DiscreteMeasure, p: float,
         step = lr
         for _ in range(60):  # backtracking: sufficient decrease, c = 1/2
             x_try = x - step * grad
-            f_try = _pmoment(ys, w, x_try, p)
+            f_try = moment(space, mu, p, x_try)
             if f_try <= f - 0.5 * step * gnorm * gnorm:
                 break
             step *= 0.5
@@ -519,15 +515,15 @@ def bw_barycenter(space: BuresWassersteinSpace, mu: DiscreteMeasure,
     """Order-2 mean of covariance matrices by the fixed-point iteration.
 
     Starting from the Euclidean average, each step maps the current
-    matrix S to S^{-1/2} (sum_i w_i (S^{1/2} Sigma_i S^{1/2})^{1/2})^2 S^{-1/2}.
-    Iteration stops once one more step moves the iterate by less than the
-    step tolerance in the space's own metric.
+    matrix S to S^{-1/2} (sum_i w_i (S^{1/2} Sigma_i S^{1/2})^{1/2})^2 S^{-1/2},
+    all members rooted by one ``matrix_sqrt`` of the stack. Iteration stops
+    once one more step moves the iterate by less than the step tolerance in
+    the space's own metric.
     """
     if not isinstance(space, BuresWassersteinSpace):
         raise ConfigurationError("this solver runs on Bures-Wasserstein spaces")
     config = config or SolverConfig()
-    mats = [np.asarray(m, dtype=float) for m in mu.support]
-    w = mu.weights
+    mats, w = mu.stacked, mu.weights
     if mu.is_degenerate():
         return mats[0].copy()
 
@@ -536,10 +532,9 @@ def bw_barycenter(space: BuresWassersteinSpace, mu: DiscreteMeasure,
     for _ in range(config.max_iterations):
         root, lam, vec = _spectral_root(current, _positive_clamp)
         inv_root = (vec / np.sqrt(lam)) @ vec.T
-        mixed = np.zeros_like(current)
-        for wi, m in zip(w, mats):
-            inner = root @ m @ root
-            mixed += wi * matrix_sqrt(space, (inner + inner.T) / 2.0)
+        inner = root @ mats @ root
+        roots = matrix_sqrt(space, (inner + np.swapaxes(inner, -1, -2)) / 2.0)
+        mixed = sum(wi * r for wi, r in zip(w, roots))
         nxt = inv_root @ mixed @ mixed @ inv_root
         nxt = (nxt + nxt.T) / 2.0
         # The Frobenius gap of the roots upper-bounds the metric step and

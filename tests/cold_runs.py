@@ -11,7 +11,7 @@ import time
 # Nothing else is imported here: ``probe`` runs this file in a fresh
 # interpreter and times ``import frechet.cli`` as its first import.
 
-COLUMNS = ("run", "calls", "exits", "import ms", "frechet modules", "runtime", "ru_maxrss MB",
+COLUMNS = ("run", "calls", "exits", "import ms", "writes bytecode", "frechet modules", "runtime", "ru_maxrss MB",
            "ru_minflt", "scipy modules", "numpy.ma modules", "result")
 
 
@@ -55,7 +55,9 @@ def arguments(name: str, workdir) -> list[str]:
 
 def probe(calls: int, argv: list[str]) -> None:
     """Print a row's cells after its name, ``main(argv)`` called ``calls``
-    times, output discarded. The runtime is the sidecar's (the median call's
+    times, output discarded. Where the interpreter writes no bytecode
+    (``PYTHONDONTWRITEBYTECODE``, ``-B``), ``import ms`` includes compiling
+    ``frechet`` on every run. The runtime is the sidecar's (the median call's
     if it repeats); the result shows what the last sidecar has of mean set
     size, ``resolution`` and ``passed``."""
     start = time.perf_counter()
@@ -85,6 +87,7 @@ def probe(calls: int, argv: list[str]) -> None:
         shown.append(f"last result equals first = {len(results) > 1 and last == results[0]}")
         runtime = f"median call = {statistics.median(seconds) * 1000.0:.2f} ms"
     cells = [calls, ", ".join(map(str, sorted(set(exits)))) or "-", f"{import_ms:.0f}",
+             "no" if sys.flags.dont_write_bytecode else "yes",
              ", ".join(sorted(".".join(n) for n in loaded if n[0] == "frechet")), runtime,
              f"{use.ru_maxrss / 1024:.1f}", use.ru_minflt, sum(n[0] == "scipy" for n in loaded),
              sum(n[:2] == ["numpy", "ma"] for n in loaded), ", ".join(shown) or "-"]

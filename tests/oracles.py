@@ -14,7 +14,9 @@ sweep that the pruned grid search replaced, the merge loop of
 origin shifts that arrays replaced, the quantile gap kernel with fresh temporaries, and the median
 iteration,
 LDP replication count and chain walk as they were before their sorted or
-per-call tables, the CLI's point-by-point measure decoder, the candidate
+per-call tables, the member-by-member loops of three solvers (the
+Bures-Wasserstein fixed point, the quantile barycenter and the p-mean's
+moment) before they read the measure's stack, the CLI's point-by-point measure decoder, the candidate
 mesh in row blocks and from one whole distance matrix, and the reports'
 JSON dicts built field by field.
 """
@@ -231,8 +233,12 @@ def wasserstein1d_pair(x, y, q):
     each is read at the right end of its interval: a midpoint of two
     adjacent floats rounds onto one of them and loses the interval.
     """
+    def quantile(m, u):  # the left-continuous inverse of the CDF
+        idx = np.searchsorted(m.cdf_breakpoints(), np.clip(u, 0.0, 1.0), side="left")
+        return m.atoms[np.minimum(idx, m.atoms.size - 1)]
+
     levels = np.concatenate(([0.0], np.union1d(x.cdf_breakpoints(), y.cdf_breakpoints())))
-    gap = np.abs(x.quantile(levels[1:]) - y.quantile(levels[1:]))
+    gap = np.abs(quantile(x, levels[1:]) - quantile(y, levels[1:]))
     return float(np.dot(np.diff(levels), gap ** q) ** (1.0 / q))
 
 
@@ -705,6 +711,101 @@ def weiszfeld_median_full_scan(space, mu, config=None, callback=None):
     raise ConvergenceFailure("median iteration did not converge",
                              last_point=x, iterations=config.max_iterations,
                              value=f_prev)
+
+
+# ---------------------------------------------------------------------------
+# Three solvers as they were before they read the measure's stack: one
+# matrix root per member, one quantile function per member, and the
+# p-mean's own moment.
+# ---------------------------------------------------------------------------
+
+def bw_barycenter_per_member(space, mu, config=None):
+    """``solvers.bw_barycenter`` with one ``matrix_sqrt`` per member and
+    step, added into a zero matrix."""
+    from frechet.core import ConvergenceFailure
+    from frechet.solvers import SolverConfig, _positive_clamp
+    from frechet.spaces import _spectral_root, matrix_sqrt
+
+    config = config or SolverConfig()
+    mats = [np.asarray(m, dtype=float) for m in mu.support]
+    w = mu.weights
+    if mu.is_degenerate():
+        return mats[0].copy()
+    current = sum(wi * m for wi, m in zip(w, mats))
+    scale = 1.0 + float(np.trace(current))
+    for _ in range(config.max_iterations):
+        root, lam, vec = _spectral_root(current, _positive_clamp)
+        inv_root = (vec / np.sqrt(lam)) @ vec.T
+        mixed = np.zeros_like(current)
+        for wi, m in zip(w, mats):
+            inner = root @ m @ root
+            mixed += wi * matrix_sqrt(space, (inner + inner.T) / 2.0)
+        nxt = inv_root @ mixed @ mixed @ inv_root
+        nxt = (nxt + nxt.T) / 2.0
+        if float(np.linalg.norm(root - matrix_sqrt(space, nxt))) <= config.step_tolerance * scale:
+            return nxt
+        current = nxt
+    raise ConvergenceFailure("fixed-point iteration did not converge",
+                             last_point=current, iterations=config.max_iterations)
+
+
+def quantile_barycenter_per_member(space, mu):
+    """``spaces.quantile_barycenter`` from each member's own quantile
+    function, added into a zero array."""
+    from frechet import Measure1D
+
+    u = (np.arange(256) + 0.5) / 256
+    avg = np.zeros(256)
+    for member, w in zip(mu.support, mu.weights):
+        idx = np.searchsorted(member.cdf_breakpoints(), np.clip(u, 0.0, 1.0), side="left")
+        avg += w * member.atoms[np.minimum(idx, member.atoms.size - 1)]
+    return Measure1D(avg, np.full(256, 1.0 / 256))
+
+
+def euclidean_pmean_own_moment(space, mu, p, config=None):
+    """``solvers.euclidean_pmean``'s gradient descent (p not 1 or 2) with
+    its objective from ``np.linalg.norm`` rather than ``core.moment``."""
+    from frechet.core import ConvergenceFailure
+    from frechet.solvers import SolverConfig
+
+    def pmoment(x):
+        return float(np.dot(w, np.linalg.norm(ys - x, axis=1) ** p))
+
+    config = config or SolverConfig()
+    ys, w = mu.stacked, mu.weights
+    if mu.is_degenerate():
+        return ys[0].copy()
+    x = ys.T @ w
+    scale = 1.0 + float(np.max(np.linalg.norm(ys - x, axis=1)))
+    f = pmoment(x)
+    lr = 1.0
+    for _ in range(config.max_iterations):
+        diff = x - ys
+        dist = np.linalg.norm(diff, axis=1)
+        mask = dist > 1e-15 * scale
+        grad = p * ((w[mask] * dist[mask] ** (p - 2.0))[:, None] * diff[mask]).sum(axis=0)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= config.step_tolerance:
+            return x
+        step = lr
+        for _ in range(60):
+            x_try = x - step * grad
+            f_try = pmoment(x_try)
+            if f_try <= f - 0.5 * step * gnorm * gnorm:
+                break
+            step *= 0.5
+        else:
+            return x
+        moved = step * gnorm
+        stalled = f - f_try <= config.value_tolerance * (1.0 + abs(f_try))
+        x, f = x_try, f_try
+        if stalled:
+            return x
+        lr = min(step * 4.0, 1e6)
+        if moved <= config.step_tolerance * scale:
+            return x
+    raise ConvergenceFailure("gradient descent did not converge",
+                             last_point=x, iterations=config.max_iterations, value=f)
 
 
 def ldp_replication_counts_unique(probs, u, k):

@@ -106,6 +106,7 @@ def test_cold_run_row(name):
     runtime = {0: "-", 1: r"runtime_seconds = \d+\.\d{4}"}.get(calls,
                                                              r"median call = \d+\.\d{2} ms")
     cells = {"run": re.escape(name), "calls": str(calls), "exits": "0" if calls else "-",
+             "writes bytecode": "no" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "yes",
              "frechet modules": r"frechet, frechet\.cli.*", "runtime": runtime, **cells}
     assert {c: row[c] for c in cells if not re.fullmatch(cells[c], row[c])} == {}, row
 

@@ -138,6 +138,11 @@ _BAD_ENTRIES = [
     ("gamma", GAMMA, ("measures",), 5, "measures"),
     ("gamma", GAMMA, ("measures",), [5], "measures"),
     ("gamma", GAMMA, ("limit",), 5, "limit"),
+    ("slln", SLLN, ("space",), [1], "space"),
+    ("slln", SLLN, ("space",), None, "space"),
+    ("dist", DIST_EUCLID, ("space",), "euclidean", "space"),
+    ("slln", SLLN, ("sampler",), [1], "sampler"),
+    ("ergodic", ERGODIC, ("sampler",), None, "sampler"),
 ]
 # The same entries at values that must still run, with the configs above.
 _GOOD_ENTRIES = [
@@ -745,6 +750,26 @@ def test_exact_binomial_ldp_loads_scipy_stats(tmp_path):
 class TestParserAndSidecar:
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("text,overrides,key", [
+        ("[1, 2]", [], "config"), ("null", [], "config"), ('"schema_version"', [], "config"),
+        (None, ["x.a=1"], "x"), (None, ["space.dim.k=1"], "space.dim"), (None, ["y.0=1"], "y"),
+        (None, ["space=[1]", "space.type=lq"], "space"), (None, ["a.b=1", "a.b.c=2"], "a.b")],
+        ids=["list", "null", "string", "set-through-list", "set-through-number", "set-list-index",
+             "set-through-set-list", "set-through-set-number"])
+    def test_config_of_the_wrong_structure_is_a_config_error(self, tmp_path, capsys, text,
+                                                             overrides, key):
+        # Unchecked, each ended in a TypeError or AttributeError traceback.
+        cfg = write_config(tmp_path, "d.json", DIST_EUCLID)
+        if text is not None:
+            Path(cfg).write_text(text)
+        code, out = run(tmp_path, "dist", cfg,
+                        extra=[arg for item in overrides for arg in ("--set", item)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        err = json.loads(captured.out)
+        assert err["error"] == "config" and err["message"].startswith(f"{key} must be ")
+        assert captured.err == "" and not os.path.exists(out + ".json")
 
     def test_overrides_do_not_leak_into_the_next_call(self, tmp_path):
         cfg = write_config(tmp_path, "d.json", {
