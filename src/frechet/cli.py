@@ -153,11 +153,13 @@ def space_from_json(spec: dict):
     return _SPACE_BUILDERS[kind](spec)
 
 
-def sampler_from_config(spec: dict):
-    """The ``stochastics.SamplerSpec`` of a ``sampler`` config, read by name."""
+def sampler_from_config(spec: dict, seed: int):
+    """The ``stochastics.SamplerSpec`` of a ``sampler`` config, read by name, on ``seed``."""
     from .stochastics import SamplerSpec
 
     kind, dist = _object(spec, "sampler").get("kind"), spec.get("distribution")
+    if "seed" in spec:
+        raise ConfigurationError("sampler.seed is not read; set the top-level seed")
     if kind == "iid":
         keys = ("atoms", "probs") if dist == "finite" else ("params",)
         fields = {"distribution": dist, **{k: tuple(_list(spec, k)) for k in keys}}
@@ -167,7 +169,7 @@ def sampler_from_config(spec: dict):
                   "initial_state": _integer(spec, "initial_state", 0)}
     else:
         raise ConfigurationError(f"unknown sampler kind {kind!r}")
-    return SamplerSpec(kind=kind, seed=_integer(spec, "seed", 0), **fields)
+    return SamplerSpec(kind=kind, seed=seed, **fields)
 
 
 _JSON_NUMBER_TYPES = frozenset((int, float))
@@ -232,6 +234,12 @@ def _experiment_config(config: dict, space):
     )
 
 
+def _refuse_seed(config: dict, what: str) -> None:
+    """Refuse a ``seed`` where nothing draws: no sidecar records an unused seed."""
+    if "seed" in config:
+        raise ConfigurationError(f"seed is not read: {what} draws nothing")
+
+
 def _write_outputs(out: str, command: str, config: dict, result: dict,
                    rows: list[dict] | None, runtime: float | None = None) -> None:
     payload = {
@@ -270,6 +278,7 @@ def _rewrite(path: str, text: str) -> None:
 
 def _cmd_dist(config: dict) -> tuple[dict, list[dict] | None, str]:
     _require(config, "space", "x", "y")
+    _refuse_seed(config, "dist")
     space = space_from_json(config["space"])
     x = _point(space, config["x"], "x")
     y = _point(space, config["y"], "y")
@@ -281,6 +290,7 @@ def _cmd_dist(config: dict) -> tuple[dict, list[dict] | None, str]:
 
 def _cmd_mean(config: dict) -> tuple[dict, list[dict] | None, str]:
     _require(config, "space", "measure", "p")
+    _refuse_seed(config, "mean")
     space = space_from_json(config["space"])
     mu = _measure_from_json(space, config["measure"])
     fc = FrechetConfig(p=_number(config, "p", None, 1.0),
@@ -309,9 +319,7 @@ def _cmd_prefix(config: dict, command: str) -> tuple[dict, list[dict] | None, st
 
     _require(config, "space", "sampler", "p", "n_grid")
     space = space_from_json(config["space"])
-    sampler = sampler_from_config(config["sampler"])
-    if "seed" in config:
-        sampler = sampler.with_seed(_integer(config, "seed"))
+    sampler = sampler_from_config(config["sampler"], _integer(config, "seed", 0))
     args = (space, sampler, _number(config, "p", None, 1.0),
             _list(config, "n_grid", integer=True))
     exp = _experiment_config(config, space)
@@ -329,10 +337,12 @@ def _cmd_ldp(config: dict) -> tuple[dict, list[dict] | None, str]:
     space = space_from_json(config["space"])
     mu = _measure_from_json(space, config["measure"])
     events = [_point(space, obj, "event_points") for obj in config["event_points"]]
+    mode = config.get("mode", "exact-binomial")
+    if mode == "exact-binomial":
+        _refuse_seed(config, "exact-binomial ldp")
     result = stochastics.ldp_experiment(
         space, mu, _number(config, "p", None, 1.0), events,
-        _list(config, "n_grid", integer=True),
-        mode=config.get("mode", "exact-binomial"),
+        _list(config, "n_grid", integer=True), mode=mode,
         replications=_integer(config, "replications", 1000),
         seed=_integer(config, "seed", 0),
         simplex_step=_number(config, "simplex_step", 1e-3, 0.0, strict=True))
@@ -344,6 +354,7 @@ def _cmd_gamma(config: dict) -> tuple[dict, list[dict] | None, str]:
     from . import convergence
 
     _require(config, "space", "measures", "limit", "p")
+    _refuse_seed(config, "gamma")
     space = space_from_json(config["space"])
     if type(config["measures"]) is not list:
         raise ConfigurationError(f"measures must be a JSON list, got {config['measures']!r}")
@@ -352,7 +363,7 @@ def _cmd_gamma(config: dict) -> tuple[dict, list[dict] | None, str]:
     eps = _list(config, "eps_sequence", [1.0 / (i + 1) for i in range(len(seq))], low=0.0)
     report = convergence.gamma_convergence_probe(
         space, seq, limit, _number(config, "p", None, 1.0), [float(e) for e in eps],
-        **_grid_keys(config), seed=_integer(config, "seed", 0))
+        **_grid_keys(config))
     return report.to_json_dict(), report.rows(), f"final_dvec={report.dvec[-1]:.6g}"
 
 
@@ -417,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", required=True, help="output path prefix")
         cmd.add_argument("--set", dest="overrides", action="append", default=[],
                          metavar="KEY=VALUE", help="override a config entry")
-        cmd.add_argument("--seed", type=int, default=None, help="override the seed")
     return parser
 
 
@@ -425,8 +435,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config, args.overrides)
-        if args.seed is not None:
-            config["seed"] = args.seed
         for path in (args.out + ".json", args.out + ".csv"):
             if os.path.exists(path) and os.path.samefile(path, args.config):
                 raise ConfigurationError(

@@ -9,7 +9,7 @@ sequences of measures whose mean sets should converge.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -29,9 +29,11 @@ class ConvergenceReport:
     """Per-step convergence records plus overall verdicts.
 
     All sequences are aligned with ``sample_sizes``; a report is fully
-    determined by its seed and the generating configuration. It writes no
-    files: the CLI writes ``rows()`` as CSV and ``to_json_dict()`` as JSON.
-    The ``bl`` column holds no value yet: NaN in each row, ``[]`` in JSON.
+    determined by its seed (None where nothing is drawn) and the generating
+    configuration. It writes no files: the CLI writes ``rows()`` as CSV and
+    ``to_json_dict()`` as JSON. The ``bl`` column holds no value yet: NaN
+    in each row, ``[]`` in JSON. ``failures``, in the JSON only, names
+    each failed cell.
     """
 
     sample_sizes: list[int]
@@ -39,7 +41,8 @@ class ConvergenceReport:
     moments: list[float]
     runtimes: list[float]
     verdicts: dict
-    seed: int
+    seed: int | None
+    failures: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
         n = len(self.sample_sizes)
@@ -72,8 +75,7 @@ def one_sided_hausdorff(space: Space, s: Sequence, s_prime: Sequence) -> float:
 def gamma_convergence_probe(space: Space, mu_sequence: Sequence[DiscreteMeasure],
                             mu_limit: DiscreteMeasure, p: float,
                             eps_sequence: Sequence[float], *,
-                            grid_step: float, grid_pad: float = 1.0,
-                            seed: int = 0) -> ConvergenceReport:
+                            grid_step: float, grid_pad: float = 1.0) -> ConvergenceReport:
     """Track relaxed mean sets of a measure sequence against the limit set.
 
     For each measure in the sequence, the epsilon-relaxed mean-set band is
@@ -111,4 +113,4 @@ def gamma_convergence_probe(space: Space, mu_sequence: Sequence[DiscreteMeasure]
         "trailing_not_worse_than_start": dvecs[-1] <= dvecs[0] + 1e-9,
     }
     return ConvergenceReport(sizes, dvecs, moments_, runtimes=runtimes,
-                             verdicts=verdicts, seed=seed)
+                             verdicts=verdicts, seed=None)

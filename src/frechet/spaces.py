@@ -898,28 +898,28 @@ class PersistenceDiagramSpace(Space):
 
     def pairwise_distances(self, xs, ys) -> np.ndarray:
         """A loop over pairs: each pair is its own assignment problem."""
-        return np.array([[self.distance(x, y) for y in ys] for x in xs],
-                        dtype=float).reshape(len(xs), len(ys))
-
-    def distance(self, x, y) -> float:
         from scipy.optimize import linear_sum_assignment
 
-        p1 = [tuple(map(float, pt)) for pt in x]
-        p2 = [tuple(map(float, pt)) for pt in y]
-        n, m = len(p1), len(p2)
-        if n == 0 and m == 0:
-            return 0.0
-        size = n + m
-        cost = np.full((size, size), np.inf)
-        for i, a in enumerate(p1):
+        def matching_cost(x, y) -> float:
+            p1 = [tuple(map(float, pt)) for pt in x]
+            p2 = [tuple(map(float, pt)) for pt in y]
+            n, m = len(p1), len(p2)
+            if n == 0 and m == 0:
+                return 0.0
+            size = n + m
+            cost = np.full((size, size), np.inf)
+            for i, a in enumerate(p1):
+                for j, b in enumerate(p2):
+                    cost[i, j] = math.hypot(a[0] - b[0], a[1] - b[1]) ** self.q
+                cost[i, m + i] = _diag_gap(a) ** self.q
             for j, b in enumerate(p2):
-                cost[i, j] = math.hypot(a[0] - b[0], a[1] - b[1]) ** self.q
-            cost[i, m + i] = _diag_gap(a) ** self.q
-        for j, b in enumerate(p2):
-            cost[n + j, j] = _diag_gap(b) ** self.q
-        cost[n:, m:] = 0.0  # diagonal-to-diagonal pairings are free
-        rows, cols = linear_sum_assignment(cost)
-        return float(cost[rows, cols].sum() ** (1.0 / self.q))
+                cost[n + j, j] = _diag_gap(b) ** self.q
+            cost[n:, m:] = 0.0  # diagonal-to-diagonal pairings are free
+            rows, cols = linear_sum_assignment(cost)
+            return float(cost[rows, cols].sum() ** (1.0 / self.q))
+
+        return np.array([[matching_cost(x, y) for y in ys] for x in xs],
+                        dtype=float).reshape(len(xs), len(ys))
 
     def contains(self, x) -> bool:
         try:

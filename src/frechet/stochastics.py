@@ -351,8 +351,8 @@ def slln_experiment(space: Space, sampler: SamplerSpec, p: float,
     empirical measure is computed and its one-sided Hausdorff distance
     into the declared target set recorded; the report keeps the worst
     replication per n. A solver that does not converge
-    (``ConvergenceFailure``) is recorded per cell rather than aborting the
-    sweep; any other error propagates.
+    (``ConvergenceFailure``) is recorded per cell, in the report's
+    ``failures``, rather than aborting the sweep; any other error propagates.
 
     Each replication draws its stream once, at the largest n, and every
     n uses a prefix of it; streams are prefix-stable, so this equals a
@@ -372,19 +372,21 @@ def slln_experiment(space: Space, sampler: SamplerSpec, p: float,
         space, sampler.with_seed(_derived_seed(sampler.seed, rep)).draw(max(n_grid)),
         n_grid, p, config, target) for rep in range(replications)]
 
-    dvec_max, moment_mean, runtimes, failure_count = [], [], [], 0
-    for j in range(len(n_grid)):
+    dvec_max, moment_mean, runtimes, failures = [], [], [], []
+    for j, n in enumerate(n_grid):
         finite = [rep[0][j] for rep in per_rep if not math.isnan(rep[0][j])]
-        failure_count += sum(rep[2][j] is not None for rep in per_rep)
+        failures += [{"n": n, "replication": r, "exception": type(exc).__name__,
+                      "message": str(exc), "iterations": exc.iterations}
+                     for r, rep in enumerate(per_rep) if (exc := rep[2][j]) is not None]
         dvec_max.append(max(finite) if finite else float("nan"))
         moment_mean.append(float(np.mean([rep[1][j] for rep in per_rep])))
         runtimes.append(sum(rep[3][j] for rep in per_rep))
 
-    verdicts = {"solver_failures": failure_count}
+    verdicts = {"solver_failures": len(failures)}
     if config.threshold is not None:
         verdicts["final_below_threshold"] = bool(dvec_max[-1] < config.threshold)
     return ConvergenceReport(n_grid, dvec_max, moment_mean, runtimes=runtimes,
-                             verdicts=verdicts, seed=sampler.seed)
+                             verdicts=verdicts, seed=sampler.seed, failures=failures)
 
 
 def _derived_seed(seed: int, rep: int) -> int:

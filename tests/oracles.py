@@ -890,7 +890,8 @@ def convergence_report_json(report):
         "bl": [],
         "runtimes": [float(v) for v in report.runtimes],
         "verdicts": dict(report.verdicts),
-        "seed": int(report.seed),
+        "seed": None if report.seed is None else int(report.seed),
+        "failures": [dict(failure) for failure in report.failures],
     }
 
 

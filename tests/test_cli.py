@@ -23,15 +23,16 @@ def write_config(tmp_path, name, payload):
 
 # Minimal valid configs of the experiment commands.
 SLLN = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0,
-        "sampler": {"kind": "iid", "distribution": "normal", "params": [0.0, 1.0], "seed": 1},
+        "sampler": {"kind": "iid", "distribution": "normal", "params": [0.0, 1.0]}, "seed": 1,
         "n_grid": [20], "solver": "subgradient", "target_points": [[0.0]]}
 ERGODIC = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0,
            "sampler": {"kind": "markov-chain", "states": [0.0, 3.0],
-                       "kernel": [[0.6, 0.4], [0.4, 0.6]], "seed": 3},
+                       "kernel": [[0.6, 0.4], [0.4, 0.6]]}, "seed": 3,
            "n_grid": [20], "solver": "subgradient"}
 LDP = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0,
        "measure": {"support": [[0.0], [1.0]], "weights": [0.7, 0.3]},
        "n_grid": [20], "event_points": [[1.0]], "simplex_step": 0.25}
+LDP_MONTE_CARLO = {**LDP, "mode": "monte-carlo", "replications": 20}
 MEAN = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0,
         "measure": {"support": [[0.0], [1.0]]}, "grid_step": 0.1}
 GAMMA = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0, "grid_step": 0.1,
@@ -52,9 +53,9 @@ _BAD_KEYS = [
     ("mean", "epsilon", math.nan), ("gamma", "p", math.nan), ("diag", "p", math.inf),
     ("slln", "replications", 2.5), ("slln", "replications", "3"),
     ("slln", "replications", True), ("slln", "n_grid", [20.7]), ("slln", "n_grid", 20),
-    ("slln", "max_iterations", 2.5), ("slln", "seed", 1.5), ("ergodic", "n_grid", [True]),
-    ("ldp", "replications", 2.5), ("ldp", "n_grid", [5.5]), ("ldp", "seed", 1.5),
-    ("gamma", "seed", 1.5), ("diag", "trials", 2.5), ("diag", "seed", "0"),
+    ("slln", "max_iterations", 2.5), ("slln", "seed", 1.5), ("slln", "seed", "1"),
+    ("ergodic", "n_grid", [True]), ("ldp", "replications", 2.5), ("ldp", "n_grid", [5.5]),
+    ("diag", "trials", 2.5), ("diag", "seed", "0"),
 ]
 
 
@@ -87,8 +88,8 @@ MEAN_BW = {"space": {"type": "bures-wasserstein", "dim": 2}, "p": 2.0, "scheme":
 # The paper's heavy-tail regime on the grid: Pareto alpha = 1.5 has no
 # variance, p = 2, and at n = 1e5 the hull spans about 6e5 grid steps.
 SLLN_HEAVY_TAIL = {"space": {"type": "euclidean", "dim": 1}, "p": 2.0,
-                   "sampler": {"kind": "iid", "distribution": "pareto", "params": [1.5, 1.0],
-                               "seed": 5},
+                   "sampler": {"kind": "iid", "distribution": "pareto", "params": [1.5, 1.0]},
+                   "seed": 5,
                    "n_grid": [1000, 10000, 100000], "solver": "grid", "grid_step": 0.01,
                    "grid_pad": 1.0, "target_points": [[3.0]], "threshold": 0.5}
 MEAN_SPIDER = {"space": {"type": "spider", "legs": 3}, "p": 2.0, "grid_step": 0.1,
@@ -99,15 +100,14 @@ MEAN_SUPPORT_200 = {"space": {"type": "euclidean", "dim": 2}, "p": 2.0, "scheme"
                     "measure": {"support": [[k / 8.0, (k * 37 % 101) / 16.0]
                                             for k in range(200)]}}
 FINITE = {**SLLN, "sampler": {"kind": "iid", "distribution": "finite", "atoms": [0.0, 1.0],
-                              "probs": [0.5, 0.5], "seed": 1}}
+                              "probs": [0.5, 0.5]}}
 # (command, config, key path, value, key): entries below the top level of a
 # config, and eps_sequence, each refused by the name of ``key``. Read with
 # int(), float() or tuple(), each of these ran (2.5 as 2, "3" as 3.0, an
 # infinite level as any other), ended in a traceback, or was refused under
 # another key's name.
 _BAD_ENTRIES = [
-    ("slln", SLLN, ("sampler", "seed"), 2.5, "seed"),
-    ("slln", SLLN, ("sampler", "seed"), "1", "seed"),
+    ("ldp", LDP_MONTE_CARLO, ("seed",), 1.5, "seed"),
     ("slln", SLLN, ("sampler", "params"), ["0", "1"], "params"),
     ("slln", SLLN, ("sampler", "params"), [0.0, math.inf], "params"),
     ("slln", SLLN, ("space", "dim"), 1.7, "dim"),
@@ -264,7 +264,7 @@ class TestExperimentCommands:
         cfg = write_config(tmp_path, "s.json", {
             "space": {"type": "euclidean", "dim": 1},
             "sampler": {"kind": "iid", "distribution": "normal",
-                        "params": [0.0, 1.0], "seed": 1},
+                        "params": [0.0, 1.0]}, "seed": 1,
             "p": 2.0, "n_grid": [50, 500], "replications": 3,
             "solver": "subgradient", "target_points": [[0.0]],
             "threshold": 0.5})
@@ -280,7 +280,7 @@ class TestExperimentCommands:
         cfg = write_config(tmp_path, "s.json", {
             "space": {"type": "euclidean", "dim": 1},
             "sampler": {"kind": "iid", "distribution": "uniform",
-                        "params": [0.0, 1.0], "seed": 2},
+                        "params": [0.0, 1.0]}, "seed": 2,
             "p": 2.0, "n_grid": [20, 80], "replications": 2,
             "solver": "subgradient", "target_points": [[0.5]]})
         _, out1 = run(tmp_path, "slln", cfg, out_name="a")
@@ -291,7 +291,7 @@ class TestExperimentCommands:
         cfg = write_config(tmp_path, "e.json", {
             "space": {"type": "euclidean", "dim": 1},
             "sampler": {"kind": "markov-chain", "states": [0.0, 3.0],
-                        "kernel": [[0.6, 0.4], [0.4, 0.6]], "seed": 3},
+                        "kernel": [[0.6, 0.4], [0.4, 0.6]]}, "seed": 3,
             "p": 2.0, "n_grid": [100, 2000], "solver": "subgradient",
             "threshold": 0.3})
         code, out = run(tmp_path, "ergodic", cfg)
@@ -334,7 +334,7 @@ class TestExperimentCommands:
         cfg = write_config(tmp_path, "e.json", {
             "space": {"type": "euclidean", "dim": 1},
             "sampler": {"kind": "markov-chain", "states": [0.0, 3.0],
-                        "kernel": [[0.5, 0.5], [0.5, 0.5]], "seed": 7},
+                        "kernel": [[0.5, 0.5], [0.5, 0.5]]}, "seed": 7,
             "p": 3.0, "n_grid": [50], "solver": "subgradient",
             "target_points": [[1.5]], "max_iterations": 1})
         code, out = run(tmp_path, "ergodic", cfg)
@@ -345,13 +345,29 @@ class TestExperimentCommands:
         assert partial["result"]["error"] == "solver"
 
 
+    def test_failed_slln_cells_name_themselves(self, tmp_path):
+        # The sidecar's result lists each failed cell; the verdicts keep
+        # only the count and the CSV keeps its columns.
+        cfg = write_config(tmp_path, "s.json", {**SLLN, "p": 3.0, "n_grid": [20, 50],
+                                                "replications": 2, "max_iterations": 1})
+        code, out = run(tmp_path, "slln", cfg)
+        assert code == EXIT_OK
+        result = json.loads(Path(out + ".json").read_text())["result"]
+        assert result["failures"] == [
+            {"n": n, "replication": r, "exception": "ConvergenceFailure",
+             "message": "gradient descent did not converge", "iterations": 1}
+            for n in (20, 50) for r in (0, 1)]
+        assert result["verdicts"] == {"solver_failures": 4}
+        assert Path(out + ".csv").read_text().splitlines()[0] == "n,dvec,bl,moment_gap,runtime"
+
+
 class TestErrorPaths:
     def test_epsilon_with_a_point_solver(self, tmp_path, capsys):
         # A point solver returns one minimizer, never an epsilon-band.
         cfg = write_config(tmp_path, "s.json", {
             "space": {"type": "euclidean", "dim": 1},
             "sampler": {"kind": "iid", "distribution": "cauchy",
-                        "params": [0.0, 1.0], "seed": 1},
+                        "params": [0.0, 1.0]}, "seed": 1,
             "p": 1.0, "n_grid": [20], "solver": "weiszfeld", "epsilon": 0.1,
             "target_points": [[0.0]]})
         code, _ = run(tmp_path, "slln", cfg)
@@ -363,7 +379,7 @@ class TestErrorPaths:
         # One median iteration under two names: the same dvec, moments and CSV.
         cauchy = {**SLLN, "p": 1.0, "n_grid": [10, 100, 1000], "replications": 3,
                   "sampler": {"kind": "iid", "distribution": "cauchy",
-                              "params": [0.0, 1.0], "seed": 5}}
+                              "params": [0.0, 1.0]}, "seed": 5}
         outs = []
         for name in ("weiszfeld", "subgradient"):
             cfg = write_config(tmp_path, f"{name}_config.json", {**cauchy, "solver": name})
@@ -394,7 +410,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("command,payload", [
         ("slln", {"sampler": {"kind": "iid", "distribution": "normal",
-                              "params": [0.0, 1.0], "seed": 1},
+                              "params": [0.0, 1.0]}, "seed": 1,
                   "n_grid": [50], "solver": "subgradient", "target_points": [[0.0]]}),
         ("ldp", {"measure": {"support": [[0.0], [1.0]], "weights": [0.7, 0.3]},
                  "n_grid": [20], "event_points": [[1.0]], "mode": "monte-carlo",
@@ -448,10 +464,10 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command,payload", [
         ("mean", {"measure": {"support": [[0.0], [1.0]]}}),
         ("slln", {"sampler": {"kind": "iid", "distribution": "normal",
-                              "params": [0.0, 1.0], "seed": 1},
+                              "params": [0.0, 1.0]}, "seed": 1,
                   "n_grid": [20], "target_points": [[0.0]]}),
         ("ergodic", {"sampler": {"kind": "markov-chain", "states": [0.0, 3.0],
-                                 "kernel": [[0.6, 0.4], [0.4, 0.6]], "seed": 3},
+                                 "kernel": [[0.6, 0.4], [0.4, 0.6]]}, "seed": 3,
                      "n_grid": [20], "target_points": [[1.5]]}),
     ], ids=["mean", "slln", "ergodic"])
     def test_bad_grid_keys_are_config_errors(self, tmp_path, capsys, command, payload,
@@ -720,7 +736,7 @@ def test_a_solver_seeded_mean_reports_the_radius_of_its_best_seed(tmp_path):
 
 @pytest.mark.parametrize("command,payload", [
     ("slln", SLLN), ("ergodic", ERGODIC),
-    ("ldp", {**LDP, "mode": "monte-carlo", "replications": 20})],
+    ("ldp", LDP_MONTE_CARLO)],
     ids=["slln-normal", "ergodic", "ldp-monte-carlo"])
 def test_experiments_load_no_scipy(tmp_path, command, payload):
     # The normal sampler's quantile is a numpy port of scipy's ndtri.
@@ -775,15 +791,41 @@ class TestParserAndSidecar:
         cfg = write_config(tmp_path, "d.json", {
             "space": {"type": "euclidean", "dim": 1}, "x": [0.0], "y": [1.0]})
         code, first = run(tmp_path, "dist", cfg, out_name="first",
-                          extra=["--set", "y=[3.0]", "--seed", "5"])
+                          extra=["--set", "y=[3.0]", "--set", "x=[1.0]"])
         assert code == EXIT_OK
         code, second = run(tmp_path, "dist", cfg, out_name="second")
         assert code == EXIT_OK
         a = json.loads(Path(first + ".json").read_text())
         b = json.loads(Path(second + ".json").read_text())
-        assert a["result"]["distance"] == 3.0 and a["config"]["seed"] == 5
+        assert a["result"]["distance"] == 2.0 and a["config"]["x"] == [1.0]
         assert b["result"]["distance"] == 1.0
-        assert b["config"]["y"] == [1.0] and "seed" not in b["config"]
+        assert b["config"]["x"] == [0.0] and b["config"]["y"] == [1.0]
+
+    @pytest.mark.parametrize("command,payload,extra,message", [
+        ("slln", SLLN, ["--seed", "7"], "unrecognized arguments: --seed 7"),
+        ("slln", _with_entry(SLLN, ("sampler", "seed"), 7), [],
+         "sampler.seed is not read; set the top-level seed"),
+        ("dist", DIST_EUCLID, ["--set", "seed=7"], "seed is not read: dist draws nothing"),
+        ("mean", {**MEAN, "seed": 7}, [], "seed is not read: mean draws nothing"),
+        ("gamma", {**GAMMA, "seed": 7}, [], "seed is not read: gamma draws nothing"),
+        ("ldp", {**LDP, "mode": "exact-binomial", "seed": 7}, [],
+         "seed is not read: exact-binomial ldp draws nothing"),
+    ], ids=["flag", "sampler-seed", "dist", "mean", "gamma", "ldp-exact-binomial"])
+    def test_a_seed_nothing_reads_is_refused(self, tmp_path, capsys, command, payload, extra,
+                                             message):
+        # The top-level seed is the one spelling, read only where a command
+        # draws. Before, --seed and sampler.seed were two more, and dist,
+        # mean, gamma and the exact ldp ran and wrote the unused seed into
+        # the sidecar.
+        try:
+            code, out = run(tmp_path, command, write_config(tmp_path, "s.json", payload),
+                            extra=extra)
+        except SystemExit as exc:  # argparse refuses an unknown flag
+            code, out = exc.code, str(tmp_path / "out")
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err
+        assert not os.path.exists(out + ".json") and not os.path.exists(out + ".csv")
 
     def test_sidecar_is_compact_sorted_json(self, tmp_path):
         cfg = write_config(tmp_path, "d.json", {

@@ -163,7 +163,7 @@ class TestPrefixEngine:
             "schema_version": SCHEMA_VERSION,
             "space": {"type": "euclidean", "dim": 1},
             "sampler": {"kind": "markov-chain", "states": [0.0, 3.0],
-                        "kernel": [[0.5, 0.5], [0.5, 0.5]], "seed": 7},
+                        "kernel": [[0.5, 0.5], [0.5, 0.5]]}, "seed": 7,
             "p": 3.0, "n_grid": [50], "solver": "subgradient",
             "target_points": [[1.5]], "max_iterations": 1}))
         out = tmp_path / "out"

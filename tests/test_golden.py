@@ -32,14 +32,14 @@ CONFIGS = {
     "slln": {
         "space": {"type": "euclidean", "dim": 1},
         "sampler": {"kind": "iid", "distribution": "normal",
-                    "params": [0.0, 1.0], "seed": 1},
+                    "params": [0.0, 1.0]}, "seed": 1,
         "p": 2.0, "n_grid": [50, 500], "replications": 3,
         "solver": "subgradient", "target_points": [[0.0]],
         "threshold": 0.5},
     "ergodic": {
         "space": {"type": "euclidean", "dim": 1},
         "sampler": {"kind": "markov-chain", "states": [0.0, 3.0],
-                    "kernel": [[0.6, 0.4], [0.4, 0.6]], "seed": 3},
+                    "kernel": [[0.6, 0.4], [0.4, 0.6]]}, "seed": 3,
         "p": 2.0, "n_grid": [100, 2000], "solver": "subgradient",
         "threshold": 0.3},
     "ldp": {

@@ -193,7 +193,7 @@ class TestBenchmarkCells:
         calls = _benchmark_workloads().generate("experiments", seed)
         config = next(c for command, c in calls
                       if command == "slln" and c["solver"] == "weiszfeld")
-        sampler = sampler_from_config(config["sampler"]).with_seed(int(config["seed"]))
+        sampler = sampler_from_config(config["sampler"], config["seed"])
         for rep in range(config["replications"]):
             stream = sampler.with_seed(_derived_seed(sampler.seed, rep)).draw(
                 max(config["n_grid"]))

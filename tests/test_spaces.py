@@ -688,14 +688,15 @@ class TestDedup:
 
 class TestOneKernelPerSpace:
     """Each space writes its metric once, as ``pairwise_distances``;
-    ``distance`` is the base class's 1x1 case everywhere but in persistence
-    diagrams, whose kernel loops over pairs (one assignment problem each)."""
+    ``distance`` is the base class's 1x1 case everywhere, persistence
+    diagrams included (their kernel loops over pairs, one assignment
+    problem each)."""
 
     @pytest.mark.parametrize("space", _dedup_spaces(), ids=lambda s: type(s).__name__)
-    def test_only_persistence_diagrams_override_distance(self, space):
+    def test_no_space_overrides_distance(self, space):
         cls = type(space)
         assert cls.pairwise_distances is not Space.pairwise_distances
-        assert (cls.distance is not Space.distance) == isinstance(space, PersistenceDiagramSpace)
+        assert cls.distance is Space.distance
 
     def test_base_class_has_no_metric(self):
         with pytest.raises(NotImplementedError):
